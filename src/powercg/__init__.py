@@ -11,12 +11,13 @@ bounds.
 
 from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
                     KernelComponentError, MatrixOperator, SelfAdjointOperator,
-                    SpectralAccessError, apply, estimate_norm, fractional_apply)
+                    SpectralAccessError, fractional_apply)
 from .measures import (DiscreteSpectralMeasure, mass_below, moment,
                        spectral_measure, weight_by_power)
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      JacobiMatrix, brute_force_iterate, brute_force_objective,
-                     lanczos, run_cg, theta_iterate, theta_iterate_spectral)
+                     lanczos, run_cg, spectral_iterates, theta_iterate,
+                     theta_iterate_spectral)
 from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
                         bound_chain, check_separation, delta_n, lemma_bound,
                         orthogonality_gap, residual_polynomials,
@@ -31,12 +32,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SelfAdjointOperator", "MatrixOperator", "DiagonalOperator",
-    "FourierOperator", "apply", "fractional_apply", "estimate_norm",
+    "FourierOperator", "fractional_apply",
     "DimensionMismatchError", "KernelComponentError", "SpectralAccessError",
     "DiscreteSpectralMeasure", "spectral_measure", "weight_by_power",
     "moment", "mass_below",
     "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
-    "run_cg", "theta_iterate", "theta_iterate_spectral", "lanczos",
+    "run_cg", "theta_iterate", "theta_iterate_spectral",
+    "spectral_iterates", "lanczos",
     "brute_force_iterate", "brute_force_objective",
     "ResidualPolynomial", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "lemma_bound", "bound_chain",

@@ -8,7 +8,6 @@ for integer theta >= 1 through Lanczos tridiagonal powers; everything else
 needs spectral access.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,43 +348,43 @@ def _theta_iterate_fractional(problem, theta, N, R0):
     return problem.f0 + V @ y
 
 
-def _weighted_residual_values(lam, w, N):
+def _weighted_residual_values(lam, w, n_max):
     """Values at the atoms of the w-weighted least-squares minimizer of
-    ||p||_w over polynomials with p(0) = 1, deg p <= N.
+    ||p||_w over polynomials with p(0) = 1, deg p <= N, yielded for every
+    N = 1..n_max from one pass.
 
     p = 1 - (projection of 1 onto span{lambda q(lambda)}); the span is built
     by a multiplication ladder with two-pass Gram-Schmidt in the w-inner
     product. The ladder degenerates exactly when the weight carries fewer
-    than N atoms; the minimizer then already vanishes w-a.e. and the build
-    stops. Returns (p values, degrees actually built)."""
+    than N atoms; the minimizer then already vanishes w-a.e. and every
+    later degree repeats it."""
     m = lam.size
     ones = np.ones(m)
+    p = ones
     wnorm0 = np.sqrt(float(np.dot(w, ones)))
-    if wnorm0 == 0.0:
-        return ones, 0
-    p = ones.copy()
-    Q = np.empty((m, N))
-    prev = ones / wnorm0
-    built = 0
+    live = wnorm0 > 0.0
+    Q = np.empty((m, n_max))
+    prev = ones / wnorm0 if live else ones
     lmax = max(float(lam.max()), 1e-300)
-    for _ in range(N):
-        v = lam * prev
-        for _ in range(2):
-            if built:
-                v = v - Q[:, :built] @ ((w * v) @ Q[:, :built])
-        nv = np.sqrt(float(np.dot(w * v, v)))
-        if nv <= 1e-15 * lmax:
-            break
-        q = v / nv
-        Q[:, built] = q
-        built += 1
-        p = p - float(np.dot(w * q, ones)) * q
-        prev = q
-    return p, built
+    for built in range(n_max):
+        if live:
+            v = lam * prev
+            for _ in range(2):
+                if built:
+                    v = v - Q[:, :built] @ ((w * v) @ Q[:, :built])
+            nv = np.sqrt(float(np.dot(w * v, v)))
+            live = nv > 1e-15 * lmax
+        if live:
+            q = v / nv
+            Q[:, built] = q
+            p = p - float(np.dot(w * q, ones)) * q
+            prev = q
+        yield p
 
 
-def theta_iterate_spectral(problem, theta, N):
-    """Same minimizer computed in the eigenbasis, valid for any theta >= 0.
+def spectral_iterates(problem, theta, n_max):
+    """f0 and the minimizers of degree 1..n_max, computed in the eigenbasis
+    from one least-squares ladder; valid for any theta >= 0.
 
     The objective is a weighted polynomial least-squares problem on the
     eigenvalue atoms with weights lambda^theta |e0|^2; the optimal residual
@@ -395,11 +394,9 @@ def theta_iterate_spectral(problem, theta, N):
         raise ValueError(f"theta must be >= 0, got {theta}")
     op = problem.operator
     if not op.spectral:
-        raise SpectralAccessError("theta_iterate_spectral needs spectral access")
-    if N > problem.dimension:
-        raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
-    if N == 0:
-        return problem.f0.copy()
+        raise SpectralAccessError("spectral iterates need spectral access")
+    if n_max > problem.dimension:
+        raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
     e0 = problem.error_coefficients(problem.f0)
     lam = np.asarray(op.eigenvalues(), dtype=float)
     ker = op.kernel_mask()
@@ -407,12 +404,20 @@ def theta_iterate_spectral(problem, theta, N):
     live = ~ker
     w[live] = lam[live] ** theta if theta > 0 else 1.0
     w = w * np.abs(e0) ** 2
-    p, _ = _weighted_residual_values(lam, w, N)
-    c = op.coefficients(problem.f0) + (p - 1.0) * e0
-    out = op.from_coefficients(c)
-    if np.isrealobj(problem.f0) and np.iscomplexobj(out):
-        out = out.real.copy()
+    c0 = op.coefficients(problem.f0)
+    out = [problem.f0.copy()]
+    for p in _weighted_residual_values(lam, w, n_max):
+        f = op.from_coefficients(c0 + (p - 1.0) * e0)
+        if np.isrealobj(problem.f0) and np.iscomplexobj(f):
+            f = f.real.copy()
+        out.append(f)
     return out
+
+
+def theta_iterate_spectral(problem, theta, N):
+    """Degree-N entry of spectral_iterates: the minimizer of theta_iterate
+    computed in the eigenbasis, valid for any theta >= 0."""
+    return spectral_iterates(problem, theta, N)[N]
 
 
 def brute_force_iterate(problem, theta, N, dps=None):

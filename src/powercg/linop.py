@@ -220,16 +220,6 @@ class FourierOperator(SelfAdjointOperator):
         return out
 
 
-def apply(op, x):
-    """A x."""
-    return op.apply(x)
-
-
-def estimate_norm(op):
-    """Largest eigenvalue of A, exact for spectral operators."""
-    return op.norm_estimate()
-
-
 def fractional_apply(op, t, x):
     """A^t x through the eigenbasis. Needs spectral access.
 

@@ -32,8 +32,10 @@ class DiscreteSpectralMeasure:
         lam, w = lam[keep], w[keep]
         order = np.argsort(lam, kind="stable")
         lam, w = lam[order], w[order]
-        # merge near-coincident atoms, summing weight
-        if lam.size:
+        # merge near-coincident atoms, summing weight; an atom joins a
+        # cluster by its distance to the cluster's first atom, so the loop
+        # only runs when some consecutive gap is within reach
+        if np.any(np.diff(lam) <= MERGE_REL * np.maximum(1.0, lam[1:])):
             out_l = [lam[0]]
             out_w = [w[0]]
             for li, wi in zip(lam[1:], w[1:]):

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .measures import DiscreteSpectralMeasure, mass_below, weight_by_power
+from .krylov import lanczos
+from .linop import DiagonalOperator
+from .measures import mass_below, weight_by_power
 
 # product evaluation switches to log-magnitude accumulation above this degree;
 # 60 factors of size up to lambda_max/z_1 ~ 1e10 overflow a float64 product
 _LOG_EVAL_DEGREE = 50
-# Lanczos breakdown threshold, relative to the largest support point
-_BREAKDOWN_REL = 1e-13
+# relative slack of the lemma's weighted left bound
+LEMMA_SLACK = 1e-10
 # measures up to this many atoms get their zeros from an extended-precision
 # Stieltjes pass: double-precision Lanczos places a zero that has captured an
 # isolated atom only ~1e-8 relative to it, and the split integrals amplify
@@ -83,45 +85,6 @@ class ResidualPolynomial:
         # weighted split integrals near the smallest zero do not cancel
         r = _product_eval(lam, self.zeros[1:])
         return r * r
-
-
-def _stieltjes_jacobi(measure, n_max):
-    """Jacobi recurrence coefficients of the measure, by Lanczos on the
-    multiplication operator over the atoms. Double full orthogonalization;
-    stops early on breakdown (more degrees requested than atoms carry)."""
-    lam = measure.support
-    w = measure.weights
-    m = lam.size
-    if m == 0 or n_max <= 0:
-        return np.empty(0), np.empty(0)
-    scale = lam.max() if lam.size else 1.0
-    tol = _BREAKDOWN_REL * max(scale, 1e-300)
-    n_max = min(n_max, m)
-    alphas = []
-    betas = []
-    Q = np.empty((m, n_max))
-    q = np.ones(m) / np.sqrt(w.sum())
-    Q[:, 0] = q
-    for k in range(n_max):
-        v = lam * q
-        if k > 0:
-            v = v - betas[k - 1] * Q[:, k - 1]
-        a = float(np.dot(w * v, q))
-        v = v - a * q
-        # two full passes keep the discrete orthogonality to machine level
-        for _ in range(2):
-            coeff = (w * v) @ Q[:, :k + 1]
-            v = v - Q[:, :k + 1] @ coeff
-        alphas.append(a)
-        b = float(np.sqrt(np.dot(w * v, v)))
-        if k == n_max - 1:
-            break
-        if b <= tol:
-            break
-        betas.append(b)
-        q = v / b
-        Q[:, k + 1] = q
-    return np.array(alphas), np.array(betas)
 
 
 def _zeros_from_jacobi(alphas, betas, N):
@@ -195,12 +158,19 @@ def residual_polynomials(nu, n_max):
     """
     if nu.support.size and nu.support[0] == 0.0:
         raise ValueError("measure has an atom at 0")
-    if 0 < nu.support.size <= _MP_MAX_ATOMS and n_max > 0:
+    m = nu.support.size
+    if m == 0 or n_max <= 0:
+        zero_table = []
+    elif m <= _MP_MAX_ATOMS:
         zero_table = _mp_zero_table(nu, n_max)
     else:
-        alphas, betas = _stieltjes_jacobi(nu, n_max)
-        zero_table = [(_zeros_from_jacobi(alphas, betas, N), None)
-                      for N in range(1, len(alphas) + 1)]
+        # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
+        # started from sqrt(weights); it stops on breakdown, 1e-13 of the
+        # largest atom
+        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
+                          min(n_max, m))
+        zero_table = [(_zeros_from_jacobi(T.alphas, T.betas, N), None)
+                      for N in range(1, T.order + 1)]
     reached = len(zero_table)
     if reached < n_max:
         warnings.warn(
@@ -307,7 +277,7 @@ def lemma_bound(p, nu, mu_sigma, xi, sigma):
 
     lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu,
     rhs = mu_sigma([0, z1)) * (q / delta_n)^q with q = xi - sigma + 1 >= 0.
-    Returns (lhs, rhs, satisfied with slack 1+1e-10).
+    Returns (lhs, rhs, satisfied with slack 1 + LEMMA_SLACK).
     """
     q = xi - sigma + 1.0
     if q < 0:
@@ -316,7 +286,7 @@ def lemma_bound(p, nu, mu_sigma, xi, sigma):
     below = mass_below(mu_sigma, p.zeros[0])
     d = delta_n(p)
     rhs = below * (q / d) ** q
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10)
+    return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)
 
 
 def rho_integral_identity(p, mu_sigma):

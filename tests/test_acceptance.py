@@ -15,7 +15,7 @@ import pytest
 
 from powercg.diagnostics import rho
 from powercg.krylov import (brute_force_iterate, brute_force_objective,
-                            run_cg, theta_iterate, theta_iterate_spectral)
+                            run_cg, spectral_iterates, theta_iterate)
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import (bound_chain, check_separation, lemma_bound,
                                orthogonality_gap, residual_polynomials)
@@ -45,9 +45,7 @@ def _poly_table(problem, xi, n_max):
 
 
 def _series(problem, xi, n_max):
-    iterates = [problem.f0.copy()]
-    iterates += [theta_iterate_spectral(problem, xi, N)
-                 for N in range(1, n_max + 1)]
+    iterates = spectral_iterates(problem, xi, n_max)
     base, nu, polys = _poly_table(problem, xi, n_max)
     rho_tab = {s: [rho(problem, f, s) for f in iterates]
                for s in (0.0, 1.0, 2.0)}
@@ -344,8 +342,8 @@ def test_8_grid_case_convergence_profiles(big_runs, deep_2b, acceptance):
     if last > 2 * first:
         failures.append(f"1b: N^2 rho1 grew {last / first:.1f}x, expected bounded")
     # A >= 1: CG contracts rho1 at the Chebyshev rate of kappa = lmax / lmin
-    lam = build_test_case("1b", n=2048, L=BIG_BOXES["1b"]).operator.eigenvalues()
-    kappa = lam.max() / lam.min()
+    kappa = (sources["1b"].metadata["norm_estimate"]
+             / sources["1b"].metadata["lambda_min"])
     q = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
     rho1 = np.array([r.rho[1.0] for r in sources["1b"].records])
     N = np.arange(1, 61)

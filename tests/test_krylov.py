@@ -15,8 +15,8 @@ from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
 from powercg.krylov import (ConsistencyError, InverseProblem, JacobiMatrix,
                             brute_force_iterate, brute_force_objective,
-                            lanczos, run_cg, theta_iterate,
-                            theta_iterate_spectral)
+                            lanczos, run_cg, spectral_iterates,
+                            theta_iterate, theta_iterate_spectral)
 
 
 def two_dim():
@@ -286,6 +286,27 @@ def test_fractional_theta_against_brute_force():
             spec = brute_force_objective(
                 prob, theta, theta_iterate_spectral(prob, theta, N))
             assert abs(spec - want) <= 1e-8 * max(want, 1e-14)
+
+
+def test_spectral_iterates_against_brute_force_past_breakdown():
+    # zero initial error on 4 of 8 atoms: the ladder degenerates at degree
+    # 4 and degrees 5..8 must repeat the terminated minimizer
+    rng = np.random.default_rng(37)
+    lam = np.sort(rng.uniform(0.1, 10.0, 8))
+    e0 = rng.standard_normal(8)
+    e0[::2] = 0.0
+    prob = InverseProblem(DiagonalOperator(lam), g=-lam * e0,
+                          known_solution=-e0)
+    for theta in (1.0, 2.0):
+        floor = 1e-12 * brute_force_objective(prob, theta, prob.f0)
+        iterates = spectral_iterates(prob, theta, 8)
+        assert len(iterates) == 9
+        for N, f in enumerate(iterates):
+            got = brute_force_objective(prob, theta, f)
+            want = brute_force_objective(
+                prob, theta, brute_force_iterate(prob, theta, N))
+            assert abs(got - want) <= 1e-8 * max(want, floor), (theta, N)
+            assert np.array_equal(f, theta_iterate_spectral(prob, theta, N))
 
 
 def test_theta_iterate_validation():

@@ -37,6 +37,15 @@ def test_near_equal_eigenvalues_merge():
     assert m.weights[0] == 2.0
 
 
+def test_merge_measures_distance_to_cluster_start():
+    # 1 + 0.6e-12 joins the atom at 1; 1 + 1.2e-12 is within reach of its
+    # predecessor but not of the cluster's first atom, so it stays apart
+    m = DiscreteSpectralMeasure(np.array([1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12]),
+                                np.array([1.0, 1.0, 1.0]))
+    assert np.array_equal(m.support, [1.0, 1.0 + 1.2e-12])
+    assert np.array_equal(m.weights, [2.0, 1.0])
+
+
 def test_zero_weight_atoms_dropped():
     m = DiscreteSpectralMeasure(np.array([1.0, 2.0, 3.0]),
                                 np.array([1.0, 0.0, 1e-301]))

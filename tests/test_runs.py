@@ -7,11 +7,14 @@ cannot survive.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from powercg.krylov import ConsistencyError
+from powercg.measures import DiscreteSpectralMeasure, weight_by_power
+from powercg.orthopoly import lemma_bound, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
                           build_test_case, consistency_tolerance, csv_lines,
@@ -133,8 +136,8 @@ def test_config_resolve_validation():
 
 
 def test_run_record_structure():
-    out = run(RunConfig(test="custom", n_max=8,
-                        custom={"dimension": 8, "seed": 5, "kappa": 100.0}))
+    spec = {"dimension": 8, "seed": 5, "kappa": 100.0}
+    out = run(RunConfig(test="custom", n_max=8, custom=spec))
     assert len(out.records) == 9
     assert [r.N for r in out.records] == list(range(9))
     r0 = out.records[0]
@@ -150,6 +153,8 @@ def test_run_record_structure():
     assert md["dimension"] == 8
     assert md["config"]["xi"] == 1.0
     assert md["wall_time_s"] > 0
+    lam = build_custom_case(spec).operator.eigenvalues()
+    assert md["lambda_min"] == lam.min()
 
 
 def test_run_with_xi_two_checks_all_chain_sigmas():
@@ -157,6 +162,32 @@ def test_run_with_xi_two_checks_all_chain_sigmas():
                         custom={"dimension": 6, "seed": 9, "kappa": 50.0}))
     assert all(r.bound_chain_ok for r in out.records[1:])
     assert all(r.lemma_ok for r in out.records[1:])
+
+
+def test_lemma_verdict_matches_lemma_bound():
+    # above the 64-atom cutoff the double-path chain fails on most records
+    # near termination while the lemma holds on every one, so the verdict
+    # must come from the lemma's own comparison, not from the chain's
+    spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
+    prob = build_custom_case(spec)
+    e0 = prob.error_coefficients(prob.f0)
+    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
+                                   np.abs(e0) ** 2)
+    mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
+    for xi in (1.0, 2.0):
+        out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+        for r in out.records[1:]:
+            if r.N >= len(polys):
+                assert r.lemma_ok is None
+                continue
+            want = all(lemma_bound(polys[r.N],
+                                   weight_by_power(m, xi - s + 1.0),
+                                   m, xi, s)[2]
+                       for s, m in mu.items() if s <= xi)
+            assert r.lemma_ok == want, (xi, r.N)
 
 
 def test_run_built_in_small():
