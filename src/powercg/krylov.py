@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import KernelComponentError, SpectralAccessError, fractional_apply
+from .linop import KernelComponentError, SpectralAccessError
 
 # Lanczos/CG breakdown: directions with curvature below this times the
 # operator norm signal an exhausted (invariant) Krylov subspace
@@ -188,7 +188,7 @@ def lanczos(op, b, n_steps):
         q = v / beta
         V[:, k + 1] = q
     k = len(alphas)
-    return JacobiMatrix(np.array(alphas), np.array(betas)), V[:, :k].copy(), breakdown
+    return JacobiMatrix(np.array(alphas), np.array(betas)), V[:, :k], breakdown
 
 
 def run_cg(problem, n_max, callback=None, reorthogonalize=True,
@@ -294,7 +294,7 @@ def theta_iterate(problem, theta, N):
         if not op.spectral:
             raise SpectralAccessError(
                 f"non-integer theta = {theta} needs spectral access")
-        return _theta_iterate_fractional(problem, float(theta), N, R0)
+        return theta_iterate_spectral(problem, theta, N)
     theta = int(theta)
     m = min(N + theta, problem.dimension)
     T_jac, V, _ = lanczos(op, R0, m)
@@ -334,18 +334,6 @@ def _chol_psd(T):
         # symmetric square root with negatives clipped
         vals, vecs = np.linalg.eigh(T)
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _theta_iterate_fractional(problem, theta, N, R0):
-    op = problem.operator
-    T_jac, V, _ = lanczos(op, R0, N)
-    k = T_jac.order
-    cols = np.empty((problem.dimension, k))
-    for i in range(k):
-        cols[:, i] = fractional_apply(op, theta / 2.0, V[:, i])
-    target = fractional_apply(op, (theta - 2.0) / 2.0, R0)
-    y, *_ = np.linalg.lstsq(cols, -target, rcond=None)
-    return problem.f0 + V @ y
 
 
 def _weighted_residual_values(lam, w, n_max):

@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .krylov import lanczos
 from .linop import DiagonalOperator
-from .measures import mass_below, weight_by_power
+from .measures import mass_below
 
 # product evaluation switches to log-magnitude accumulation above this degree;
 # 60 factors of size up to lambda_max/z_1 ~ 1e10 overflow a float64 product
@@ -56,13 +56,13 @@ def _product_eval(lam, zeros):
 class ResidualPolynomial:
     """s(lambda) = prod_k (1 - lambda / zeros_k); s(0) = 1 by construction.
 
-    _hp, when present, holds (extended-precision zeros, working digits) from
-    the construction pass. A zero that captures an atom sits closer to it
-    than one double ulp; the split-integral identity is infinitely sensitive
-    to that offset, so it is checked against the unrounded zeros.
+    split, when present, holds the (left, right) split integrals against the
+    measure the polynomial is orthogonal to, computed by
+    residual_polynomials where the zeros are made. A polynomial built by
+    hand from its zeros has no measure and no split.
     """
 
-    def __init__(self, zeros, _hp=None):
+    def __init__(self, zeros, split=None):
         z = np.asarray(zeros, dtype=float)
         if z.ndim != 1:
             raise ValueError("zeros must be a 1-d array")
@@ -72,7 +72,7 @@ class ResidualPolynomial:
                 f"got min={z.min() if z.size else None}")
         self.zeros = z
         self.degree = z.size
-        self._hp = _hp
+        self.split = split
 
     def __repr__(self):
         return f"ResidualPolynomial(degree={self.degree})"
@@ -80,25 +80,14 @@ class ResidualPolynomial:
     def evaluate(self, lam):
         return _product_eval(lam, self.zeros)
 
-    def _rest_squared(self, lam):
-        # prod_{k>=2} (1 - lam/z_k)^2, the first factor split off so the
-        # weighted split integrals near the smallest zero do not cancel
-        r = _product_eval(lam, self.zeros[1:])
-        return r * r
-
-
-def _zeros_from_jacobi(alphas, betas, N):
-    if N == 0:
-        return np.empty(0)
-    z = eigh_tridiagonal(alphas[:N], betas[:N - 1], eigvals_only=True)
-    return np.sort(z)
-
 
 def _mp_zero_table(measure, n_max):
-    """Zeros of every degree 1..reached in extended precision, rounded to
-    double at the end. Working precision covers the weight dynamic range,
-    so a zero that has captured an atom lands on the atom's double exactly
-    instead of 1e-8 off it."""
+    """(zeros, split integrals) of every degree 1..reached, the zeros in
+    extended precision rounded to double at the end. Working precision
+    covers the weight dynamic range, so a zero that has captured an atom
+    lands on the atom's double exactly instead of 1e-8 off it; the split
+    identity is infinitely sensitive to the sub-ulp rest of that offset,
+    so the split integrals use the unrounded zeros."""
     from mpmath import mp
 
     lam = measure.support
@@ -143,7 +132,8 @@ def _mp_zero_table(measure, n_max):
                     T[k, k + 1] = betas[k]
                     T[k + 1, k] = betas[k]
             ev = sorted(mp.eigsy(T, eigvals_only=True))
-            table.append((np.array([float(e) for e in ev]), (ev, dps)))
+            table.append((np.array([float(e) for e in ev]),
+                          _split_integrals_hp(ev, dps, measure)))
     return table
 
 
@@ -151,7 +141,8 @@ def residual_polynomials(nu, n_max):
     """First residual polynomials of nu: degrees 0..n_max, so the list index
     is the degree. Fewer atoms than requested degrees truncates the list
     (the degree-(atom count) polynomial already vanishes on the support);
-    a warning flags the truncation.
+    a warning flags the truncation. Each polynomial of degree >= 1 carries
+    its split integrals against nu.
 
     nu must have no atom at 0 (it is a power-reweighted measure with the
     kernel mass removed).
@@ -169,16 +160,19 @@ def residual_polynomials(nu, n_max):
         # largest atom
         T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
                           min(n_max, m))
-        zero_table = [(_zeros_from_jacobi(T.alphas, T.betas, N), None)
-                      for N in range(1, T.order + 1)]
+        zero_table = []
+        for N in range(1, T.order + 1):
+            z = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
+                                         eigvals_only=True))
+            zero_table.append((z, _split_integrals(z, nu)))
     reached = len(zero_table)
     if reached < n_max:
         warnings.warn(
             f"measure supports only {reached} orthogonal polynomials, "
             f"requested {n_max}; truncating", stacklevel=2)
     polys = [ResidualPolynomial(np.empty(0))]
-    for z, hp in zero_table:
-        polys.append(ResidualPolynomial(z, _hp=hp))
+    for z, split in zero_table:
+        polys.append(ResidualPolynomial(z, split))
     return polys
 
 
@@ -210,25 +204,25 @@ def check_separation(p_n, p_n1, slack=1e-10):
     return worst <= slack, worst
 
 
-def _split_integrals_hp(p, nu):
-    """Extended-precision evaluation against the unrounded zeros. Atoms a
-    zero has captured contribute zero on either side (s vanishes there to
-    working precision; the leftover 10^-dps junk would otherwise be blown
-    up by the other factors)."""
+def _split_integrals_hp(zeros, dps, nu):
+    """_split_integrals in extended precision against the unrounded zeros
+    (mp numbers at dps working digits). Atoms a zero has captured
+    contribute zero on either side (s vanishes there to working precision;
+    the leftover 10^-dps junk would otherwise be blown up by the other
+    factors)."""
     from mpmath import mp
 
-    zs, dps = p._hp
     with mp.workdps(dps):
-        z1 = zs[0]
+        z1 = zeros[0]
         cut = mp.mpf(10) ** (-(dps - 15))
         lhs = mp.mpf(0)
         rhs = mp.mpf(0)
         for lam_j, w_j in zip(nu.support, nu.weights):
             lj = mp.mpf(float(lam_j))
-            if any(abs(lj - z) <= cut * max(lj, z) for z in zs):
+            if any(abs(lj - z) <= cut * max(lj, z) for z in zeros):
                 continue
             term = mp.mpf(float(w_j)) * abs(1 - lj / z1)
-            for z in zs[1:]:
+            for z in zeros[1:]:
                 fac = 1 - lj / z
                 term *= fac * fac
             if lj < z1:
@@ -238,21 +232,17 @@ def _split_integrals_hp(p, nu):
         return float(lhs), float(rhs)
 
 
-def _split_integrals(p, nu):
+def _split_integrals(zeros, nu):
     """The two sides of the split orthogonality identity for the smallest
     zero z1: integral over [0, z1) of s^2 * z1/(z1-lambda) d nu, and over
     (z1, inf) of s^2 * z1/(lambda-z1) d nu. Uses the factored form
     s^2 * z1/|z1-lambda| = |1 - lambda/z1| * prod_{k>=2}(1-lambda/z_k)^2,
     exact where the naive quotient cancels. Atoms at z1 contribute zero."""
-    if p.degree == 0:
-        raise ValueError("split integrals need degree >= 1")
-    if p._hp is not None:
-        return _split_integrals_hp(p, nu)
-    z1 = p.zeros[0]
+    z1 = zeros[0]
     lam = nu.support
     w = nu.weights
     at = np.abs(lam - z1) <= 1e-12 * max(1.0, z1)
-    rest2 = p._rest_squared(lam)
+    rest2 = _product_eval(lam, zeros[1:]) ** 2
     frac = np.abs(1.0 - lam / z1)
     left = (lam < z1) & ~at
     right = (lam > z1) & ~at
@@ -261,28 +251,38 @@ def _split_integrals(p, nu):
     return lhs, rhs
 
 
-def orthogonality_gap(p, nu):
-    """(left integral, right integral, relative gap) of the split identity.
+def _split_of(p):
+    if p.split is None:
+        raise ValueError(
+            "split integrals need a polynomial of degree >= 1 from "
+            "residual_polynomials")
+    return p.split
 
-    For the polynomial actually orthogonal to nu the two sides agree; the
-    gap is |l - r| / max(l, r, tiny).
+
+def orthogonality_gap(p):
+    """(left integral, right integral, relative gap) of the split identity
+    against the measure p is orthogonal to.
+
+    For an exactly orthogonal polynomial the two sides agree; the gap is
+    |l - r| / max(l, r, tiny).
     """
-    lhs, rhs = _split_integrals(p, nu)
+    lhs, rhs = _split_of(p)
     gap = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return lhs, rhs, gap
 
 
-def lemma_bound(p, nu, mu_sigma, xi, sigma):
+def lemma_bound(p, mu_sigma, xi, sigma):
     """Weighted left integral against the mass-below bound.
 
-    lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu,
+    lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu, with nu the
+    measure p is orthogonal to (lambda^q mu_sigma),
     rhs = mu_sigma([0, z1)) * (q / delta_n)^q with q = xi - sigma + 1 >= 0.
     Returns (lhs, rhs, satisfied with slack 1 + LEMMA_SLACK).
     """
     q = xi - sigma + 1.0
     if q < 0:
         raise ValueError(f"requires xi - sigma + 1 >= 0, got {q}")
-    lhs, _ = _split_integrals(p, nu)
+    lhs, _ = _split_of(p)
     below = mass_below(mu_sigma, p.zeros[0])
     d = delta_n(p)
     rhs = below * (q / d) ** q
@@ -314,7 +314,10 @@ class ChainReport:
     mass_below: float = None
 
     def add(self, name, lhs, rhs, ok):
-        self.steps.append(ChainStep(name, float(lhs), float(rhs), bool(ok)))
+        # inf <= slack * inf holds: an overflowed operand must fail the step
+        lhs, rhs = float(lhs), float(rhs)
+        ok = bool(ok and np.isfinite(lhs) and np.isfinite(rhs))
+        self.steps.append(ChainStep(name, lhs, rhs, ok))
         if not ok and self.first_failure is None:
             self.first_failure = name
             self.ok = False
@@ -325,17 +328,16 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
     zero, reporting the first failure if any.
 
     Needs xi >= sigma (the tail-to-left step divides by lambda^{xi-sigma+1}
-    with exponent >= 1). The companion measure nu is the (xi - sigma + 1)
-    power reweighting of mu_sigma. A scale-aware absolute epsilon keeps the
+    with exponent >= 1). p must come from residual_polynomials of the
+    (xi - sigma + 1) power reweighting of mu_sigma, the measure its split
+    integrals are taken against. A scale-aware absolute epsilon keeps the
     finite-termination case (everything 0 up to roundoff) from tripping the
     comparisons.
     """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
-    if p.degree == 0:
-        raise ValueError("bound_chain needs degree >= 1")
     q = xi - sigma + 1.0
-    nu = weight_by_power(mu_sigma, q)
+    leftint, rightint = _split_of(p)
     z1 = p.zeros[0]
     d = delta_n(p)
     mass = mu_sigma.total_mass()
@@ -346,7 +348,6 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
     integral = float(s2w.sum())
     above = float(s2w[mu_sigma.support >= z1].sum())
     below = mass_below(mu_sigma, z1)
-    leftint, rightint = _split_integrals(p, nu)
     lemma_rhs = below * (q / d) ** q
 
     rep = ChainReport(exponent=q, ritz_min=float(z1), delta=d,

@@ -465,7 +465,7 @@ def verify_case(config):
         gap_ok = True
         worst = 0.0
         for p in polys[1:]:
-            _, _, gp = orthogonality_gap(p, nu)
+            _, _, gp = orthogonality_gap(p)
             worst = max(worst, gp)
         gap_ok = worst <= 1e-8
         checks.append(("split_orthogonality", gap_ok, f"max rel gap {worst:.3e}"))

@@ -41,16 +41,16 @@ def _poly_table(problem, xi, n_max):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         polys = residual_polynomials(nu, min(n_max, len(nu)))
-    return base, nu, polys
+    return base, polys
 
 
 def _series(problem, xi, n_max):
     iterates = spectral_iterates(problem, xi, n_max)
-    base, nu, polys = _poly_table(problem, xi, n_max)
+    base, polys = _poly_table(problem, xi, n_max)
     rho_tab = {s: [rho(problem, f, s) for f in iterates]
                for s in (0.0, 1.0, 2.0)}
     return dict(problem=problem, xi=xi, iterates=iterates, base=base,
-                nu=nu, polys=polys, rho=rho_tab)
+                polys=polys, rho=rho_tab)
 
 
 @pytest.fixture(scope="module")
@@ -175,16 +175,15 @@ def test_4_zero_structure_and_split_orthogonality(acceptance, random_runs, grid_
                                                   big_polys):
     failures = []
     worst_gap = 0.0
-    tables = [(r.get("test", "diag"), r["nu"], r["polys"])
+    tables = [(r.get("test", "diag"), r["polys"])
               for r in random_runs + grid_runs]
-    tables += [(test, nu, polys)
-               for test, (_, _, nu, polys) in big_polys.items()]
-    for name, nu, polys in tables:
+    tables += [(test, polys) for test, (_, _, polys) in big_polys.items()]
+    for name, polys in tables:
         for k in range(1, len(polys)):
             z = polys[k].zeros
             if not (z[0] > 0 and np.all(np.diff(z) > 0)):
                 failures.append(f"{name} N={k}: zeros not positive simple")
-            _, _, gap = orthogonality_gap(polys[k], nu)
+            _, _, gap = orthogonality_gap(polys[k])
             worst_gap = max(worst_gap, gap)
             if gap > 1e-8:
                 failures.append(f"{name} N={k}: split gap {gap:.3e}")
@@ -216,9 +215,8 @@ def test_5_tail_bounds_hold_on_every_run(acceptance, random_runs, grid_runs, big
             if sigma < 0 and (not len(base) or base.support[0] <= 0):
                 continue
             mu_s = weight_by_power(base, sigma)
-            nu_s = weight_by_power(mu_s, q)
             for N in range(1, len(polys)):
-                lhs, rhs, _ = lemma_bound(polys[N], nu_s, mu_s, xi, sigma)
+                lhs, rhs, _ = lemma_bound(polys[N], mu_s, xi, sigma)
                 checked += 1
                 if lhs > rhs * (1 + 1e-8) + 1e-300:
                     failures.append(
@@ -238,7 +236,7 @@ def test_5_tail_bounds_hold_on_every_run(acceptance, random_runs, grid_runs, big
         name = f"{r.get('test', 'diag')} xi={r['xi']}"
         sweep(name, r["problem"], r["xi"], r["base"], r["polys"],
               lambda s, N, r=r: rho(r["problem"], r["iterates"][N], s))
-    for test, (prob, base, _, polys) in big_polys.items():
+    for test, (prob, base, polys) in big_polys.items():
         recs = big_runs[test].records
         sweep(f"{test} n=2048", prob, 1.0, base, polys,
               lambda s, N, recs=recs: recs[N].rho.get(s))

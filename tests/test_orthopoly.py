@@ -121,7 +121,7 @@ def test_edge_zero_times_delta_at_least_one():
 def test_orthogonality_gap_hand():
     # both split integrals equal 4/9 for the two-atom case at N = 1
     polys = residual_polynomials(NU2, 1)
-    lhs, rhs, gap = orthogonality_gap(polys[1], NU2)
+    lhs, rhs, gap = orthogonality_gap(polys[1])
     assert abs(lhs - 4.0 / 9.0) < 1e-14
     assert abs(rhs - 4.0 / 9.0) < 1e-14
     assert gap < 1e-14
@@ -135,36 +135,38 @@ def test_orthogonality_gap_sweep():
         nu = DiscreteSpectralMeasure(lam, rng.uniform(0.01, 1.0, m))
         polys = residual_polynomials(nu, min(m - 1, 12))
         for N in range(1, len(polys)):
-            _, _, gap = orthogonality_gap(polys[N], nu)
+            _, _, gap = orthogonality_gap(polys[N])
             assert gap <= 1e-8, (N, gap)
 
 
 def test_split_integrals_against_mpmath():
     # high-precision recomputation of both split integrals, raw formula
-    # s^2 z1/|z1 - lambda|, which the double path evaluates in factored form
+    # s^2 z1/|z1 - lambda|; 25 atoms take the mp path, 72 the double path
+    # with its factored form
     from mpmath import mp
     rng = np.random.default_rng(25)
-    lam = np.sort(rng.uniform(0.5, 300.0, 25))
-    w = rng.uniform(0.1, 1.0, 25)
-    nu = DiscreteSpectralMeasure(lam, w)
-    p = residual_polynomials(nu, 6)[6]
-    lhs, rhs, _ = orthogonality_gap(p, nu)
-    with mp.workdps(60):
-        z = [mp.mpf(float(t)) for t in p.zeros]
-        left = mp.mpf(0)
-        right = mp.mpf(0)
-        for li, wi in zip(lam, w):
-            lm = mp.mpf(float(li))
-            s = mp.mpf(1)
-            for zz in z:
-                s *= (1 - lm / zz)
-            val = mp.mpf(float(wi)) * s ** 2 * z[0] / abs(z[0] - lm)
-            if lm < z[0]:
-                left += val
-            elif lm > z[0]:
-                right += val
-        assert abs(lhs - float(left)) <= 1e-12 * float(left)
-        assert abs(rhs - float(right)) <= 1e-12 * float(right)
+    for m in (25, 72):
+        lam = np.sort(rng.uniform(0.5, 300.0, m))
+        w = rng.uniform(0.1, 1.0, m)
+        nu = DiscreteSpectralMeasure(lam, w)
+        p = residual_polynomials(nu, 6)[6]
+        lhs, rhs, _ = orthogonality_gap(p)
+        with mp.workdps(60):
+            z = [mp.mpf(float(t)) for t in p.zeros]
+            left = mp.mpf(0)
+            right = mp.mpf(0)
+            for li, wi in zip(lam, w):
+                lm = mp.mpf(float(li))
+                s = mp.mpf(1)
+                for zz in z:
+                    s *= (1 - lm / zz)
+                val = mp.mpf(float(wi)) * s ** 2 * z[0] / abs(z[0] - lm)
+                if lm < z[0]:
+                    left += val
+                elif lm > z[0]:
+                    right += val
+            assert abs(lhs - float(left)) <= 1e-12 * float(left), m
+            assert abs(rhs - float(right)) <= 1e-12 * float(right), m
 
 
 def test_product_evaluation_log_path():
@@ -202,7 +204,7 @@ def test_rho_integral_identity_is_weighted_sum():
 def test_lemma_hand_numbers():
     # xi=1, sigma=0, q=2: mass below 9/5 is 1, (q/delta)^q = (18/5)^2
     polys = residual_polynomials(NU2, 1)
-    lhs, rhs, ok = lemma_bound(polys[1], NU2, MU0_2, 1.0, 0.0)
+    lhs, rhs, ok = lemma_bound(polys[1], MU0_2, 1.0, 0.0)
     assert abs(lhs - 4.0 / 9.0) < 1e-14
     assert abs(rhs - 12.96) < 1e-12
     assert ok
@@ -211,7 +213,7 @@ def test_lemma_hand_numbers():
 def test_lemma_rejects_negative_exponent():
     polys = residual_polynomials(NU2, 1)
     with pytest.raises(ValueError):
-        lemma_bound(polys[1], NU2, MU0_2, 1.0, 2.5)  # q = -0.5
+        lemma_bound(polys[1], MU0_2, 1.0, 2.5)  # q = -0.5
 
 
 def test_lemma_sweep_all_exponents():
@@ -227,7 +229,7 @@ def test_lemma_sweep_all_exponents():
             mu_s = weight_by_power(base, sigma)
             polys = residual_polynomials(nu, 8)
             for N in range(1, len(polys)):
-                lhs, rhs, ok = lemma_bound(polys[N], nu, mu_s, xi, sigma)
+                lhs, rhs, ok = lemma_bound(polys[N], mu_s, xi, sigma)
                 assert ok, (xi, sigma, N, lhs, rhs)
 
 
@@ -262,6 +264,19 @@ def test_bound_chain_detects_wrong_rho():
 def test_bound_chain_rejects_sigma_above_xi():
     with pytest.raises(ValueError):
         bound_chain(0.1, residual_polynomials(NU2, 1)[1], MU0_2, 1.0, 1.5)
+
+
+def test_hand_built_polynomial_has_no_split():
+    # split integrals are made with the zeros by residual_polynomials; a
+    # polynomial built from zeros alone has no measure to integrate against
+    p = ResidualPolynomial(np.array([2.0, 5.0]))
+    assert p.split is None
+    with pytest.raises(ValueError, match="split"):
+        orthogonality_gap(p)
+    with pytest.raises(ValueError, match="split"):
+        lemma_bound(p, MU0_2, 1.0, 0.0)
+    with pytest.raises(ValueError, match="split"):
+        bound_chain(0.1, p, MU0_2, 1.0, 0.0)
 
 
 def test_bound_chain_sweep():

@@ -14,7 +14,7 @@ import pytest
 
 from powercg.krylov import ConsistencyError
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import lemma_bound, residual_polynomials
+from powercg.orthopoly import bound_chain, lemma_bound, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
                           build_test_case, consistency_tolerance, csv_lines,
@@ -183,11 +183,39 @@ def test_lemma_verdict_matches_lemma_bound():
             if r.N >= len(polys):
                 assert r.lemma_ok is None
                 continue
-            want = all(lemma_bound(polys[r.N],
-                                   weight_by_power(m, xi - s + 1.0),
-                                   m, xi, s)[2]
+            want = all(lemma_bound(polys[r.N], m, xi, s)[2]
                        for s, m in mu.items() if s <= xi)
             assert r.lemma_ok == want, (xi, r.N)
+
+
+def test_chain_steps_fail_on_non_finite_operands():
+    # near termination the right split integral of this spectrum overflows
+    # on the double path; inf <= slack * inf holds, so without a finiteness
+    # check those steps would pass
+    spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
+    prob = build_custom_case(spec)
+    e0 = prob.error_coefficients(prob.f0)
+    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
+                                   np.abs(e0) ** 2)
+    non_finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for xi in (1.0, 2.0):
+            out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
+            polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+            for r in out.records[1:len(polys)]:
+                for s in (0.0, 1.0, 2.0):
+                    if s > xi:
+                        continue
+                    rep = bound_chain(r.rho[s], polys[r.N],
+                                      weight_by_power(base, s), xi, s)
+                    for step in rep.steps:
+                        if np.isfinite(step.lhs) and np.isfinite(step.rhs):
+                            continue
+                        non_finite += 1
+                        assert not step.ok, (xi, s, r.N, step.name)
+                        assert not rep.ok and not r.bound_chain_ok
+    assert non_finite > 0
 
 
 def test_run_built_in_small():
