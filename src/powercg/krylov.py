@@ -55,6 +55,8 @@ class InverseProblem:
         self.consistency_tol = consistency_tol
         self.kernel_tol = kernel_tol
         self.notes = dict(notes) if notes else {}
+        # the Lanczos recurrence from R0 that theta_iterate extends
+        self._lanczos = None
 
         if operator.spectral:
             cg = operator.coefficients(g)
@@ -151,44 +153,91 @@ class JacobiMatrix:
         return T
 
 
+def _orthogonalize(B, v):
+    """v minus its projection on the orthonormal columns of B, in two passes
+    of classical Gram-Schmidt."""
+    for _ in range(2):
+        v = v - B @ (B.T @ v)
+    return v
+
+
+class _Lanczos:
+    """Resumable symmetric Lanczos recurrence from b with two-pass full
+    reorthogonalization.
+
+    Holds the column-major basis, the alpha/beta lists, the unnormalized
+    residual of the last step and the breakdown flag; extend(n) continues
+    to n steps. The k-step factorization is the leading block of every
+    longer one, bit for bit, however the basis grew."""
+
+    def __init__(self, op, b):
+        b = np.asarray(b, dtype=float)
+        nb = np.linalg.norm(b)
+        if nb == 0:
+            raise ValueError("lanczos start vector is zero")
+        self.op = op
+        self.start = b.copy()
+        self.tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
+        self.V = np.empty((op.dimension, 1), order="F")
+        self.V[:, 0] = b / nb
+        self.alphas = []
+        self.betas = []
+        self.residual = None
+        self.breakdown = False
+
+    @property
+    def steps(self):
+        return len(self.alphas)
+
+    def extend(self, n_steps):
+        if n_steps > self.op.dimension:
+            raise ValueError(
+                f"n_steps {n_steps} exceeds dimension {self.op.dimension}")
+        room = self.V.shape[1]
+        if n_steps > room:
+            # grown column-major, so the leading block V[:, :k] stays one
+            # contiguous operand and its products do not depend on the room
+            grown = np.empty((self.op.dimension,
+                              max(n_steps, min(2 * room, self.op.dimension))),
+                             order="F")
+            grown[:, :room] = self.V
+            self.V = grown
+        V = self.V
+        while self.steps < n_steps and not self.breakdown:
+            k = self.steps
+            if k > 0:
+                beta = float(np.linalg.norm(self.residual))
+                if beta <= self.tol:
+                    self.breakdown = True
+                    break
+                self.betas.append(beta)
+                V[:, k] = self.residual / beta
+            q = V[:, k]
+            v = self.op.apply(q)
+            if k > 0:
+                v = v - self.betas[k - 1] * V[:, k - 1]
+            a = float(np.dot(v, q))
+            v = v - a * q
+            self.residual = _orthogonalize(V[:, :k + 1], v)
+            self.alphas.append(a)
+
+    def leading(self, k):
+        """JacobiMatrix and basis of the first min(k, steps) steps."""
+        k = min(k, self.steps)
+        return (JacobiMatrix(np.array(self.alphas[:k]),
+                             np.array(self.betas[:max(k - 1, 0)])),
+                self.V[:, :k])
+
+
 def lanczos(op, b, n_steps):
     """n_steps of the symmetric Lanczos recurrence from b, with two-pass full
     reorthogonalization. Returns (JacobiMatrix, V, breakdown) where V's
     columns are the orthonormal Krylov basis; breakdown is set when an
     invariant subspace is hit early (the tridiagonal is then truncated)."""
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    if nb == 0:
-        raise ValueError("lanczos start vector is zero")
-    if n_steps > op.dimension:
-        raise ValueError(f"n_steps {n_steps} exceeds dimension {op.dimension}")
-    tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
-    V = np.empty((op.dimension, n_steps))
-    alphas = []
-    betas = []
-    q = b / nb
-    V[:, 0] = q
-    breakdown = False
-    for k in range(n_steps):
-        v = op.apply(q)
-        if k > 0:
-            v = v - betas[k - 1] * V[:, k - 1]
-        a = float(np.dot(v, q))
-        v = v - a * q
-        for _ in range(2):
-            v = v - V[:, :k + 1] @ (V[:, :k + 1].T @ v)
-        alphas.append(a)
-        if k == n_steps - 1:
-            break
-        beta = float(np.linalg.norm(v))
-        if beta <= tol:
-            breakdown = True
-            break
-        betas.append(beta)
-        q = v / beta
-        V[:, k + 1] = q
-    k = len(alphas)
-    return JacobiMatrix(np.array(alphas), np.array(betas)), V[:, :k], breakdown
+    state = _Lanczos(op, b)
+    state.extend(n_steps)
+    T, V = state.leading(n_steps)
+    return T, V, state.breakdown
 
 
 def run_cg(problem, n_max, callback=None, reorthogonalize=True,
@@ -222,7 +271,10 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
         hist.reason = "converged at N=0"
         return hist
     p = r.copy()
-    basis = [r / np.sqrt(rr)]
+    # one column per kept residual, column-major like the Lanczos basis
+    basis = np.empty((problem.dimension, n_max + 1), order="F")
+    basis[:, 0] = r / np.sqrt(rr)
+    kept = 1
     for N in range(1, n_max + 1):
         Ap = op.apply(p)
         pAp = float(np.dot(p, Ap))
@@ -234,9 +286,7 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
         f = f + a * p
         r_new = r - a * Ap
         if reorthogonalize:
-            B = np.stack(basis, axis=1)
-            for _ in range(2):
-                r_new = r_new - B @ (B.T @ r_new)
+            r_new = _orthogonalize(basis[:, :kept], r_new)
         rr_new = float(np.dot(r_new, r_new))
         hist.iterates.append(f.copy())
         hist.residuals.append(-r_new)
@@ -247,7 +297,8 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
             hist.reason = f"converged at N={N}"
             return hist
         if reorthogonalize:
-            basis.append(r_new / np.sqrt(rr_new))
+            basis[:, kept] = r_new / np.sqrt(rr_new)
+            kept += 1
         p = r_new + (rr_new / rr) * p
         r = r_new
         rr = rr_new
@@ -267,12 +318,17 @@ def theta_iterate(problem, theta, N):
     """Degree-N minimizer of the A^{theta/2}-weighted error, matrix-free for
     integer theta >= 1, spectral for the rest.
 
-    Builds N + ceil(theta) Lanczos steps so that every tridiagonal power
-    touching the leading N columns is exact, then solves the projected
-    problem in a square-rooted form (rectangular least squares; the normal
-    equations would square the condition number). Early Lanczos breakdown
-    saturates the Krylov space; the iterate returned is then the minimizer
-    of the saturated space, which equals the requested one.
+    Needs N + theta Lanczos steps from R0, so that every tridiagonal power
+    touching the leading N columns is exact. The problem stores one Lanczos
+    recurrence from R0 and extends it on demand; its leading steps are the
+    same numbers whatever was asked before, so a series N = 1..K costs
+    K + theta Lanczos applies (plus one apply per call for R0) instead of a
+    rebuild per N. Another operator object or a changed R0 (f0 or g
+    reassigned or edited) starts a new recurrence. The projected problem
+    is solved in a square-rooted form (rectangular least squares; the
+    normal equations would square the condition number). Early Lanczos
+    breakdown saturates the Krylov space; the iterate returned is then the
+    minimizer of the saturated space, which equals the requested one.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
@@ -296,8 +352,13 @@ def theta_iterate(problem, theta, N):
                 f"non-integer theta = {theta} needs spectral access")
         return theta_iterate_spectral(problem, theta, N)
     theta = int(theta)
+    state = problem._lanczos
+    if (state is None or state.op is not op
+            or state.start.tobytes() != R0.tobytes()):
+        state = problem._lanczos = _Lanczos(op, R0)
     m = min(N + theta, problem.dimension)
-    T_jac, V, _ = lanczos(op, R0, m)
+    state.extend(m)
+    T_jac, V = state.leading(m)
     k = T_jac.order
     Nc = min(N, k)
     T = T_jac.dense()

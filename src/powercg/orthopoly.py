@@ -344,7 +344,10 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
     atol = 1e-12 * max(mass, 1e-300)
 
     s_vals = p.evaluate(mu_sigma.support)
-    s2w = s_vals * s_vals * mu_sigma.weights
+    # an overflow here (double-path zeros near termination) leaves an
+    # infinite operand, which ChainReport.add already fails
+    with np.errstate(over="ignore"):
+        s2w = s_vals * s_vals * mu_sigma.weights
     integral = float(s2w.sum())
     above = float(s2w[mu_sigma.support >= z1].sum())
     below = mass_below(mu_sigma, z1)

@@ -233,9 +233,10 @@ def run(config):
     floating point leak out of the exact Krylov space once the recurrence
     coefficients of the orthogonality measure collapse, and the leaked
     iterates break the rho / node-polynomial identity that the records
-    are meant to exhibit. Matrix-free problems
-    use CG for xi = 1 and the power-weighted Gram path for integer
-    xi > 1. On spectral operators every record also carries the
+    are meant to exhibit. Matrix-free problems use CG for xi = 1 and, for
+    integer xi > 1, theta_iterate on tridiagonal powers of one Lanczos
+    basis from R0 that the problem stores and extends degree by degree.
+    On spectral operators every record also carries the
     node-polynomial data (smallest and largest zero, delta_n) and the
     verdicts of the tail bound chain for each requested sigma <= xi.
     """

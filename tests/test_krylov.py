@@ -181,6 +181,47 @@ def test_lanczos_validation():
         lanczos(op, np.ones(2), 3)
 
 
+def dense_problem(seed, dim=24):
+    """Seeded A = Q diag(lam) Q^T with one kernel direction, lam log-uniform
+    on [1e-4, 1], solution in the range."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = np.exp(rng.uniform(np.log(1e-4), 0.0, dim))
+    lam[0] = 0.0
+    coeff = rng.standard_normal(dim)
+    coeff[0] = 0.0
+    M = (q * lam) @ q.T
+    return InverseProblem(MatrixOperator(M), g=M @ (q @ coeff))
+
+
+def assert_same_lanczos(short, long, k):
+    (T, V, _), (TL, VL, _) = short, long
+    assert np.array_equal(T.alphas, TL.alphas[:k])
+    assert np.array_equal(T.betas, TL.betas[:k - 1])
+    assert np.array_equal(V, VL[:, :k])
+
+
+def test_lanczos_prefix_is_bit_equal():
+    # the k-step factorization is the leading block of every longer one,
+    # to the last bit, whatever the length asked for
+    prob = dense_problem(41, dim=40)
+    diag = DiagonalOperator(np.geomspace(1e-3, 1e3, 40))
+    b = np.random.default_rng(43).standard_normal(40)
+    for op, start in ((prob.operator, prob.residual0()), (diag, b)):
+        full = lanczos(op, start, 30)
+        for k in range(1, 30):
+            assert_same_lanczos(lanczos(op, start, k), full, k)
+    # breakdown after 2 steps: shorter runs are the prefix, unflagged
+    op = DiagonalOperator(np.array([1.0, 1.0, 2.0]))
+    start = np.array([1.0, 1.0, 1.0])
+    full = lanczos(op, start, 3)
+    assert full[2]
+    for k in (1, 2):
+        short = lanczos(op, start, k)
+        assert not short[2]
+        assert_same_lanczos(short, full, k)
+
+
 def test_jacobi_matrix_validates_offdiagonal():
     with pytest.raises(ValueError, match="positive"):
         JacobiMatrix(np.ones(3), np.array([1.0, -0.5]))
@@ -256,6 +297,66 @@ def test_theta_iterate_matrix_free_path():
             a = theta_iterate(spec, theta, N)
             b = theta_iterate(mat, theta, N)
             assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+def test_theta_iterate_is_history_free():
+    # one problem keeps one Lanczos recurrence for every call: the order of
+    # the calls must not show in any iterate
+    want = {(theta, N): theta_iterate(dense_problem(47), theta, N)
+            for theta in (1, 2, 3) for N in range(1, 21)}
+    orders = [[(2, N) for N in range(1, 21)],
+              [(3, N) for N in range(20, 0, -1)],
+              [(theta, N) for N in (7, 20, 1, 13, 4, 18, 9)
+               for theta in (3, 1, 2)]]
+    for calls in orders:
+        prob = dense_problem(47)
+        for theta, N in calls:
+            assert np.array_equal(theta_iterate(prob, theta, N),
+                                  want[theta, N]), (theta, N)
+
+
+def test_theta_iterate_follows_changed_data():
+    # a new f0 or g is a new R0: results must match a fresh problem's
+    rng = np.random.default_rng(53)
+    prob = dense_problem(53)
+    op = prob.operator
+    for N in (3, 9):
+        theta_iterate(prob, 2, N)
+    f0 = rng.standard_normal(prob.dimension)
+    prob.f0 = f0
+    fresh = InverseProblem(op, g=prob.g, f0=f0)
+    for N in (2, 11):
+        assert np.array_equal(theta_iterate(prob, 2, N),
+                              theta_iterate(fresh, 2, N))
+    g = op.apply(rng.standard_normal(prob.dimension))
+    prob.g = g
+    fresh = InverseProblem(op, g=g, f0=f0)
+    for N in (5, 12):
+        assert np.array_equal(theta_iterate(prob, 3, N),
+                              theta_iterate(fresh, 3, N))
+    prob.f0[0] += 1.0
+    fresh = InverseProblem(op, g=g, f0=prob.f0.copy())
+    assert np.array_equal(theta_iterate(prob, 2, 6),
+                          theta_iterate(fresh, 2, 6))
+
+
+def test_theta_series_extends_one_lanczos_basis():
+    # N = 1..K at theta = 2: K + 2 Lanczos applies in all, plus one apply
+    # per call for R0, where rebuilding per N would cost O(K^2)
+    class CountingOperator(MatrixOperator):
+        applies = 0
+
+        def _apply(self, x):
+            self.applies += 1
+            return super()._apply(x)
+
+    M = dense_problem(59).operator.matrix
+    op = CountingOperator(M)
+    prob = InverseProblem(op, g=M @ np.ones(M.shape[0]))
+    K = 15
+    for N in range(1, K + 1):
+        theta_iterate(prob, 2, N)
+    assert op.applies == (K + 2) + K
 
 
 def test_theta_iterate_against_brute_force():

@@ -218,6 +218,21 @@ def test_chain_steps_fail_on_non_finite_operands():
     assert non_finite > 0
 
 
+def test_run_near_termination_lets_no_warning_escape():
+    # the double-path chain on this spectrum meets an overflowing atom sum
+    # near termination; run() must keep it inside and give the same records
+    spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
+    for xi in (1.0, 2.0):
+        config = RunConfig(test="custom", xi=xi, n_max=72, custom=spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = run(config).to_dict()["records"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(config).to_dict()["records"]
+        assert got == want
+
+
 def test_run_built_in_small():
     out = run(small_config("2a", xi=1.0))
     assert len(out.records) == 9
