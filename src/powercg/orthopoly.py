@@ -22,12 +22,16 @@ from .measures import mass_below
 _LOG_EVAL_DEGREE = 50
 # relative slack of the lemma's weighted left bound
 LEMMA_SLACK = 1e-10
-# measures up to this many atoms get their zeros from an extended-precision
-# Stieltjes pass: double-precision Lanczos places a zero that has captured an
-# isolated atom only ~1e-8 relative to it, and the split integrals amplify
-# that offset by prod (lambda/z_k)^2, which can reach 1e19 on weights spanning
-# twelve decades. Large smooth measures stay on the fast double path.
+# measures up to this many atoms get their zeros in extended precision (an mp
+# RKPW Jacobi matrix, double starting zeros, an mp Newton polish):
+# double-precision Lanczos places a zero that has captured an isolated atom
+# only ~1e-8 relative to it, and the split integrals amplify that offset by
+# prod (lambda/z_k)^2, which can reach 1e19 on weights spanning twelve
+# decades. Large smooth measures stay on the fast double path.
 _MP_MAX_ATOMS = 64
+# Newton corrections allowed per polished zero; from its double start every
+# zero of the seeded diagonal pool (16, 40 and 64 atoms) settles within four
+_NEWTON_MAX_STEPS = 20
 
 
 def _product_eval(lam, zeros):
@@ -81,13 +85,69 @@ class ResidualPolynomial:
         return _product_eval(lam, self.zeros)
 
 
+def _rkpw(lam, w):
+    """Jacobi matrix of the discrete measure sum_j w_j delta(lam_j), order m,
+    by RKPW (Gragg & Harrod 1984; Gautschi 2004, §2.2): the atoms join
+    one at a time, each by a sweep of rational rotations over the matrix
+    built so far. Returns (alphas, beta2) with beta2[0] the total mass and
+    beta2[k] the squared coupling of degrees k-1 and k. Arithmetic is in the
+    caller's mp context; no reorthogonalization is needed."""
+    from mpmath import mp
+
+    zero, one = mp.mpf(0), mp.mpf(1)
+    alphas = list(lam)
+    beta2 = [zero] * len(lam)
+    beta2[0] = w[0]
+    for n in range(1, len(lam)):
+        pn, gam, sig, t, x = w[n], one, zero, zero, lam[n]
+        for k in range(n + 1):
+            rho = beta2[k] + pn
+            tmp = gam * rho
+            tsig = sig
+            if rho <= 0:
+                gam, sig = one, zero
+            else:
+                gam, sig = beta2[k] / rho, pn / rho
+            tk = sig * (alphas[k] - x) - gam * t
+            alphas[k] -= tk - t
+            t = tk
+            pn = t * t / sig if sig > 0 else tsig * beta2[k]
+            beta2[k] = tmp
+    return alphas, beta2
+
+
+def _newton_polish(x, alphas, beta2, tol):
+    """Newton from x on the monic polynomial of degree len(alphas) that the
+    three-term recurrence defines (value and derivative from the same
+    recurrence), until the correction is below tol relative; None if it has
+    not got there after _NEWTON_MAX_STEPS corrections."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        p_prev, p, d_prev, d = 0, 1, 0, 0
+        for a, b2 in zip(alphas, beta2):
+            u = x - a
+            p_prev, p, d_prev, d = (p, u * p - b2 * p_prev,
+                                    d, u * d + p - b2 * d_prev)
+        step = p / d
+        x -= step
+        if abs(step) <= tol * abs(x):
+            return x
+    return None
+
+
 def _mp_zero_table(measure, n_max):
     """(zeros, split integrals) of every degree 1..reached, the zeros in
     extended precision rounded to double at the end. Working precision
     covers the weight dynamic range, so a zero that has captured an atom
     lands on the atom's double exactly instead of 1e-8 off it; the split
     identity is infinitely sensitive to the sub-ulp rest of that offset,
-    so the split integrals use the unrounded zeros."""
+    so the split integrals use the unrounded zeros.
+
+    The Jacobi matrix comes from RKPW in mp. The recurrence stops where a
+    squared coupling falls to tol^2, tol = 10^-(dps-10) of the largest atom.
+    Each degree's zeros start from the double eigenvalues of the rounded
+    leading block and are polished by Newton in mp to 10^-(dps-3) relative;
+    a zero that does not settle raises RuntimeError.
+    """
     from mpmath import mp
 
     lam = measure.support
@@ -100,40 +160,28 @@ def _mp_zero_table(measure, n_max):
     with mp.workdps(dps):
         lamm = [mp.mpf(float(v)) for v in lam]
         wm = [mp.mpf(float(v)) for v in w]
-        scale = max(lamm) if lamm else mp.mpf(1)
-        tol = scale * mp.mpf(10) ** (-(dps - 10))
-        q = [mp.mpf(1) / mp.sqrt(mp.fsum(wm))] * m
-        Q = [q]
-        alphas, betas = [], []
-        for k in range(n_max):
-            v = [lamm[j] * Q[k][j] for j in range(m)]
-            if k > 0:
-                v = [v[j] - betas[k - 1] * Q[k - 1][j] for j in range(m)]
-            a = mp.fsum(wm[j] * v[j] * Q[k][j] for j in range(m))
-            v = [v[j] - a * Q[k][j] for j in range(m)]
-            for t in range(k + 1):
-                c = mp.fsum(wm[j] * v[j] * Q[t][j] for j in range(m))
-                v = [v[j] - c * Q[t][j] for j in range(m)]
-            alphas.append(a)
-            b = mp.sqrt(mp.fsum(wm[j] * v[j] * v[j] for j in range(m)))
-            if k == n_max - 1:
-                break
-            if b <= tol:
-                break
-            betas.append(b)
-            Q.append([v[j] / b for j in range(m)])
-        reached = len(alphas)
+        tol = max(lamm) * mp.mpf(10) ** (-(dps - 10))
+        alphas, beta2 = _rkpw(lamm, wm)
+        reached = next((k for k in range(1, n_max) if beta2[k] <= tol * tol),
+                       n_max)
+        diag = np.array([float(a) for a in alphas[:reached]])
+        off = np.sqrt([float(b) for b in beta2[1:reached]])
+        newton_tol = mp.mpf(10) ** (-(dps - 3))
         table = []
         for N in range(1, reached + 1):
-            T = mp.zeros(N)
-            for k in range(N):
-                T[k, k] = alphas[k]
-                if k + 1 < N:
-                    T[k, k + 1] = betas[k]
-                    T[k + 1, k] = betas[k]
-            ev = sorted(mp.eigsy(T, eigvals_only=True))
-            table.append((np.array([float(e) for e in ev]),
-                          _split_integrals_hp(ev, dps, measure)))
+            start = eigh_tridiagonal(diag[:N], off[:N - 1], eigvals_only=True)
+            zeros = []
+            for x0 in start:
+                z = _newton_polish(mp.mpf(float(x0)), alphas[:N], beta2[:N],
+                                   newton_tol)
+                if z is None:
+                    raise RuntimeError(
+                        f"Newton polish of a degree-{N} zero did not settle "
+                        f"to 1e-{dps - 3} relative at dps={dps}")
+                zeros.append(z)
+            zeros.sort()
+            table.append((np.array([float(z) for z in zeros]),
+                          _split_integrals_hp(zeros, dps, lam, lamm, wm)))
     return table
 
 
@@ -204,24 +252,30 @@ def check_separation(p_n, p_n1, slack=1e-10):
     return worst <= slack, worst
 
 
-def _split_integrals_hp(zeros, dps, nu):
+def _split_integrals_hp(zeros, dps, lam, lamm, wm):
     """_split_integrals in extended precision against the unrounded zeros
-    (mp numbers at dps working digits). Atoms a zero has captured
-    contribute zero on either side (s vanishes there to working precision;
-    the leftover 10^-dps junk would otherwise be blown up by the other
-    factors)."""
+    (mp numbers at dps working digits); lam holds the atoms in double, lamm
+    and wm the atoms and weights in mp. Atoms a zero has captured, within
+    10^-(dps-15) relative, contribute zero on either side (s vanishes there
+    to working precision; the leftover 10^-dps junk would otherwise be
+    blown up by the other factors). An atom can only have been captured by
+    a zero whose rounded value is within 1e-12 relative of it, so the mp
+    test runs on those pairs only."""
     from mpmath import mp
 
+    zd = np.array([float(z) for z in zeros])
+    near = (np.abs(lam[:, None] - zd[None, :])
+            <= 1e-12 * np.maximum(lam[:, None], zd[None, :]))
     with mp.workdps(dps):
         z1 = zeros[0]
         cut = mp.mpf(10) ** (-(dps - 15))
         lhs = mp.mpf(0)
         rhs = mp.mpf(0)
-        for lam_j, w_j in zip(nu.support, nu.weights):
-            lj = mp.mpf(float(lam_j))
-            if any(abs(lj - z) <= cut * max(lj, z) for z in zeros):
+        for lj, w_j, row in zip(lamm, wm, near):
+            if any(abs(lj - zeros[k]) <= cut * max(lj, zeros[k])
+                   for k in np.flatnonzero(row)):
                 continue
-            term = mp.mpf(float(w_j)) * abs(1 - lj / z1)
+            term = w_j * abs(1 - lj / z1)
             for z in zeros[1:]:
                 fac = 1 - lj / z
                 term *= fac * fac

@@ -5,10 +5,13 @@ import pytest
 
 import powercg as pc
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
+from powercg import orthopoly
 from powercg.orthopoly import (ResidualPolynomial, bound_chain,
                                check_separation, delta_n, lemma_bound,
                                orthogonality_gap, residual_polynomials,
                                rho_integral_identity)
+
+from mp_reference import reference_zero_table
 
 # the two-atom worked case: nu has atoms (1,1) and (2,4)
 NU2 = DiscreteSpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 4.0]))
@@ -60,6 +63,43 @@ def test_sympy_hankel_oracle():
                                      np.array(wts, float))
         got = residual_polynomials(nu, deg)[deg].zeros
         assert np.allclose(got, roots, rtol=1e-10), (got, roots)
+
+
+def _pool_like(m, seed):
+    # atoms log-uniform on [1e-3, 1e3] and weights lambda^3 |e0|^2, the
+    # xi = 2 measure of a seeded diagonal series
+    rng = np.random.default_rng(seed)
+    lam = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(1e3), m)))
+    return DiscreteSpectralMeasure(lam, lam ** 3 * rng.standard_normal(m) ** 2)
+
+
+def test_mp_zero_table_matches_reference_route():
+    # the RKPW + Newton table against the reorthogonalized Stieltjes + eigsy
+    # route: table length, every rounded zero and both split integrals
+    # bit-equal. The 16-atom measure has weights over twelve decades and
+    # zeros that have captured atoms; the 40- and 64-atom ones are cut short
+    # to keep the dense reference eigensolves cheap
+    captured = _pool_like(16, 5)
+    assert captured.weights.max() / captured.weights.min() >= 1e12
+    cases = [(NU2, 5), (captured, 16), (_pool_like(40, 2), 24),
+             (_pool_like(64, 3), 12)]
+    for nu, n_max in cases:
+        got = orthopoly._mp_zero_table(nu, n_max)
+        want = reference_zero_table(nu, n_max)
+        assert len(got) == len(want) == min(n_max, len(nu))
+        for N, ((z, split), (z_ref, split_ref)) in enumerate(zip(got, want), 1):
+            assert np.array_equal(z, z_ref), (len(nu), N)
+            assert split == split_ref, (len(nu), N, split, split_ref)
+        if nu is captured:
+            assert sum(np.isin(nu.support, z).sum() for z, _ in got) > 0
+
+
+def test_newton_polish_that_does_not_settle_raises(monkeypatch):
+    # from a double start one Newton correction is still far above the
+    # 10^-(dps-3) stopping rule
+    monkeypatch.setattr(orthopoly, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"degree-1 zero .* dps=\d+"):
+        orthopoly._mp_zero_table(_pool_like(8, 1), 4)
 
 
 def test_zeros_inside_support_hull():
