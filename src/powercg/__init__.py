@@ -20,8 +20,7 @@ from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      theta_iterate_spectral)
 from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
                         bound_chain, check_separation, delta_n, lemma_bound,
-                        orthogonality_gap, residual_polynomials,
-                        rho_integral_identity)
+                        orthogonality_gap, residual_polynomials)
 from .diagnostics import (ConvergenceRecord, class_membership_indicator,
                           np_rate_monitor, rho, u_sigma)
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
@@ -42,7 +41,7 @@ __all__ = [
     "brute_force_iterate", "brute_force_objective",
     "ResidualPolynomial", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "lemma_bound", "bound_chain",
-    "rho_integral_identity", "ChainReport", "ChainStep",
+    "ChainReport", "ChainStep",
     "ConvergenceRecord", "rho", "u_sigma", "class_membership_indicator",
     "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",

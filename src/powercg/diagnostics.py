@@ -62,30 +62,50 @@ def rho(problem, f_n, sigma):
     the solution's.
     """
     sigma = float(sigma)
+    return rho_evaluator(problem, (sigma,))(f_n)[sigma]
+
+
+def rho_evaluator(problem, sigmas):
+    """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
+    the one code path of rho. The datum's part of the error coefficients
+    is computed here, once, from the current g; each call transforms its
+    iterate once and takes every spectral sigma != 2 from that one vector.
+    """
+    sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
-    f_n = np.asarray(f_n)
-    if sigma == 2.0:
-        r = op.apply(f_n) - problem.g
-        return float(np.real(np.vdot(r, r)))
-    if op.spectral:
-        if sigma < 0:
-            _kernel_drift_guard(problem, f_n, sigma)
-        e = problem.error_coefficients(f_n)
-        lam = np.asarray(op.eigenvalues(), dtype=float)
+    if op.spectral and any(s != 2.0 for s in sigmas):
+        transform = problem.error_transform()
         live = ~op.kernel_mask()
-        mag = np.abs(e[live]) ** 2
-        if sigma == 0.0:
-            return float(mag.sum())
-        return float(np.sum(lam[live] ** sigma * mag))
-    if sigma not in (0.0, 1.0):
-        raise SpectralAccessError(
-            f"matrix-free rho supports sigma in {{0, 1, 2}}, got {sigma}")
-    if problem.known_solution is None:
-        raise ValueError("matrix-free rho with sigma < 2 needs known_solution")
-    d = f_n - problem.known_solution
-    if sigma == 0.0:
-        return float(np.dot(d, d))
-    return float(np.dot(d, op.apply(d)))
+        lam_live = np.asarray(op.eigenvalues(), dtype=float)[live]
+
+    def evaluate(f_n):
+        f_n = np.asarray(f_n)
+        out = {}
+        mag = None
+        for sigma in sigmas:
+            if sigma == 2.0:
+                r = op.apply(f_n) - problem.g
+                out[sigma] = float(np.real(np.vdot(r, r)))
+            elif op.spectral:
+                if sigma < 0:
+                    _kernel_drift_guard(problem, f_n, sigma)
+                if mag is None:
+                    mag = np.abs(transform(f_n)[live]) ** 2
+                out[sigma] = (float(mag.sum()) if sigma == 0.0
+                              else float(np.sum(lam_live ** sigma * mag)))
+            else:
+                if sigma not in (0.0, 1.0):
+                    raise SpectralAccessError(
+                        "matrix-free rho supports sigma in {0, 1, 2}, "
+                        f"got {sigma}")
+                if problem.known_solution is None:
+                    raise ValueError(
+                        "matrix-free rho with sigma < 2 needs known_solution")
+                d = f_n - problem.known_solution
+                out[sigma] = (float(np.dot(d, d)) if sigma == 0.0
+                              else float(np.dot(d, op.apply(d))))
+        return out
+    return evaluate
 
 
 def u_sigma(problem, f_n, sigma):

@@ -107,12 +107,22 @@ class InverseProblem:
         The projection keeps x's own kernel component, so the kernel entries
         are exactly zero and the rest is coeff(x) - coeff(g)/lambda.
         """
+        return self.error_transform()(x)
+
+    def error_transform(self):
+        """x -> error_coefficients(x), with the datum's part coeff(g)/lambda
+        and the kernel mask computed once from the current g, so a series of
+        iterates pays one coefficient transform each."""
         op = self.operator
-        cx = op.coefficients(np.asarray(x))
-        e = cx - op.coefficients(self.g) / np.where(op.kernel_mask(), 1.0,
-                                                    op.eigenvalues())
-        e[op.kernel_mask()] = 0.0
-        return e
+        ker = op.kernel_mask()
+        g_over_lam = op.coefficients(self.g) / np.where(ker, 1.0,
+                                                        op.eigenvalues())
+
+        def transform(x):
+            e = op.coefficients(np.asarray(x)) - g_over_lam
+            e[ker] = 0.0
+            return e
+        return transform
 
 
 @dataclass

@@ -343,12 +343,6 @@ def lemma_bound(p, mu_sigma, xi, sigma):
     return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)
 
 
-def rho_integral_identity(p, mu_sigma):
-    """integral of s^2 d mu_sigma as a plain atom sum."""
-    s = p.evaluate(mu_sigma.support)
-    return float(np.sum(s * s * mu_sigma.weights))
-
-
 @dataclass
 class ChainStep:
     name: str
@@ -377,7 +371,7 @@ class ChainReport:
             self.ok = False
 
 
-def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
+def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8, s_vals=None):
     """Verify every inequality linking rho to the mass below the smallest
     zero, reporting the first failure if any.
 
@@ -386,7 +380,9 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
     (xi - sigma + 1) power reweighting of mu_sigma, the measure its split
     integrals are taken against. A scale-aware absolute epsilon keeps the
     finite-termination case (everything 0 up to roundoff) from tripping the
-    comparisons.
+    comparisons. s_vals, when given, are p's values on mu_sigma's support
+    (a caller checking several sigma evaluates p once on a common superset
+    and indexes it); by default the chain evaluates p itself.
     """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
@@ -397,7 +393,8 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8):
     mass = mu_sigma.total_mass()
     atol = 1e-12 * max(mass, 1e-300)
 
-    s_vals = p.evaluate(mu_sigma.support)
+    if s_vals is None:
+        s_vals = p.evaluate(mu_sigma.support)
     # an overflow here (double-path zeros near termination) leaves an
     # infinite operand, which ChainReport.add already fails
     with np.errstate(over="ignore"):

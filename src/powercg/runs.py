@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ConvergenceRecord, rho
+from .diagnostics import ConvergenceRecord, rho_evaluator
 from .krylov import InverseProblem, run_cg, spectral_iterates, theta_iterate
 from .linop import DiagonalOperator, FourierOperator
 from .measures import DiscreteSpectralMeasure, weight_by_power
@@ -276,6 +276,12 @@ def run(config):
                                        np.abs(e0) ** 2)
         for s in sigmas:
             mu[s] = weight_by_power(base, s)
+        # every mu_sigma support is a subset of base's: weight_by_power keeps
+        # the atom values and never merges atoms of a merged support, so the
+        # lookup is exact and s, evaluated once per degree on base's
+        # support, serves every chain sigma
+        rows = {s: np.searchsorted(base.support, mu[s].support)
+                for s in chain_sigmas}
         nu = weight_by_power(base, config.xi + 1.0)
         if len(base):
             import warnings as _w
@@ -284,8 +290,9 @@ def run(config):
                 polys = residual_polynomials(nu, min(config.n_max, len(nu)))
 
     records = []
+    rho_of = rho_evaluator(problem, sigmas)
     for N, f_n in enumerate(iterates):
-        vals = {s: rho(problem, f_n, s) for s in sigmas}
+        vals = rho_of(f_n)
         rec = ConvergenceRecord(N=N, rho=vals,
                                 n_sq_rho1=float(N * N * vals.get(1.0, np.nan)))
         if N >= 1 and N < len(polys):
@@ -295,8 +302,10 @@ def run(config):
             rec.ritz_max = float(p.zeros[-1])
             chain_ok = True
             lemma_ok = True
+            s_base = p.evaluate(base.support)
             for s in chain_sigmas:
-                rep = bound_chain(vals[s], p, mu[s], config.xi, s)
+                rep = bound_chain(vals[s], p, mu[s], config.xi, s,
+                                  s_vals=s_base[rows[s]])
                 chain_ok = chain_ok and rep.ok
                 # lemma_bound's verdict on the operands the chain computed
                 step = next(t for t in rep.steps

@@ -8,10 +8,15 @@ from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg import orthopoly
 from powercg.orthopoly import (ResidualPolynomial, bound_chain,
                                check_separation, delta_n, lemma_bound,
-                               orthogonality_gap, residual_polynomials,
-                               rho_integral_identity)
+                               orthogonality_gap, residual_polynomials)
 
 from mp_reference import reference_zero_table
+
+def rho_integral_identity(p, mu_sigma):
+    """integral of s^2 d mu_sigma as a plain atom sum."""
+    s = p.evaluate(mu_sigma.support)
+    return float(np.sum(s * s * mu_sigma.weights))
+
 
 # the two-atom worked case: nu has atoms (1,1) and (2,4)
 NU2 = DiscreteSpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 4.0]))

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from powercg.krylov import ConsistencyError
+from powercg.diagnostics import rho
+from powercg.krylov import ConsistencyError, spectral_iterates
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import bound_chain, lemma_bound, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
@@ -162,6 +163,61 @@ def test_run_with_xi_two_checks_all_chain_sigmas():
                         custom={"dimension": 6, "seed": 9, "kappa": 50.0}))
     assert all(r.bound_chain_ok for r in out.records[1:])
     assert all(r.lemma_ok for r in out.records[1:])
+
+
+def test_run_rho_is_the_public_rho_bit_for_bit():
+    # run() shares one datum transform and one iterate transform among all
+    # sigma; each value must be what diagnostics.rho gives on its own, the
+    # kernel-drift guard of sigma < 0 included
+    cases = [(small_config("2a", n_max=12), 1.0),
+             (RunConfig(test="custom", xi=2.0, n_max=16,
+                        sigmas=(-1.0, 0.0, 0.5, 1.0, 2.0),
+                        custom={"dimension": 16, "seed": 4, "kappa": 1e4}),
+              2.0)]
+    for config, xi in cases:
+        out = run(config)
+        prob = (build_custom_case(config.custom) if config.test == "custom"
+                else build_test_case("2a", config.n, config.L))
+        iterates = spectral_iterates(prob, xi, config.n_max)
+        assert len(out.records) == len(iterates)
+        for r, f_n in zip(out.records, iterates):
+            assert set(r.rho) == set(config.sigmas) | {0.0, 1.0, 2.0}
+            for s, v in r.rho.items():
+                assert v == rho(prob, f_n, s), (config.test, r.N, s)
+
+
+def test_chain_on_shared_s_values_matches_its_own_evaluation():
+    # run() evaluates s once per degree on the base support and hands each
+    # chain sigma its atoms by index; the report must be the one bound_chain
+    # makes when it evaluates s on mu_sigma itself. The second base carries
+    # a kernel atom, where s is exactly 1, that only mu_0 keeps.
+    xi = 2.0
+    prob = build_test_case("2a", 256, 40.0)
+    lam = prob.operator.eigenvalues().real
+    w = np.abs(prob.error_coefficients(prob.f0)) ** 2
+    polys = residual_polynomials(
+        weight_by_power(DiscreteSpectralMeasure(lam, w), xi + 1.0), 12)
+    f_n = spectral_iterates(prob, xi, 12)
+    for w_base in (w, np.where(lam == 0.0, 0.3, w)):
+        base = DiscreteSpectralMeasure(lam, w_base)
+        mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
+        assert (mu[0.0].support[0] == 0.0) == (w_base is not w)
+        for N in range(1, len(polys)):
+            p = polys[N]
+            s_base = p.evaluate(base.support)
+            for s, m in mu.items():
+                rows = np.searchsorted(base.support, m.support)
+                assert np.array_equal(base.support[rows], m.support)
+                if m.support[0] == 0.0:
+                    assert s_base[rows[0]] == 1.0
+                rho_val = rho(prob, f_n[N], s)
+                want = bound_chain(rho_val, p, m, xi, s)
+                got = bound_chain(rho_val, p, m, xi, s,
+                                  s_vals=s_base[rows])
+                assert [t.name for t in got.steps] == [t.name for t in want.steps]
+                for a, b in zip(got.steps, want.steps):
+                    assert (a.lhs, a.rhs, a.ok) == (b.lhs, b.rhs, b.ok), (N, s)
+                assert (got.ok, got.first_failure) == (want.ok, want.first_failure)
 
 
 def test_lemma_verdict_matches_lemma_bound():
