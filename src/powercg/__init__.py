@@ -15,9 +15,8 @@ from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
 from .measures import (DiscreteSpectralMeasure, mass_below, moment,
                        spectral_measure, weight_by_power)
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
-                     JacobiMatrix, brute_force_iterate, brute_force_objective,
-                     lanczos, run_cg, spectral_iterates, theta_iterate,
-                     theta_iterate_spectral)
+                     JacobiMatrix, lanczos, run_cg, spectral_iterates,
+                     theta_iterate, theta_iterate_spectral)
 from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
                         bound_chain, check_separation, delta_n, lemma_bound,
                         orthogonality_gap, residual_polynomials)
@@ -38,7 +37,6 @@ __all__ = [
     "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
     "run_cg", "theta_iterate", "theta_iterate_spectral",
     "spectral_iterates", "lanczos",
-    "brute_force_iterate", "brute_force_objective",
     "ResidualPolynomial", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "lemma_bound", "bound_chain",
     "ChainReport", "ChainStep",

@@ -22,8 +22,9 @@ from .measures import mass_below
 _LOG_EVAL_DEGREE = 50
 # relative slack of the lemma's weighted left bound
 LEMMA_SLACK = 1e-10
-# measures up to this many atoms get their zeros in extended precision (an mp
-# RKPW Jacobi matrix, double starting zeros, an mp Newton polish):
+# measures up to this many atoms get their zeros in extended precision (stdlib
+# decimal at dps digits: an RKPW Jacobi matrix, double starting zeros, a
+# Newton polish):
 # double-precision Lanczos places a zero that has captured an isolated atom
 # only ~1e-8 relative to it, and the split integrals amplify that offset by
 # prod (lambda/z_k)^2, which can reach 1e19 on weights spanning twelve
@@ -90,11 +91,12 @@ def _rkpw(lam, w):
     by RKPW (Gragg & Harrod 1984; Gautschi 2004, §2.2): the atoms join
     one at a time, each by a sweep of rational rotations over the matrix
     built so far. Returns (alphas, beta2) with beta2[0] the total mass and
-    beta2[k] the squared coupling of degrees k-1 and k. Arithmetic is in the
-    caller's mp context; no reorthogonalization is needed."""
-    from mpmath import mp
+    beta2[k] the squared coupling of degrees k-1 and k. lam and w are
+    Decimals, and the arithmetic runs in the caller's current decimal
+    context; no reorthogonalization is needed."""
+    from decimal import Decimal
 
-    zero, one = mp.mpf(0), mp.mpf(1)
+    zero, one = Decimal(0), Decimal(1)
     alphas = list(lam)
     beta2 = [zero] * len(lam)
     beta2[0] = w[0]
@@ -142,13 +144,17 @@ def _mp_zero_table(measure, n_max):
     identity is infinitely sensitive to the sub-ulp rest of that offset,
     so the split integrals use the unrounded zeros.
 
-    The Jacobi matrix comes from RKPW in mp. The recurrence stops where a
-    squared coupling falls to tol^2, tol = 10^-(dps-10) of the largest atom.
-    Each degree's zeros start from the double eigenvalues of the rounded
-    leading block and are polished by Newton in mp to 10^-(dps-3) relative;
-    a zero that does not settle raises RuntimeError.
+    The arithmetic is stdlib decimal at dps significant digits, in a fresh
+    context (round half even, no trap on inexact results) whatever the
+    caller's context is. Decimal(float) is exact and float(Decimal)
+    correctly rounded. The Jacobi matrix comes from RKPW. The recurrence
+    stops where a squared coupling falls to tol^2, tol = 10^-(dps-10) of the
+    largest atom. Each degree's zeros start from the double eigenvalues of
+    the rounded leading block and are polished by Newton to 10^-(dps-3)
+    relative; a zero that does not settle raises RuntimeError.
     """
-    from mpmath import mp
+    import decimal
+    from decimal import Decimal
 
     lam = measure.support
     w = measure.weights
@@ -157,22 +163,26 @@ def _mp_zero_table(measure, n_max):
     wpos = w[w > 0]
     span = float(wpos.max() / wpos.min()) if wpos.size else 1.0
     dps = 40 + int(np.log10(max(span, 1.0)))
-    with mp.workdps(dps):
-        lamm = [mp.mpf(float(v)) for v in lam]
-        wm = [mp.mpf(float(v)) for v in w]
-        tol = max(lamm) * mp.mpf(10) ** (-(dps - 10))
-        alphas, beta2 = _rkpw(lamm, wm)
+    context = decimal.Context(
+        prec=dps, rounding=decimal.ROUND_HALF_EVEN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+               decimal.Overflow])
+    with decimal.localcontext(context):
+        lamd = [Decimal(float(v)) for v in lam]
+        wd = [Decimal(float(v)) for v in w]
+        tol = max(lamd) * Decimal(10) ** (-(dps - 10))
+        alphas, beta2 = _rkpw(lamd, wd)
         reached = next((k for k in range(1, n_max) if beta2[k] <= tol * tol),
                        n_max)
         diag = np.array([float(a) for a in alphas[:reached]])
         off = np.sqrt([float(b) for b in beta2[1:reached]])
-        newton_tol = mp.mpf(10) ** (-(dps - 3))
+        newton_tol = Decimal(10) ** (-(dps - 3))
         table = []
         for N in range(1, reached + 1):
             start = eigh_tridiagonal(diag[:N], off[:N - 1], eigvals_only=True)
             zeros = []
             for x0 in start:
-                z = _newton_polish(mp.mpf(float(x0)), alphas[:N], beta2[:N],
+                z = _newton_polish(Decimal(float(x0)), alphas[:N], beta2[:N],
                                    newton_tol)
                 if z is None:
                     raise RuntimeError(
@@ -181,7 +191,7 @@ def _mp_zero_table(measure, n_max):
                 zeros.append(z)
             zeros.sort()
             table.append((np.array([float(z) for z in zeros]),
-                          _split_integrals_hp(zeros, dps, lam, lamm, wm)))
+                          _split_integrals_hp(zeros, dps, lam, lamd, wd)))
     return table
 
 
@@ -252,38 +262,37 @@ def check_separation(p_n, p_n1, slack=1e-10):
     return worst <= slack, worst
 
 
-def _split_integrals_hp(zeros, dps, lam, lamm, wm):
+def _split_integrals_hp(zeros, dps, lam, lamd, wd):
     """_split_integrals in extended precision against the unrounded zeros
-    (mp numbers at dps working digits); lam holds the atoms in double, lamm
-    and wm the atoms and weights in mp. Atoms a zero has captured, within
-    10^-(dps-15) relative, contribute zero on either side (s vanishes there
-    to working precision; the leftover 10^-dps junk would otherwise be
-    blown up by the other factors). An atom can only have been captured by
-    a zero whose rounded value is within 1e-12 relative of it, so the mp
-    test runs on those pairs only."""
-    from mpmath import mp
+    (Decimals, in the caller's decimal context of dps digits); lam holds the
+    atoms in double, lamd and wd the atoms and weights as Decimals. Atoms a
+    zero has captured, within 10^-(dps-15) relative, contribute zero on
+    either side (s vanishes there to working precision; the leftover
+    10^-dps junk would otherwise be blown up by the other factors). An atom
+    can only have been captured by a zero whose rounded value is within
+    1e-12 relative of it, so the Decimal test runs on those pairs only."""
+    from decimal import Decimal
 
     zd = np.array([float(z) for z in zeros])
     near = (np.abs(lam[:, None] - zd[None, :])
             <= 1e-12 * np.maximum(lam[:, None], zd[None, :]))
-    with mp.workdps(dps):
-        z1 = zeros[0]
-        cut = mp.mpf(10) ** (-(dps - 15))
-        lhs = mp.mpf(0)
-        rhs = mp.mpf(0)
-        for lj, w_j, row in zip(lamm, wm, near):
-            if any(abs(lj - zeros[k]) <= cut * max(lj, zeros[k])
-                   for k in np.flatnonzero(row)):
-                continue
-            term = w_j * abs(1 - lj / z1)
-            for z in zeros[1:]:
-                fac = 1 - lj / z
-                term *= fac * fac
-            if lj < z1:
-                lhs += term
-            else:
-                rhs += term
-        return float(lhs), float(rhs)
+    z1 = zeros[0]
+    cut = Decimal(10) ** (-(dps - 15))
+    lhs = Decimal(0)
+    rhs = Decimal(0)
+    for lj, w_j, row in zip(lamd, wd, near):
+        if any(abs(lj - zeros[k]) <= cut * max(lj, zeros[k])
+               for k in np.flatnonzero(row)):
+            continue
+        term = w_j * abs(1 - lj / z1)
+        for z in zeros[1:]:
+            fac = 1 - lj / z
+            term *= fac * fac
+        if lj < z1:
+            lhs += term
+        else:
+            rhs += term
+    return float(lhs), float(rhs)
 
 
 def _split_integrals(zeros, nu):

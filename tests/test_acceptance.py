@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from powercg.diagnostics import rho
-from powercg.krylov import (brute_force_iterate, brute_force_objective,
-                            run_cg, spectral_iterates, theta_iterate)
+from powercg.krylov import run_cg, spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import (bound_chain, check_separation, lemma_bound,
                                orthogonality_gap, residual_polynomials)
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
+
+from mp_reference import brute_force_iterate, brute_force_objective
 
 GRID_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 25.0, "2b": 25.0}
 BIG_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 200.0, "2b": 200.0}

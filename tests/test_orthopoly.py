@@ -1,3 +1,4 @@
+import decimal
 import warnings
 
 import numpy as np
@@ -105,6 +106,26 @@ def test_newton_polish_that_does_not_settle_raises(monkeypatch):
     monkeypatch.setattr(orthopoly, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match=r"degree-1 zero .* dps=\d+"):
         orthopoly._mp_zero_table(_pool_like(8, 1), 4)
+
+
+def test_mp_zero_table_ignores_the_callers_decimal_context():
+    # the table runs in a context of its own: a caller's low precision,
+    # floor rounding and inexact trap neither change nor break it, and the
+    # caller's context comes back untouched (no precision, rounding, trap or
+    # flag changed)
+    nu = _pool_like(16, 5)
+    want = orthopoly._mp_zero_table(nu, 16)
+    ambient = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR,
+                              traps=[decimal.Inexact])
+    with decimal.localcontext(ambient) as ctx:
+        before = repr(ctx)
+        got = orthopoly._mp_zero_table(nu, 16)
+        assert decimal.getcontext() is ctx
+        assert repr(ctx) == before
+    assert len(got) == len(want) == 16
+    for (z, split), (z_ref, split_ref) in zip(got, want):
+        assert np.array_equal(z, z_ref)
+        assert split == split_ref
 
 
 def test_zeros_inside_support_hull():
