@@ -10,7 +10,7 @@ delta_N = 1/z_1 + 2 sum 1/z_k, and one full tail-bound report.
 import numpy as np
 
 from powercg.diagnostics import rho
-from powercg.krylov import theta_iterate_spectral
+from powercg.krylov import spectral_iterates
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import bound_chain, delta_n, residual_polynomials
 from powercg.runs import build_custom_case
@@ -30,7 +30,7 @@ for N in range(1, 7):
 
 N = 3
 sigma = 1.0
-f = theta_iterate_spectral(prob, 1.0, N)
+f = spectral_iterates(prob, 1.0, N)[N]
 mu1 = weight_by_power(base, sigma)
 rep = bound_chain(rho(prob, f, sigma), polys[N], mu1, 1.0, sigma)
 print(f"\nbound chain at N={N}, sigma={sigma} "

@@ -11,17 +11,17 @@ bounds.
 
 from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
                     KernelComponentError, MatrixOperator, SelfAdjointOperator,
-                    SpectralAccessError, fractional_apply)
-from .measures import (DiscreteSpectralMeasure, mass_below, moment,
-                       spectral_measure, weight_by_power)
+                    SpectralAccessError)
+from .measures import (DiscreteSpectralMeasure, mass_below, spectral_measure,
+                       weight_by_power)
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      JacobiMatrix, lanczos, run_cg, spectral_iterates,
-                     theta_iterate, theta_iterate_spectral)
+                     theta_iterate)
 from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
-                        bound_chain, check_separation, delta_n, lemma_bound,
+                        bound_chain, check_separation, delta_n,
                         orthogonality_gap, residual_polynomials)
 from .diagnostics import (ConvergenceRecord, class_membership_indicator,
-                          np_rate_monitor, rho, u_sigma)
+                          np_rate_monitor, rho)
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
                    build_test_case, emit_json, read_csv, read_json, run,
                    verify_case, write_csv)
@@ -30,17 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SelfAdjointOperator", "MatrixOperator", "DiagonalOperator",
-    "FourierOperator", "fractional_apply",
+    "FourierOperator",
     "DimensionMismatchError", "KernelComponentError", "SpectralAccessError",
     "DiscreteSpectralMeasure", "spectral_measure", "weight_by_power",
-    "moment", "mass_below",
+    "mass_below",
     "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
-    "run_cg", "theta_iterate", "theta_iterate_spectral",
-    "spectral_iterates", "lanczos",
+    "run_cg", "theta_iterate", "spectral_iterates", "lanczos",
     "ResidualPolynomial", "residual_polynomials", "delta_n",
-    "check_separation", "orthogonality_gap", "lemma_bound", "bound_chain",
+    "check_separation", "orthogonality_gap", "bound_chain",
     "ChainReport", "ChainStep",
-    "ConvergenceRecord", "rho", "u_sigma", "class_membership_indicator",
+    "ConvergenceRecord", "rho", "class_membership_indicator",
     "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",
     "build_custom_case", "run", "verify_case", "emit_json", "read_json",

@@ -90,8 +90,6 @@ def _config_from_args(args):
             merged[k] = v
     if "test" not in merged:
         raise UsageError("--test is required (directly or via --config)")
-    merged.setdefault("xi", 1.0)
-    merged.setdefault("n_max", 60)
     if "sigmas" in merged:
         merged["sigmas"] = tuple(float(s) for s in merged["sigmas"])
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}

@@ -1,4 +1,4 @@
-"""Error functionals, their generating vectors, and rate monitors.
+"""Error functionals and rate monitors.
 
 rho_sigma(x) = ||A^{sigma/2}(x - P x)||^2 with P the projection onto the
 solution set; sigma = 0 is the squared error, sigma = 1 the energy error,
@@ -6,7 +6,7 @@ sigma = 2 the squared residual. Negative sigma probes smoothness classes and
 only makes sense for kernel-orthogonal errors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,27 +106,6 @@ def rho_evaluator(problem, sigmas):
                               else float(np.dot(d, op.apply(d))))
         return out
     return evaluate
-
-
-def u_sigma(problem, f_n, sigma):
-    """The vector whose squared norm is rho: lambda^{sigma/2}-weighted error
-    coefficients, kernel part zero (minimal-norm convention for sigma < 0)."""
-    sigma = float(sigma)
-    op = problem.operator
-    if not op.spectral:
-        raise SpectralAccessError("u_sigma needs spectral access")
-    f_n = np.asarray(f_n)
-    if sigma < 0:
-        _kernel_drift_guard(problem, f_n, sigma)
-    e = problem.error_coefficients(f_n)
-    lam = np.asarray(op.eigenvalues(), dtype=float)
-    live = ~op.kernel_mask()
-    c = np.zeros_like(e)
-    c[live] = lam[live] ** (sigma / 2.0) * e[live] if sigma != 0 else e[live]
-    out = op.from_coefficients(c)
-    if np.isrealobj(f_n) and np.iscomplexobj(out):
-        out = out.real.copy()
-    return out
 
 
 def class_membership_indicator(problem, x, sigma):

@@ -17,6 +17,9 @@ from .linop import KernelComponentError, SpectralAccessError
 # Lanczos/CG breakdown: directions with curvature below this times the
 # operator norm signal an exhausted (invariant) Krylov subspace
 BREAKDOWN_REL = 1e-13
+# a datum on a spectral operator may carry at most this fraction of ||g||
+# in the kernel
+KERNEL_TOL = 1e-10
 
 
 class ConsistencyError(ValueError):
@@ -29,14 +32,14 @@ class InverseProblem:
     A supplied known_solution must reproduce g: ||A f - g|| is checked
     against consistency_tol * (||A||_est ||f|| + ||g||) at construction and
     the constructor raises when the gate fails. On spectral operators g must
-    also be kernel-orthogonal (the datum must be attainable). Both
-    tolerances are constructor parameters; the defaults suit problems built
-    by exact arithmetic, discretized surrogates pass their own gate values
-    (see runs.build_test_case).
+    also be kernel-orthogonal (the datum must be attainable), up to
+    KERNEL_TOL * ||g||. The default consistency_tol suits problems built by
+    exact arithmetic; discretized surrogates pass their own gate value (see
+    runs.build_test_case).
     """
 
     def __init__(self, operator, g, f0=None, known_solution=None,
-                 consistency_tol=1e-10, kernel_tol=1e-10, notes=None):
+                 consistency_tol=1e-10, notes=None):
         self.operator = operator
         n = operator.dimension
         g = np.asarray(g, dtype=float)
@@ -53,7 +56,6 @@ class InverseProblem:
         self.f0 = f0
         self.known_solution = None
         self.consistency_tol = consistency_tol
-        self.kernel_tol = kernel_tol
         self.notes = dict(notes) if notes else {}
         # the Lanczos recurrence from R0 that theta_iterate extends
         self._lanczos = None
@@ -63,10 +65,10 @@ class InverseProblem:
             ker = operator.kernel_mask()
             knorm = float(np.linalg.norm(cg[ker]))
             gnorm = float(np.linalg.norm(g))
-            if knorm > kernel_tol * max(gnorm, 1e-300):
+            if knorm > KERNEL_TOL * max(gnorm, 1e-300):
                 raise KernelComponentError(
                     f"datum has kernel component of norm {knorm:.6e}, "
-                    f"allowed {kernel_tol:g} * ||g|| = {kernel_tol * gnorm:.6e}")
+                    f"allowed {KERNEL_TOL:g} * ||g|| = {KERNEL_TOL * gnorm:.6e}")
         if known_solution is not None:
             f = np.asarray(known_solution, dtype=float)
             if f.shape != (n,):
@@ -250,15 +252,13 @@ def lanczos(op, b, n_steps):
     return T, V, state.breakdown
 
 
-def run_cg(problem, n_max, callback=None, reorthogonalize=True,
-           tol_rel=1e-12, tol_abs=0.0):
+def run_cg(problem, n_max, tol_rel=1e-12, tol_abs=0.0):
     """Conjugate gradients from f0, residual sign R = A f - g.
 
-    Residuals are reorthogonalized against all previous ones by default;
-    at condition numbers around 1e6 plain CG iterates drift from the exact
-    Krylov minimizer by order one while the reorthogonalized ones stay at
-    1e-12 (cost O(N^2 n), harmless here). callback(N, f_N, R_N) fires for
-    every recorded iterate including N = 0. Stops early when
+    Residuals are reorthogonalized against all previous ones; at condition
+    numbers around 1e6 plain CG iterates drift from the exact Krylov
+    minimizer by order one while the reorthogonalized ones stay at 1e-12
+    (cost O(N^2 n), harmless here). Stops early when
     ||R|| <= tol_abs + tol_rel ||g|| or on curvature breakdown.
     """
     if n_max > problem.dimension:
@@ -270,8 +270,6 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
     hist = IterateHistory(theta=1.0)
     hist.iterates.append(f.copy())
     hist.residuals.append(R.copy())
-    if callback is not None:
-        callback(0, f.copy(), R.copy())
     threshold = tol_abs + tol_rel * float(np.linalg.norm(problem.g))
     crv_tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
     r = -R
@@ -281,10 +279,10 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
         hist.reason = "converged at N=0"
         return hist
     p = r.copy()
-    # one column per kept residual, column-major like the Lanczos basis
+    # column k holds the normalized residual of step k, column-major like
+    # the Lanczos basis
     basis = np.empty((problem.dimension, n_max + 1), order="F")
     basis[:, 0] = r / np.sqrt(rr)
-    kept = 1
     for N in range(1, n_max + 1):
         Ap = op.apply(p)
         pAp = float(np.dot(p, Ap))
@@ -294,21 +292,15 @@ def run_cg(problem, n_max, callback=None, reorthogonalize=True,
             return hist
         a = rr / pAp
         f = f + a * p
-        r_new = r - a * Ap
-        if reorthogonalize:
-            r_new = _orthogonalize(basis[:, :kept], r_new)
+        r_new = _orthogonalize(basis[:, :N], r - a * Ap)
         rr_new = float(np.dot(r_new, r_new))
         hist.iterates.append(f.copy())
         hist.residuals.append(-r_new)
-        if callback is not None:
-            callback(N, f.copy(), -r_new)
         if np.sqrt(rr_new) <= threshold:
             hist.terminated = True
             hist.reason = f"converged at N={N}"
             return hist
-        if reorthogonalize:
-            basis[:, kept] = r_new / np.sqrt(rr_new)
-            kept += 1
+        basis[:, N] = r_new / np.sqrt(rr_new)
         p = r_new + (rr_new / rr) * p
         r = r_new
         rr = rr_new
@@ -360,7 +352,7 @@ def theta_iterate(problem, theta, N):
         if not op.spectral:
             raise SpectralAccessError(
                 f"non-integer theta = {theta} needs spectral access")
-        return theta_iterate_spectral(problem, theta, N)
+        return spectral_iterates(problem, theta, N)[N]
     theta = int(theta)
     state = problem._lanczos
     if (state is None or state.op is not op
@@ -471,9 +463,3 @@ def spectral_iterates(problem, theta, n_max):
             f = f.real.copy()
         out.append(f)
     return out
-
-
-def theta_iterate_spectral(problem, theta, N):
-    """Degree-N entry of spectral_iterates: the minimizer of theta_iterate
-    computed in the eigenbasis, valid for any theta >= 0."""
-    return spectral_iterates(problem, theta, N)[N]

@@ -2,17 +2,13 @@
 
 Three concrete operators: dense symmetric matrices (apply-only), diagonal
 matrices (trivial spectral access), and periodic constant-coefficient
-differential surrogates diagonalized by the FFT. Fractional powers exist
-only where spectral access does; negative powers additionally require the
-input to stay out of the kernel.
+differential surrogates diagonalized by the FFT.
 """
 
 import numpy as np
 
 # eigenvalues at or below KERNEL_REL * ||A|| are treated as kernel
 KERNEL_REL = 1e-12
-# fractional_apply with t < 0 refuses kernel components above this fraction of ||x||
-NEG_POWER_KERNEL_REL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -218,37 +214,3 @@ class FourierOperator(SelfAdjointOperator):
         if np.abs(out.imag).max() <= 1e-10 * max(1.0, np.abs(out.real).max()):
             return out.real.copy()
         return out
-
-
-def fractional_apply(op, t, x):
-    """A^t x through the eigenbasis. Needs spectral access.
-
-    t < 0 inverts on the kernel complement and raises if x carries a kernel
-    component above NEG_POWER_KERNEL_REL * ||x||. t = 0 projects onto the
-    kernel complement (so fractional powers compose as a semigroup there).
-    """
-    if not op.spectral:
-        raise SpectralAccessError(
-            f"fractional_apply needs spectral access, {type(op).__name__} has none")
-    x = np.asarray(x)
-    real_in = np.isrealobj(x)
-    c = op.coefficients(x)
-    lam = op.eigenvalues()
-    ker = op.kernel_mask()
-    if t < 0:
-        knorm = np.linalg.norm(c[ker])
-        xnorm = np.linalg.norm(x)
-        if knorm > NEG_POWER_KERNEL_REL * xnorm:
-            raise KernelComponentError(
-                f"A^{t} undefined: kernel component norm {knorm:.6e} exceeds "
-                f"{NEG_POWER_KERNEL_REL:g} * ||x|| = {NEG_POWER_KERNEL_REL * xnorm:.6e}")
-    out = np.zeros_like(c)
-    live = ~ker
-    if t == 0:
-        out[live] = c[live]
-    else:
-        out[live] = lam[live] ** t * c[live]
-    y = op.from_coefficients(out)
-    if real_in and np.iscomplexobj(y):
-        y = y.real.copy()
-    return y

@@ -59,10 +59,6 @@ class DiscreteSpectralMeasure:
     def total_mass(self):
         return float(self.weights.sum())
 
-    def atoms(self):
-        """List of (lambda, weight) pairs, ascending in lambda."""
-        return list(zip(self.support.tolist(), self.weights.tolist()))
-
 
 def spectral_measure(op, x):
     """Measure of (A, x): weight |c_j|^2 at lambda_j. Needs spectral access.
@@ -100,18 +96,6 @@ def weight_by_power(measure, t):
     out[pos] = lam[pos] ** t * w[pos]
     out[~pos] = 0.0
     return DiscreteSpectralMeasure(lam, out)
-
-
-def moment(measure, k):
-    """integral of lambda^k d(measure). k < 0 requires no atom at zero."""
-    lam = measure.support
-    w = measure.weights
-    if k < 0 and lam.size and lam[0] == 0.0:
-        raise ValueError(f"moment of order {k} undefined: atom at 0")
-    if k == 0:
-        return measure.total_mass()
-    pos = lam > 0
-    return float(np.sum(lam[pos] ** k * w[pos]))
 
 
 def mass_below(measure, t):

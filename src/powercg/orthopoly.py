@@ -7,7 +7,6 @@ functional delta_n, the split-integral orthogonality identity, and the tail
 bound chain built on them are verified numerically step by step.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,10 @@ from .measures import mass_below
 _LOG_EVAL_DEGREE = 50
 # relative slack of the lemma's weighted left bound
 LEMMA_SLACK = 1e-10
+# relative slack of bound_chain's comparisons
+CHAIN_SLACK = 1e-8
+# relative slack of the zero interlacing check
+SEPARATION_SLACK = 1e-10
 # measures up to this many atoms get their zeros in extended precision (stdlib
 # decimal at dps digits: an RKPW Jacobi matrix, double starting zeros, a
 # Newton polish):
@@ -197,10 +200,11 @@ def _mp_zero_table(measure, n_max):
 
 def residual_polynomials(nu, n_max):
     """First residual polynomials of nu: degrees 0..n_max, so the list index
-    is the degree. Fewer atoms than requested degrees truncates the list
-    (the degree-(atom count) polynomial already vanishes on the support);
-    a warning flags the truncation. Each polynomial of degree >= 1 carries
-    its split integrals against nu.
+    is the degree. Fewer atoms than requested degrees, or a recurrence that
+    breaks down first, truncates the list (the degree-(atom count)
+    polynomial already vanishes on the support), so len(polys) - 1 is the
+    degree reached. Each polynomial of degree >= 1 carries its split
+    integrals against nu.
 
     nu must have no atom at 0 (it is a power-reweighted measure with the
     kernel mass removed).
@@ -223,11 +227,6 @@ def residual_polynomials(nu, n_max):
             z = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
                                          eigvals_only=True))
             zero_table.append((z, _split_integrals(z, nu)))
-    reached = len(zero_table)
-    if reached < n_max:
-        warnings.warn(
-            f"measure supports only {reached} orthogonal polynomials, "
-            f"requested {n_max}; truncating", stacklevel=2)
     polys = [ResidualPolynomial(np.empty(0))]
     for z, split in zero_table:
         polys.append(ResidualPolynomial(z, split))
@@ -242,12 +241,13 @@ def delta_n(p):
     return float(inv[0] + 2.0 * inv[1:].sum())
 
 
-def check_separation(p_n, p_n1, slack=1e-10):
+def check_separation(p_n, p_n1):
     """Strict interlacing of consecutive zero sets.
 
     Verifies z^{(N+1)}_k < z^{(N)}_k < z^{(N+1)}_{k+1} for all k, with
-    relative slack. Returns (ok, max_violation) where the violation is the
-    largest signed relative overshoot (negative values mean margin).
+    relative slack SEPARATION_SLACK. Returns (ok, max_violation) where the
+    violation is the largest signed relative overshoot (negative values
+    mean margin).
     """
     if p_n1.degree != p_n.degree + 1:
         raise ValueError(
@@ -259,7 +259,7 @@ def check_separation(p_n, p_n1, slack=1e-10):
     lower = (zn1[:-1] - zn) / zn
     upper = (zn - zn1[1:]) / zn
     worst = float(max(lower.max(), upper.max()))
-    return worst <= slack, worst
+    return worst <= SEPARATION_SLACK, worst
 
 
 def _split_integrals_hp(zeros, dps, lam, lamd, wd):
@@ -305,12 +305,15 @@ def _split_integrals(zeros, nu):
     lam = nu.support
     w = nu.weights
     at = np.abs(lam - z1) <= 1e-12 * max(1.0, z1)
-    rest2 = _product_eval(lam, zeros[1:]) ** 2
     frac = np.abs(1.0 - lam / z1)
     left = (lam < z1) & ~at
     right = (lam > z1) & ~at
-    lhs = float(np.sum(w[left] * frac[left] * rest2[left]))
-    rhs = float(np.sum(w[right] * frac[right] * rest2[right]))
+    # an overflow (double-path zeros near termination) leaves an infinite
+    # integral, which fails its bound-chain steps
+    with np.errstate(over="ignore"):
+        rest2 = _product_eval(lam, zeros[1:]) ** 2
+        lhs = float(np.sum(w[left] * frac[left] * rest2[left]))
+        rhs = float(np.sum(w[right] * frac[right] * rest2[right]))
     return lhs, rhs
 
 
@@ -332,24 +335,6 @@ def orthogonality_gap(p):
     lhs, rhs = _split_of(p)
     gap = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
     return lhs, rhs, gap
-
-
-def lemma_bound(p, mu_sigma, xi, sigma):
-    """Weighted left integral against the mass-below bound.
-
-    lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu, with nu the
-    measure p is orthogonal to (lambda^q mu_sigma),
-    rhs = mu_sigma([0, z1)) * (q / delta_n)^q with q = xi - sigma + 1 >= 0.
-    Returns (lhs, rhs, satisfied with slack 1 + LEMMA_SLACK).
-    """
-    q = xi - sigma + 1.0
-    if q < 0:
-        raise ValueError(f"requires xi - sigma + 1 >= 0, got {q}")
-    lhs, _ = _split_of(p)
-    below = mass_below(mu_sigma, p.zeros[0])
-    d = delta_n(p)
-    rhs = below * (q / d) ** q
-    return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)
 
 
 @dataclass
@@ -380,7 +365,7 @@ class ChainReport:
             self.ok = False
 
 
-def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8, s_vals=None):
+def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     """Verify every inequality linking rho to the mass below the smallest
     zero, reporting the first failure if any.
 
@@ -408,8 +393,8 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8, s_vals=None):
     # infinite operand, which ChainReport.add already fails
     with np.errstate(over="ignore"):
         s2w = s_vals * s_vals * mu_sigma.weights
-    integral = float(s2w.sum())
-    above = float(s2w[mu_sigma.support >= z1].sum())
+        integral = float(s2w.sum())
+        above = float(s2w[mu_sigma.support >= z1].sum())
     below = mass_below(mu_sigma, z1)
     lemma_rhs = below * (q / d) ** q
 
@@ -417,15 +402,16 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, slack=1e-8, s_vals=None):
                       mass_below=below)
 
     def leq(a, b):
-        return a <= b * (1.0 + slack) + atol
+        return a <= b * (1.0 + CHAIN_SLACK) + atol
 
-    near = abs(rho_value - integral) <= slack * max(abs(rho_value),
-                                                    abs(integral)) + atol
+    near = abs(rho_value - integral) <= CHAIN_SLACK * max(abs(rho_value),
+                                                          abs(integral)) + atol
     rep.add("integral_identity", rho_value, integral, near)
     rep.add("split_bound", rho_value, below + above, leq(rho_value, below + above))
     rep.add("tail_bound", above, z1 ** (-q) * leftint,
             leq(above, z1 ** (-q) * leftint))
-    gap_ok = abs(leftint - rightint) <= slack * max(leftint, rightint) + atol
+    gap_ok = (abs(leftint - rightint)
+              <= CHAIN_SLACK * max(leftint, rightint) + atol)
     rep.add("split_orthogonality", leftint, rightint, gap_ok)
     rep.add("weighted_left_bound", leftint, lemma_rhs, leq(leftint, lemma_rhs))
     assembled = below * (1.0 + z1 ** (-q) * (q / d) ** q)

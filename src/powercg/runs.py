@@ -284,10 +284,7 @@ def run(config):
                 for s in chain_sigmas}
         nu = weight_by_power(base, config.xi + 1.0)
         if len(base):
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                polys = residual_polynomials(nu, min(config.n_max, len(nu)))
+            polys = residual_polynomials(nu, min(config.n_max, len(nu)))
 
     records = []
     rho_of = rho_evaluator(problem, sigmas)
@@ -307,7 +304,8 @@ def run(config):
                 rep = bound_chain(vals[s], p, mu[s], config.xi, s,
                                   s_vals=s_base[rows[s]])
                 chain_ok = chain_ok and rep.ok
-                # lemma_bound's verdict on the operands the chain computed
+                # the lemma's own verdict, at LEMMA_SLACK, on the operands
+                # the chain computed
                 step = next(t for t in rep.steps
                             if t.name == "weighted_left_bound")
                 lemma_ok = (lemma_ok
@@ -457,10 +455,7 @@ def verify_case(config):
         base = DiscreteSpectralMeasure(op.eigenvalues().real, np.abs(e0) ** 2)
         nu = weight_by_power(base, config.xi + 1.0)
         k = min(8, max(1, len(nu) - 1))
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            polys = residual_polynomials(nu, k)
+        polys = residual_polynomials(nu, k)
         zeros_ok = all(p.zeros.min() > 0 for p in polys[1:] if p.degree)
         checks.append(("zeros_positive", zeros_ok,
                        f"{len(polys) - 1} degrees"))

@@ -1,4 +1,4 @@
-"""Extended-precision mpmath oracles the tests check the library against.
+"""Oracles the tests check the library against, mostly in mpmath.
 
 mpmath is a test dependency only: the library's own extended-precision
 zero table runs in stdlib decimal, so its oracle here shares neither code
@@ -12,12 +12,17 @@ nor arithmetic library with it.
   recurrence plus a dense eigensolve per degree), so tests keep it small.
 - brute_force_iterate / brute_force_objective, for the weighted Krylov
   minimizers: the monomial normal equations solved at many digits.
+- lemma_bound, for the lemma verdict runs.run reads off the bound chain's
+  weighted_left_bound step: the same comparison made in double precision
+  from the polynomial's split integrals, outside bound_chain.
 """
 
 import numpy as np
 from mpmath import mp
 
 from powercg.linop import SpectralAccessError
+from powercg.measures import mass_below
+from powercg.orthopoly import LEMMA_SLACK, delta_n
 
 
 def reference_zero_table(measure, n_max):
@@ -204,3 +209,25 @@ def brute_force_objective(problem, theta, x, dps=50):
             mag = mp.mpf(complex(e[i]).real) ** 2 + mp.mpf(complex(e[i]).imag) ** 2
             total += mp.mpf(float(lam[i])) ** theta * mag
         return float(total)
+
+
+def lemma_bound(p, mu_sigma, xi, sigma):
+    """Weighted left integral against the mass-below bound.
+
+    lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu, with nu the
+    measure p is orthogonal to (lambda^q mu_sigma),
+    rhs = mu_sigma([0, z1)) * (q / delta_n)^q with q = xi - sigma + 1 >= 0.
+    Returns (lhs, rhs, satisfied with slack 1 + LEMMA_SLACK).
+    """
+    q = xi - sigma + 1.0
+    if q < 0:
+        raise ValueError(f"requires xi - sigma + 1 >= 0, got {q}")
+    if p.split is None:
+        raise ValueError(
+            "split integrals need a polynomial of degree >= 1 from "
+            "residual_polynomials")
+    lhs, _ = p.split
+    below = mass_below(mu_sigma, p.zeros[0])
+    d = delta_n(p)
+    rhs = below * (q / d) ** q
+    return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)

@@ -8,7 +8,6 @@ four at n = 2048 with the 60-step series.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +15,12 @@ import pytest
 from powercg.diagnostics import rho
 from powercg.krylov import run_cg, spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import (bound_chain, check_separation, lemma_bound,
+from powercg.orthopoly import (bound_chain, check_separation,
                                orthogonality_gap, residual_polynomials)
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
 
-from mp_reference import brute_force_iterate, brute_force_objective
+from mp_reference import (brute_force_iterate, brute_force_objective,
+                          lemma_bound)
 
 GRID_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 25.0, "2b": 25.0}
 BIG_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 200.0, "2b": 200.0}
@@ -39,9 +39,7 @@ def _poly_table(problem, xi, n_max):
     base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
                                    np.abs(e0) ** 2)
     nu = weight_by_power(base, xi + 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        polys = residual_polynomials(nu, min(n_max, len(nu)))
+    polys = residual_polynomials(nu, min(n_max, len(nu)))
     return base, polys
 
 
@@ -227,7 +225,7 @@ def test_5_tail_bounds_hold_on_every_run(acceptance, random_runs, grid_runs, big
                 val = rho_of(sigma, N)
                 if val is None:
                     continue
-                rep = bound_chain(val, polys[N], mu_s, xi, sigma, slack=1e-8)
+                rep = bound_chain(val, polys[N], mu_s, xi, sigma)
                 checked += 1
                 if not rep.ok:
                     failures.append(

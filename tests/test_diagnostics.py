@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from powercg.diagnostics import (ConvergenceRecord, class_membership_indicator,
-                                 np_rate_monitor, rho, u_sigma)
+                                 np_rate_monitor, rho)
 from powercg.krylov import InverseProblem, run_cg
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
@@ -82,32 +82,6 @@ def test_negative_sigma_kernel_drift_guard():
     rho(prob, drifted, 0)  # fine for sigma >= 0
     with pytest.raises(KernelComponentError, match="kernel drift"):
         rho(prob, drifted, -1)
-    with pytest.raises(KernelComponentError, match="kernel drift"):
-        u_sigma(prob, drifted, -1)
-
-
-def test_u_sigma_generates_rho():
-    prob = two_dim()
-    u2 = u_sigma(prob, F1, 2)
-    # lambda-weighted error is exactly the residual A f - g
-    assert np.allclose(u2, prob.operator.apply(F1) - prob.g, atol=1e-14)
-    for sigma in (-1.0, 0.0, 1.0, 2.0):
-        u = u_sigma(prob, F1, sigma)
-        assert np.linalg.norm(u) ** 2 == pytest.approx(rho(prob, F1, sigma),
-                                                       rel=1e-13)
-    mat = InverseProblem(MatrixOperator(np.diag([1.0, 2.0])),
-                         g=np.array([1.0, 2.0]))
-    with pytest.raises(SpectralAccessError):
-        u_sigma(mat, F1, 0)
-
-
-def test_u_sigma_zeroes_kernel_part():
-    op = FourierOperator(16, 4.0, shift=0.0)
-    x = op.grid()
-    g = np.sin(2 * np.pi * x / 4.0) * (2 * np.pi / 4.0) ** 2
-    prob = InverseProblem(op, g=g, f0=np.full(16, 0.7))
-    u = u_sigma(prob, np.full(16, 0.7), 1)
-    assert abs(u.mean()) < 1e-14
 
 
 def test_class_membership_indicator():

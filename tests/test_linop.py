@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.linop import (DimensionMismatchError, KernelComponentError,
-                           SpectralAccessError)
+from powercg.linop import DimensionMismatchError
 
 
 def test_diagonal_apply_hand():
@@ -107,57 +106,6 @@ def test_fourier_complex_coefficient_round_trip():
     z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     back = op.from_coefficients(op.coefficients(z))
     assert np.allclose(back, z, atol=1e-12)
-
-
-def test_apply_matches_fractional_power_one():
-    for op in (pc.DiagonalOperator(np.array([0.5, 1.0, 4.0])),
-               pc.FourierOperator(32, 2.0, shift=1.0)):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(op.dimension)
-        a = op.apply(x)
-        b = pc.fractional_apply(op, 1.0, x)
-        assert np.allclose(a, b, atol=1e-10 * np.linalg.norm(a))
-
-
-def test_fractional_semigroup():
-    op = pc.FourierOperator(64, 4.0, shift=1.0)
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(64)
-    half_twice = pc.fractional_apply(op, 0.5, pc.fractional_apply(op, 0.5, x))
-    assert np.allclose(half_twice, op.apply(x),
-                       atol=1e-10 * np.linalg.norm(op.apply(x)))
-
-
-def test_fractional_zero_projects_off_kernel():
-    op = pc.DiagonalOperator(np.array([0.0, 1.0, 2.0]))
-    x = np.array([3.0, 1.0, -1.0])
-    assert np.allclose(pc.fractional_apply(op, 0.0, x), [0.0, 1.0, -1.0])
-
-
-def test_fractional_negative_power_inverts_on_range():
-    op = pc.DiagonalOperator(np.array([0.0, 1.0, 2.0]))
-    x = np.array([0.0, 2.0, 3.0])  # kernel-free
-    y = pc.fractional_apply(op, -1.0, op.apply(x))
-    assert np.allclose(y, x, atol=1e-12)
-
-
-def test_fractional_negative_power_rejects_kernel_mass():
-    op = pc.DiagonalOperator(np.array([0.0, 1.0]))
-    with pytest.raises(KernelComponentError):
-        pc.fractional_apply(op, -1.0, np.array([1.0, 1.0]))
-
-
-def test_fractional_needs_spectral():
-    M = pc.MatrixOperator(np.eye(3))
-    with pytest.raises(SpectralAccessError):
-        pc.fractional_apply(M, 0.5, np.ones(3))
-
-
-def test_fractional_real_in_real_out():
-    op = pc.FourierOperator(32, 2.0, shift=1.0)
-    x = np.cos(op.grid())
-    out = pc.fractional_apply(op, 0.5, x)
-    assert np.isrealobj(out)
 
 
 def test_kernel_mask():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.measures import (DiscreteSpectralMeasure, mass_below, moment,
+from powercg.measures import (DiscreteSpectralMeasure, mass_below,
                               spectral_measure, weight_by_power)
 
 
@@ -81,15 +81,6 @@ def test_weight_by_power_negative_rejects_zero_atom():
         weight_by_power(m, -1.0)
 
 
-def test_moment_hand():
-    m = DiscreteSpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 4.0]))
-    assert moment(m, 0) == 5.0
-    assert moment(m, 1) == 9.0
-    assert moment(m, 2) == 17.0
-    with pytest.raises(ValueError):
-        moment(DiscreteSpectralMeasure(np.array([0.0]), np.array([1.0])), -1)
-
-
 def test_mass_below_strict():
     m = DiscreteSpectralMeasure(np.array([1.0, 2.0, 3.0]),
                                 np.array([1.0, 1.0, 1.0]))
@@ -99,13 +90,13 @@ def test_mass_below_strict():
 
 
 def test_measure_respects_fractional_power_transport():
-    # weights of A^t x are lambda^{2t} times the weights of x
+    # weights of A x are lambda^2 times the weights of x
     op = pc.DiagonalOperator(np.array([0.5, 1.0, 4.0]))
     x = np.array([1.0, 2.0, 3.0])
     mu = spectral_measure(op, x)
-    y = pc.fractional_apply(op, 0.5, x)
+    y = op.apply(x)
     mu_y = spectral_measure(op, y)
-    want = weight_by_power(mu, 1.0)
+    want = weight_by_power(mu, 2.0)
     assert np.allclose(mu_y.support, want.support)
     assert np.allclose(mu_y.weights, want.weights, rtol=1e-12)
 
@@ -114,8 +105,3 @@ def test_sorted_support():
     m = DiscreteSpectralMeasure(np.array([3.0, 1.0, 2.0]),
                                 np.array([1.0, 1.0, 1.0]))
     assert np.array_equal(m.support, [1.0, 2.0, 3.0])
-
-
-def test_atoms_iteration():
-    m = DiscreteSpectralMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
-    assert list(m.atoms()) == [(1.0, 0.5), (2.0, 0.25)]

@@ -15,12 +15,14 @@ import pytest
 from powercg.diagnostics import rho
 from powercg.krylov import ConsistencyError, spectral_iterates
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import bound_chain, lemma_bound, residual_polynomials
+from powercg.orthopoly import bound_chain, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
                           build_test_case, consistency_tolerance, csv_lines,
                           emit_json, read_csv, read_json, run, verify_case,
                           write_csv)
+
+from mp_reference import lemma_bound
 
 # n = 256 companions used throughout: full-size built-ins are exercised in
 # the acceptance module, construction logic is identical
@@ -232,9 +234,7 @@ def test_lemma_verdict_matches_lemma_bound():
     mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+        polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
         for r in out.records[1:]:
             if r.N >= len(polys):
                 assert r.lemma_ok is None
@@ -254,32 +254,37 @@ def test_chain_steps_fail_on_non_finite_operands():
     base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
                                    np.abs(e0) ** 2)
     non_finite = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for xi in (1.0, 2.0):
-            out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
-            polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
-            for r in out.records[1:len(polys)]:
-                for s in (0.0, 1.0, 2.0):
-                    if s > xi:
+    for xi in (1.0, 2.0):
+        out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
+        polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+        for r in out.records[1:len(polys)]:
+            for s in (0.0, 1.0, 2.0):
+                if s > xi:
+                    continue
+                rep = bound_chain(r.rho[s], polys[r.N],
+                                  weight_by_power(base, s), xi, s)
+                for step in rep.steps:
+                    if np.isfinite(step.lhs) and np.isfinite(step.rhs):
                         continue
-                    rep = bound_chain(r.rho[s], polys[r.N],
-                                      weight_by_power(base, s), xi, s)
-                    for step in rep.steps:
-                        if np.isfinite(step.lhs) and np.isfinite(step.rhs):
-                            continue
-                        non_finite += 1
-                        assert not step.ok, (xi, s, r.N, step.name)
-                        assert not rep.ok and not r.bound_chain_ok
+                    non_finite += 1
+                    assert not step.ok, (xi, s, r.N, step.name)
+                    assert not rep.ok and not r.bound_chain_ok
     assert non_finite > 0
 
 
 def test_run_near_termination_lets_no_warning_escape():
-    # the double-path chain on this spectrum meets an overflowing atom sum
-    # near termination; run() must keep it inside and give the same records
+    # the double-path chain on these spectra meets an overflowing atom sum
+    # near termination; run() must keep it inside and give the same records.
+    # The second spectrum is a 96-atom log-uniform draw on [1e-3, 1e3], whose
+    # overflow lands in the chain's sums over s^2 w
     spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
-    for xi in (1.0, 2.0):
-        config = RunConfig(test="custom", xi=xi, n_max=72, custom=spec)
+    rng = np.random.default_rng([20261017, 96, 3])
+    lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=96))
+    assert np.unique(lam).size == 96
+    drawn = {"eigenvalues": lam, "error": rng.standard_normal(96)}
+    for custom, xi, n_max in ((spec, 1.0, 72), (spec, 2.0, 72),
+                              (drawn, 1.0, 96)):
+        config = RunConfig(test="custom", xi=xi, n_max=n_max, custom=custom)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = run(config).to_dict()["records"]
