@@ -46,12 +46,6 @@ def build_parser():
                        help="number of iterations (default 60)")
         p.add_argument("--sigma", type=str, default=None,
                        help="comma-separated rho exponents (default 0,1,2)")
-        p.add_argument("--tol-rel", type=float, default=None,
-                       help="relative residual stop (default 1e-12)")
-        p.add_argument("--tol-abs", type=float, default=None,
-                       help="absolute residual stop (default 0)")
-        p.add_argument("--consistency-tol", type=float, default=None,
-                       help="override the construction gate width")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with configuration fields")
 
@@ -75,9 +69,7 @@ def _config_from_args(args):
             raise UsageError(f"cannot read --config {args.config}: {exc}")
     flag_map = {
         "test": args.test, "n": args.n, "L": args.L, "xi": args.xi,
-        "n_max": args.nmax, "tol_rel": args.tol_rel, "tol_abs": args.tol_abs,
-        "consistency_tol": args.consistency_tol,
-        "out": getattr(args, "out", None),
+        "n_max": args.nmax, "out": getattr(args, "out", None),
         "json_out": getattr(args, "json_out", None),
     }
     if args.sigma is not None:

@@ -25,6 +25,8 @@ LEMMA_SLACK = 1e-10
 CHAIN_SLACK = 1e-8
 # relative slack of the zero interlacing check
 SEPARATION_SLACK = 1e-10
+# relative slack of the edge check z_1 * delta_n >= 1
+EDGE_SLACK = 1e-10
 # measures up to this many atoms get their zeros in extended precision (stdlib
 # decimal at dps digits: an RKPW Jacobi matrix, double starting zeros, a
 # Newton polish):
@@ -416,7 +418,7 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     rep.add("weighted_left_bound", leftint, lemma_rhs, leq(leftint, lemma_rhs))
     assembled = below * (1.0 + z1 ** (-q) * (q / d) ** q)
     rep.add("assembled_bound", rho_value, assembled, leq(rho_value, assembled))
-    rep.add("edge_times_delta", 1.0, z1 * d, z1 * d >= 1.0 - 1e-10)
+    rep.add("edge_times_delta", 1.0, z1 * d, z1 * d >= 1.0 - EDGE_SLACK)
     coarse = (1.0 + q ** q) * below
     rep.add("coarse_bound", rho_value, coarse, leq(rho_value, coarse))
     return rep

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import ConvergenceRecord, rho_evaluator
-from .krylov import InverseProblem, run_cg, spectral_iterates, theta_iterate
-from .linop import DiagonalOperator, FourierOperator
-from .measures import DiscreteSpectralMeasure, weight_by_power
-from .orthopoly import LEMMA_SLACK, bound_chain, delta_n, residual_polynomials
+from .krylov import ConsistencyError, InverseProblem, spectral_iterates
+from .linop import DiagonalOperator, FourierOperator, KernelComponentError
+from .measures import DiscreteSpectralMeasure, spectral_measure, weight_by_power
+from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, LEMMA_SLACK, bound_chain,
+                        check_separation, delta_n, orthogonality_gap,
+                        residual_polynomials)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "N, rho0, rho1, rho1_N2, rho2, delta_n, ritz_min, ritz_max, bound_chain_ok"
@@ -86,7 +88,7 @@ def consistency_tolerance(test, n, L):
     return 3.0 / L ** 2 + 2.0 * np.exp(-np.pi * n / L) + 1e-12
 
 
-def build_test_case(test, n=None, L=None, consistency_tol=None):
+def build_test_case(test, n=None, L=None):
     """Sample a built-in case onto the periodic grid and gate it.
 
     Kernel-bearing cases get the mean of both vectors subtracted (the datum
@@ -111,10 +113,9 @@ def build_test_case(test, n=None, L=None, consistency_tol=None):
         f = f - f_mean
         notes["subtracted_mean_g"] = g_mean
         notes["subtracted_mean_f"] = f_mean
-    if consistency_tol is None:
-        rel = consistency_tolerance(test, n, L)
-        scale = op.norm_estimate() * float(np.linalg.norm(f)) + float(np.linalg.norm(g))
-        consistency_tol = rel * float(np.linalg.norm(g)) / scale
+    rel = consistency_tolerance(test, n, L)
+    scale = op.norm_estimate() * float(np.linalg.norm(f)) + float(np.linalg.norm(g))
+    consistency_tol = rel * float(np.linalg.norm(g)) / scale
     notes["consistency_tol"] = consistency_tol
     return InverseProblem(op, g, f0=np.zeros(n), known_solution=f,
                           consistency_tol=consistency_tol, notes=notes)
@@ -126,21 +127,38 @@ def build_custom_case(spec):
     spec keys: either {"eigenvalues": [...], "error": [...]} (error = initial
     error coefficients at f0 = 0, so the solution is their negation) or
     {"dimension": d, "seed": s, "kappa": k} for a log-uniform spectrum in
-    [1/k, 1] with a unit-scale random error.
+    [1/k, 1] with a unit-scale random error. Raises ValueError on any other
+    spec.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"custom spec must be a mapping, got {type(spec).__name__}")
     if "eigenvalues" in spec:
+        if "error" not in spec:
+            raise ValueError("custom spec with 'eigenvalues' needs 'error'")
         lam = np.asarray(spec["eigenvalues"], dtype=float)
         e0 = np.asarray(spec["error"], dtype=float)
+        if lam.ndim != 1 or e0.shape != lam.shape:
+            raise ValueError(
+                f"custom spec: 'eigenvalues' and 'error' must be 1-d of equal "
+                f"length, got shapes {lam.shape} and {e0.shape}")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(e0))):
+            raise ValueError("custom spec: 'eigenvalues' and 'error' must be finite")
         order = np.argsort(lam)
         lam = lam[order]
         e0 = e0[order]
-    else:
-        d = int(spec["dimension"])
-        seed = int(spec.get("seed", 0))
-        kappa = float(spec.get("kappa", 1e3))
+    elif "dimension" in spec:
+        try:
+            d = int(spec["dimension"])
+            seed = int(spec.get("seed", 0))
+            kappa = float(spec.get("kappa", 1e3))
+        except TypeError as exc:
+            raise ValueError(f"custom spec: {exc}") from None
         rng = np.random.default_rng(seed)
         lam = np.sort(np.exp(rng.uniform(np.log(1.0 / kappa), 0.0, size=d)))
         e0 = rng.standard_normal(d)
+    else:
+        raise ValueError("custom spec needs 'eigenvalues' and 'error', "
+                         "or 'dimension'")
     op = DiagonalOperator(lam)
     sol = -e0
     g = lam * sol
@@ -158,9 +176,6 @@ class RunConfig:
     sigmas: tuple = (0.0, 1.0, 2.0)
     out: str = None
     json_out: str = None
-    tol_rel: float = 1e-12
-    tol_abs: float = 0.0
-    consistency_tol: float = None
     custom: dict = None
 
     def resolve(self):
@@ -221,22 +236,19 @@ def _num(v):
 def _build_problem(config):
     if config.test == "custom":
         return build_custom_case(config.custom)
-    return build_test_case(config.test, config.n, config.L,
-                           consistency_tol=config.consistency_tol)
+    return build_test_case(config.test, config.n, config.L)
 
 
 def run(config):
     """Execute the configured experiment and assemble the record series.
 
-    Spectral operators route every xi through the eigenbasis minimizer,
-    one least-squares ladder for all degrees; Krylov recurrences in
-    floating point leak out of the exact Krylov space once the recurrence
-    coefficients of the orthogonality measure collapse, and the leaked
-    iterates break the rho / node-polynomial identity that the records
-    are meant to exhibit. Matrix-free problems use CG for xi = 1 and, for
-    integer xi > 1, theta_iterate on tridiagonal powers of one Lanczos
-    basis from R0 that the problem stores and extends degree by degree.
-    On spectral operators every record also carries the
+    Every problem a config can name is spectral (a FourierOperator or a
+    DiagonalOperator), so run() takes every xi through the eigenbasis
+    minimizer, one least-squares ladder for all degrees. Krylov recurrences
+    in floating point leak out of the exact Krylov space once the
+    recurrence coefficients of the orthogonality measure collapse, and the
+    leaked iterates break the rho / node-polynomial identity that the
+    records are meant to exhibit. Every record also carries the
     node-polynomial data (smallest and largest zero, delta_n) and the
     verdicts of the tail bound chain for each requested sigma <= xi.
     """
@@ -247,30 +259,15 @@ def run(config):
     if config.n_max > problem.dimension:
         raise ValueError(
             f"n_max {config.n_max} exceeds dimension {problem.dimension}")
-    if not op.spectral and config.xi < 1:
-        raise ValueError("matrix-free runs need xi >= 1")
-
-    termination = None
-    if config.n_max == 0:
-        iterates = []
-    elif op.spectral:
-        iterates = spectral_iterates(problem, config.xi, config.n_max)
-    elif config.xi == 1.0:
-        hist = run_cg(problem, config.n_max, tol_rel=config.tol_rel,
-                      tol_abs=config.tol_abs)
-        iterates = hist.iterates
-        termination = hist.reason
-    else:
-        iterates = [problem.f0.copy()]
-        iterates += [theta_iterate(problem, config.xi, N)
-                     for N in range(1, config.n_max + 1)]
+    iterates = (spectral_iterates(problem, config.xi, config.n_max)
+                if config.n_max else [])
 
     sigmas = tuple(sorted(set(config.sigmas) | {0.0, 1.0, 2.0}))
     chain_sigmas = [s for s in sigmas if 0.0 <= s <= config.xi]
 
     polys = []
     mu = {}
-    if op.spectral and iterates:
+    if iterates:
         e0 = problem.error_coefficients(problem.f0)
         base = DiscreteSpectralMeasure(op.eigenvalues().real,
                                        np.abs(e0) ** 2)
@@ -319,19 +316,16 @@ def run(config):
         "config": {
             "test": config.test, "n": config.n, "L": config.L,
             "xi": config.xi, "n_max": config.n_max,
-            "sigmas": list(config.sigmas), "tol_rel": config.tol_rel,
-            "tol_abs": config.tol_abs,
+            "sigmas": list(config.sigmas),
         },
         "norm_estimate": float(op.norm_estimate()),
         "dimension": problem.dimension,
-        "termination": termination,
         "notes": problem.notes,
         "wall_time_s": time.perf_counter() - t0,
     }
-    if op.spectral:
-        # lower spectral edge, for rates that depend on kappa
-        live = op.eigenvalues().real[~op.kernel_mask()]
-        metadata["lambda_min"] = float(live.min()) if live.size else None
+    # lower spectral edge, for rates that depend on kappa
+    live = op.eigenvalues().real[~op.kernel_mask()]
+    metadata["lambda_min"] = float(live.min()) if live.size else None
     if records and len(polys) > 1:
         metadata["delta_first"] = records[1].delta_n
         metadata["delta_last"] = records[-1].delta_n
@@ -420,15 +414,13 @@ def verify_case(config):
     try:
         problem = _build_problem(config)
         checks.append(("consistency_gate", True,
-                       f"tol {problem.notes.get('consistency_tol', problem.consistency_tol):.3e}"))
-    except Exception as exc:
+                       f"tol {problem.consistency_tol:.3e}"))
+    except (ConsistencyError, KernelComponentError) as exc:
         checks.append(("consistency_gate", False, str(exc)))
         return checks
     op = problem.operator
     rng = np.random.default_rng(20260814)
     nrm = op.norm_estimate()
-    sym_ok = True
-    pos_ok = True
     worst_sym = 0.0
     worst_pos = 0.0
     for _ in range(5):
@@ -444,37 +436,33 @@ def verify_case(config):
     pos_ok = worst_pos >= -1e-10
     checks.append(("operator_symmetry", sym_ok, f"max rel gap {worst_sym:.3e}"))
     checks.append(("operator_nonnegative", pos_ok, f"min rel quad {worst_pos:.3e}"))
-    if op.spectral:
-        x = rng.standard_normal(op.dimension)
-        from .measures import spectral_measure
-        m = spectral_measure(op, x)
-        mass_gap = abs(m.total_mass() - float(np.dot(x, x))) / float(np.dot(x, x))
-        checks.append(("measure_mass", mass_gap <= 1e-10,
-                       f"rel gap {mass_gap:.3e}"))
-        e0 = problem.error_coefficients(problem.f0)
-        base = DiscreteSpectralMeasure(op.eigenvalues().real, np.abs(e0) ** 2)
-        nu = weight_by_power(base, config.xi + 1.0)
-        k = min(8, max(1, len(nu) - 1))
-        polys = residual_polynomials(nu, k)
-        zeros_ok = all(p.zeros.min() > 0 for p in polys[1:] if p.degree)
-        checks.append(("zeros_positive", zeros_ok,
-                       f"{len(polys) - 1} degrees"))
-        from .orthopoly import check_separation, orthogonality_gap
-        sep_ok = True
-        worst = 0.0
-        for i in range(1, len(polys) - 1):
-            ok, v = check_separation(polys[i], polys[i + 1])
-            sep_ok = sep_ok and ok
-            worst = max(worst, v)
-        checks.append(("zeros_interlace", sep_ok, f"max violation {worst:.3e}"))
-        gap_ok = True
-        worst = 0.0
-        for p in polys[1:]:
-            _, _, gp = orthogonality_gap(p)
-            worst = max(worst, gp)
-        gap_ok = worst <= 1e-8
-        checks.append(("split_orthogonality", gap_ok, f"max rel gap {worst:.3e}"))
-        edge_ok = all(p.zeros[0] * delta_n(p) >= 1.0 - 1e-10
-                      for p in polys[1:] if p.degree)
-        checks.append(("edge_times_delta", edge_ok, "z1 * delta >= 1"))
+    x = rng.standard_normal(op.dimension)
+    m = spectral_measure(op, x)
+    mass_gap = abs(m.total_mass() - float(np.dot(x, x))) / float(np.dot(x, x))
+    checks.append(("measure_mass", mass_gap <= 1e-10,
+                   f"rel gap {mass_gap:.3e}"))
+    e0 = problem.error_coefficients(problem.f0)
+    base = DiscreteSpectralMeasure(op.eigenvalues().real, np.abs(e0) ** 2)
+    nu = weight_by_power(base, config.xi + 1.0)
+    k = min(8, max(1, len(nu) - 1))
+    polys = residual_polynomials(nu, k)
+    zeros_ok = all(p.zeros.min() > 0 for p in polys[1:] if p.degree)
+    checks.append(("zeros_positive", zeros_ok,
+                   f"{len(polys) - 1} degrees"))
+    sep_ok = True
+    worst = 0.0
+    for i in range(1, len(polys) - 1):
+        ok, v = check_separation(polys[i], polys[i + 1])
+        sep_ok = sep_ok and ok
+        worst = max(worst, v)
+    checks.append(("zeros_interlace", sep_ok, f"max violation {worst:.3e}"))
+    worst = 0.0
+    for p in polys[1:]:
+        _, _, gp = orthogonality_gap(p)
+        worst = max(worst, gp)
+    checks.append(("split_orthogonality", worst <= CHAIN_SLACK,
+                   f"max rel gap {worst:.3e}"))
+    edge_ok = all(p.zeros[0] * delta_n(p) >= 1.0 - EDGE_SLACK
+                  for p in polys[1:] if p.degree)
+    checks.append(("edge_times_delta", edge_ok, "z1 * delta >= 1"))
     return checks

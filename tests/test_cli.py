@@ -59,10 +59,28 @@ def test_config_supplies_extra_sigmas(tmp_path):
 
 
 def test_unknown_config_field_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, dict(CUSTOM, bogus=1))
-    assert main(["solve", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "unknown config fields" in err and "bogus" in err
+    for field in ("bogus", "tol_rel"):
+        cfg = write_config(tmp_path, dict(CUSTOM, **{field: 1}))
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config fields" in err and field in err
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for flag in ("--tol-rel", "--tol-abs", "--consistency-tol"):
+        assert main(["solve", "--test", "1a", flag, "1e-3"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_malformed_custom_spec_exits_one(tmp_path, capsys):
+    spec = {"eigenvalues": [1.0, 2.0], "error": [1.0, 2.0, 3.0]}
+    cfg = write_config(tmp_path, {"test": "custom", "n_max": 2,
+                                  "custom": spec})
+    for command in ("solve", "verify"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "equal length" in captured.err, command
+        assert "FAIL" not in captured.out
 
 
 def test_missing_config_file(capsys):

@@ -118,6 +118,27 @@ def test_custom_case_explicit_and_seeded():
     assert lam.size == 6 and lam.min() >= 1e-2 and lam.max() <= 1.0
 
 
+def test_custom_spec_is_checked():
+    bad = [
+        ({"eigenvalues": [1.0, 2.0], "error": [1.0, 2.0, 3.0]}, "equal length"),
+        ({"eigenvalues": [1.0, 2.0, 3.0], "error": [1.0, 2.0]}, "equal length"),
+        ({"eigenvalues": [[1.0, 2.0]], "error": [[1.0, 2.0]]}, "1-d"),
+        ({"eigenvalues": [1.0, np.inf], "error": [1.0, 2.0]}, "finite"),
+        ({"eigenvalues": [1.0, 2.0], "error": [np.nan, 2.0]}, "finite"),
+        ({"eigenvalues": [1.0, 2.0]}, "needs 'error'"),
+        ({"seed": 3, "kappa": 10.0}, "'dimension'"),
+        ("dimension", "mapping"),
+        ({"dimension": [3]}, "int"),
+    ]
+    for spec, match in bad:
+        with pytest.raises(ValueError, match=match):
+            build_custom_case(spec)
+        with pytest.raises(ValueError, match=match):
+            run(RunConfig(test="custom", n_max=1, custom=spec))
+        with pytest.raises(ValueError, match=match):
+            verify_case(RunConfig(test="custom", n_max=1, custom=spec))
+
+
 def test_config_resolve_validation():
     with pytest.raises(ValueError, match="unknown test id"):
         RunConfig(test="9z").resolve()
@@ -152,6 +173,11 @@ def test_run_record_structure():
         assert 0 < r.ritz_min <= r.ritz_max
         assert r.delta_n >= 1.0 / r.ritz_min - 1e-12
     md = out.metadata
+    assert set(md) == {"schema_version", "config", "norm_estimate",
+                       "dimension", "notes", "wall_time_s", "lambda_min",
+                       "delta_first", "delta_last", "ritz_min_last",
+                       "ritz_max_last"}
+    assert set(md["config"]) == {"test", "n", "L", "xi", "n_max", "sigmas"}
     assert md["schema_version"] == SCHEMA_VERSION
     assert md["dimension"] == 8
     assert md["config"]["xi"] == 1.0
