@@ -40,39 +40,68 @@ _MP_MAX_ATOMS = 64
 _NEWTON_MAX_STEPS = 20
 
 
-def _product_eval(lam, zeros):
-    """prod_k (1 - lam/zeros_k), vectorized over lam, overflow-safe."""
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    if zeros.size == 0:
-        out = np.ones_like(lam)
-        return out[0] if scalar else out
-    factors = 1.0 - lam[:, None] / zeros[None, :]
-    if zeros.size <= _LOG_EVAL_DEGREE:
-        out = np.prod(factors, axis=1)
-    else:
-        mag = np.abs(factors)
-        dead = np.any(mag == 0.0, axis=1)
-        sign = np.prod(np.sign(factors), axis=1)
-        with np.errstate(divide="ignore"):
-            logs = np.sum(np.log(np.where(mag > 0, mag, 1.0)), axis=1)
-        with np.errstate(over="ignore"):
-            out = sign * np.exp(logs)
-        out[dead] = 0.0
-    return out[0] if scalar else out
+def _from_logs(logs, negatives, dead):
+    """sign * exp(logs), the sign the parity of the negative factors, and
+    exactly 0 on dead rows (a factor that is 0)."""
+    with np.errstate(over="ignore"):
+        out = np.exp(logs)
+    np.negative(out, out=out, where=negatives % 2 == 1)
+    out[dead] = 0.0
+    return out
+
+
+def _factor_products(lam, zeros, rest=False):
+    """prod_k (1 - lam/zeros_k) on the 1-d array lam, overflow-safe; with
+    rest=True also prod_{k>=2} (1 - lam/zeros_k), from the same factor
+    matrix.
+
+    Up to _LOG_EVAL_DEGREE zeros the factors are laid out zeros x atoms and
+    multiplied down the columns: a sequential product, vectorized over the
+    atoms, that rounds like a product along each atom's row. Above it they
+    are laid out atoms x zeros and the log magnitudes summed along the rows,
+    which numpy sums pairwise; a sum down the columns would be sequential
+    and round differently. A slice of the columns reduces bit for bit like
+    a matrix built from those zeros alone, so s and the rest product agree
+    with separate evaluations.
+    """
+    n = zeros.size
+    if n <= _LOG_EVAL_DEGREE:
+        G = lam[None, :] / zeros[:, None]
+        np.subtract(1.0, G, out=G)
+        s = np.prod(G, axis=0)
+        return (s, np.prod(G[1:], axis=0)) if rest else s
+    F = lam[:, None] / zeros[None, :]
+    np.subtract(1.0, F, out=F)
+    r = None
+    if rest and n - 1 <= _LOG_EVAL_DEGREE:
+        r = np.prod(F[:, 1:], axis=1)
+    negative = F < 0
+    dead = F == 0.0
+    # log|F| in place; a dead factor keeps 0 = log 1, its row is zeroed
+    np.abs(F, out=F)
+    np.log(F, out=F, where=~dead)
+    s = _from_logs(F.sum(axis=1), np.count_nonzero(negative, axis=1),
+                   dead.any(axis=1))
+    if not rest:
+        return s
+    if r is None:
+        r = _from_logs(F[:, 1:].sum(axis=1),
+                       np.count_nonzero(negative[:, 1:], axis=1),
+                       dead[:, 1:].any(axis=1))
+    return s, r
 
 
 class ResidualPolynomial:
     """s(lambda) = prod_k (1 - lambda / zeros_k); s(0) = 1 by construction.
 
     split, when present, holds the (left, right) split integrals against the
-    measure the polynomial is orthogonal to, computed by
-    residual_polynomials where the zeros are made. A polynomial built by
-    hand from its zeros has no measure and no split.
+    measure the polynomial is orthogonal to, and values holds s on the
+    support residual_polynomials was given; both are computed where the
+    zeros are made, from one factor matrix. A polynomial built by hand from
+    its zeros has no measure, no split and no values.
     """
 
-    def __init__(self, zeros, split=None):
+    def __init__(self, zeros, split=None, values=None):
         z = np.asarray(zeros, dtype=float)
         if z.ndim != 1:
             raise ValueError("zeros must be a 1-d array")
@@ -83,12 +112,15 @@ class ResidualPolynomial:
         self.zeros = z
         self.degree = z.size
         self.split = split
+        self.values = values
 
     def __repr__(self):
         return f"ResidualPolynomial(degree={self.degree})"
 
     def evaluate(self, lam):
-        return _product_eval(lam, self.zeros)
+        lam = np.asarray(lam, dtype=float)
+        out = _factor_products(np.atleast_1d(lam), self.zeros)
+        return out[0] if lam.ndim == 0 else out
 
 
 def _rkpw(lam, w):
@@ -123,11 +155,14 @@ def _rkpw(lam, w):
     return alphas, beta2
 
 
-def _newton_polish(x, alphas, beta2, tol):
+def _newton_polish(x, alphas, beta2, tol, floor_tol):
     """Newton from x on the monic polynomial of degree len(alphas) that the
     three-term recurrence defines (value and derivative from the same
-    recurrence), until the correction is below tol relative; None if it has
-    not got there after _NEWTON_MAX_STEPS corrections."""
+    recurrence), until the correction is below tol relative. Once
+    _NEWTON_MAX_STEPS corrections are spent, the zero is accepted if the
+    last correction is below floor_tol relative (the recurrence's own
+    rounding floor: evaluating a high degree loses a few digits, and the
+    corrections then stall just above tol); None otherwise."""
     for _ in range(_NEWTON_MAX_STEPS):
         p_prev, p, d_prev, d = 0, 1, 0, 0
         for a, b2 in zip(alphas, beta2):
@@ -138,7 +173,7 @@ def _newton_polish(x, alphas, beta2, tol):
         x -= step
         if abs(step) <= tol * abs(x):
             return x
-    return None
+    return x if abs(step) <= floor_tol * abs(x) else None
 
 
 def _mp_zero_table(measure, n_max):
@@ -156,7 +191,8 @@ def _mp_zero_table(measure, n_max):
     stops where a squared coupling falls to tol^2, tol = 10^-(dps-10) of the
     largest atom. Each degree's zeros start from the double eigenvalues of
     the rounded leading block and are polished by Newton to 10^-(dps-3)
-    relative; a zero that does not settle raises RuntimeError.
+    relative, or to 10^-(dps-6) once _NEWTON_MAX_STEPS corrections are
+    spent; a zero that settles to neither raises RuntimeError.
     """
     import decimal
     from decimal import Decimal
@@ -182,17 +218,19 @@ def _mp_zero_table(measure, n_max):
         diag = np.array([float(a) for a in alphas[:reached]])
         off = np.sqrt([float(b) for b in beta2[1:reached]])
         newton_tol = Decimal(10) ** (-(dps - 3))
+        floor_tol = Decimal(10) ** (-(dps - 6))
         table = []
         for N in range(1, reached + 1):
             start = eigh_tridiagonal(diag[:N], off[:N - 1], eigvals_only=True)
             zeros = []
             for x0 in start:
                 z = _newton_polish(Decimal(float(x0)), alphas[:N], beta2[:N],
-                                   newton_tol)
+                                   newton_tol, floor_tol)
                 if z is None:
                     raise RuntimeError(
                         f"Newton polish of a degree-{N} zero did not settle "
-                        f"to 1e-{dps - 3} relative at dps={dps}")
+                        f"to 1e-{dps - 3} relative, nor to 1e-{dps - 6} in "
+                        f"{_NEWTON_MAX_STEPS} corrections, at dps={dps}")
                 zeros.append(z)
             zeros.sort()
             table.append((np.array([float(z) for z in zeros]),
@@ -200,38 +238,48 @@ def _mp_zero_table(measure, n_max):
     return table
 
 
-def residual_polynomials(nu, n_max):
+def residual_polynomials(nu, n_max, support=None):
     """First residual polynomials of nu: degrees 0..n_max, so the list index
     is the degree. Fewer atoms than requested degrees, or a recurrence that
     breaks down first, truncates the list (the degree-(atom count)
     polynomial already vanishes on the support), so len(polys) - 1 is the
-    degree reached. Each polynomial of degree >= 1 carries its split
-    integrals against nu.
+    degree reached. Each polynomial carries its values on support (values)
+    and, from degree 1 on, its split integrals against nu (split).
 
-    nu must have no atom at 0 (it is a power-reweighted measure with the
-    kernel mass removed).
+    support is ascending and contains nu's support (ValueError otherwise);
+    it defaults to nu's support. On the double path one factor matrix per
+    degree on support gives both s and the split's rest product, whose
+    rows on nu's atoms are found by searchsorted. nu must have no atom at 0
+    (it is a power-reweighted measure with the kernel mass removed).
     """
     if nu.support.size and nu.support[0] == 0.0:
         raise ValueError("measure has an atom at 0")
+    support = (nu.support if support is None
+               else np.asarray(support, dtype=float))
+    rows = np.searchsorted(support, nu.support)
+    if rows.size and (rows[-1] >= support.size
+                      or not np.array_equal(support[rows], nu.support)):
+        raise ValueError("support does not contain the measure's support")
+    polys = [ResidualPolynomial(np.empty(0), values=np.ones(support.size))]
     m = nu.support.size
     if m == 0 or n_max <= 0:
-        zero_table = []
-    elif m <= _MP_MAX_ATOMS:
-        zero_table = _mp_zero_table(nu, n_max)
-    else:
-        # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
-        # started from sqrt(weights); it stops on breakdown, 1e-13 of the
-        # largest atom
-        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
-                          min(n_max, m))
-        zero_table = []
-        for N in range(1, T.order + 1):
-            z = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
-                                         eigvals_only=True))
-            zero_table.append((z, _split_integrals(z, nu)))
-    polys = [ResidualPolynomial(np.empty(0))]
-    for z, split in zero_table:
-        polys.append(ResidualPolynomial(z, split))
+        return polys
+    if m <= _MP_MAX_ATOMS:
+        for z, split in _mp_zero_table(nu, n_max):
+            polys.append(ResidualPolynomial(z, split,
+                                            _factor_products(support, z)))
+        return polys
+    # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
+    # started from sqrt(weights); it stops on breakdown, 1e-13 of the
+    # largest atom
+    T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
+                      min(n_max, m))
+    for N in range(1, T.order + 1):
+        z = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
+                                     eigvals_only=True))
+        s, rest = _factor_products(support, z, rest=True)
+        polys.append(ResidualPolynomial(
+            z, _split_integrals(z[0], nu, rest[rows]), s))
     return polys
 
 
@@ -297,13 +345,13 @@ def _split_integrals_hp(zeros, dps, lam, lamd, wd):
     return float(lhs), float(rhs)
 
 
-def _split_integrals(zeros, nu):
+def _split_integrals(z1, nu, rest):
     """The two sides of the split orthogonality identity for the smallest
     zero z1: integral over [0, z1) of s^2 * z1/(z1-lambda) d nu, and over
     (z1, inf) of s^2 * z1/(lambda-z1) d nu. Uses the factored form
     s^2 * z1/|z1-lambda| = |1 - lambda/z1| * prod_{k>=2}(1-lambda/z_k)^2,
-    exact where the naive quotient cancels. Atoms at z1 contribute zero."""
-    z1 = zeros[0]
+    exact where the naive quotient cancels; rest holds the product over
+    k >= 2 on nu's atoms. Atoms at z1 contribute zero."""
     lam = nu.support
     w = nu.weights
     at = np.abs(lam - z1) <= 1e-12 * max(1.0, z1)
@@ -313,7 +361,7 @@ def _split_integrals(zeros, nu):
     # an overflow (double-path zeros near termination) leaves an infinite
     # integral, which fails its bound-chain steps
     with np.errstate(over="ignore"):
-        rest2 = _product_eval(lam, zeros[1:]) ** 2
+        rest2 = rest ** 2
         lhs = float(np.sum(w[left] * frac[left] * rest2[left]))
         rhs = float(np.sum(w[right] * frac[right] * rest2[right]))
     return lhs, rhs
@@ -377,8 +425,9 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     integrals are taken against. A scale-aware absolute epsilon keeps the
     finite-termination case (everything 0 up to roundoff) from tripping the
     comparisons. s_vals, when given, are p's values on mu_sigma's support
-    (a caller checking several sigma evaluates p once on a common superset
-    and indexes it); by default the chain evaluates p itself.
+    (a caller checking several sigma takes p.values on a common superset
+    and indexes it); by default the chain evaluates p itself, by the same
+    product, so both give the same bits.
     """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")

@@ -275,13 +275,14 @@ def run(config):
             mu[s] = weight_by_power(base, s)
         # every mu_sigma support is a subset of base's: weight_by_power keeps
         # the atom values and never merges atoms of a merged support, so the
-        # lookup is exact and s, evaluated once per degree on base's
-        # support, serves every chain sigma
+        # lookup is exact and s, which residual_polynomials evaluates once
+        # per degree on base's support, serves every chain sigma
         rows = {s: np.searchsorted(base.support, mu[s].support)
                 for s in chain_sigmas}
         nu = weight_by_power(base, config.xi + 1.0)
         if len(base):
-            polys = residual_polynomials(nu, min(config.n_max, len(nu)))
+            polys = residual_polynomials(nu, min(config.n_max, len(nu)),
+                                         base.support)
 
     records = []
     rho_of = rho_evaluator(problem, sigmas)
@@ -296,10 +297,9 @@ def run(config):
             rec.ritz_max = float(p.zeros[-1])
             chain_ok = True
             lemma_ok = True
-            s_base = p.evaluate(base.support)
             for s in chain_sigmas:
                 rep = bound_chain(vals[s], p, mu[s], config.xi, s,
-                                  s_vals=s_base[rows[s]])
+                                  s_vals=p.values[rows[s]])
                 chain_ok = chain_ok and rep.ok
                 # the lemma's own verdict, at LEMMA_SLACK, on the operands
                 # the chain computed

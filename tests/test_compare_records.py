@@ -1,0 +1,62 @@
+"""The record comparison of tools/compare_records.py, on in-memory dumps."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "compare_records.py")
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare_records", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _row(N, rho1=0.5, chain=True, lemma=True):
+    return {"N": N, "rho_sigma": {"0.0": (1.0).hex(), "1.0": rho1.hex()},
+            "n_sq_rho1": (N * N * rho1).hex(), "delta_n": (2.0).hex(),
+            "ritz_min": (0.25).hex(), "ritz_max": (4.0).hex(),
+            "bound_chain_ok": chain, "lemma_ok": lemma}
+
+
+def test_identical_dumps_do_not_differ(compare):
+    dump = {"1a/xi1": [_row(0), _row(1)], "m2/i0/xi1": {"error": "boom"}}
+    diff = compare.diff_dumps(dump, dump)
+    assert not compare.differs(diff)
+    assert set(diff["counts"]) == set(compare.VALUE_FIELDS
+                                      + compare.VERDICT_FIELDS)
+    assert "no differences" in compare.report(diff, "x", 2, 2)
+
+
+def test_changed_value_and_flipped_verdict(compare):
+    old = {"1a/xi1": [_row(0), _row(1), _row(2)],
+           "2a/xi1": [_row(0), _row(1)]}
+    new = {"1a/xi1": [_row(0), _row(1, rho1=0.5 + 2.0 ** -53), _row(2)],
+           "2a/xi1": [_row(0), _row(1, lemma=False)]}
+    diff = compare.diff_dumps(old, new)
+    assert diff["counts"] == {"rho_sigma": 1, "n_sq_rho1": 1, "delta_n": 0,
+                              "ritz_min": 0, "ritz_max": 0,
+                              "bound_chain_ok": 0, "lemma_ok": 1}
+    assert diff["flips"] == [("2a/xi1", 1, "lemma_ok", True, False)]
+    assert diff["problems"] == []
+    assert compare.differs(diff)
+    text = compare.report(diff, "x", 2, 5)
+    assert "flip 2a/xi1 N=1 lemma_ok: True -> False" in text
+    assert text.endswith("differences found")
+
+
+def test_structural_differences_are_problems(compare):
+    old = {"a": [_row(0), _row(1)], "b": [_row(0)], "c": [_row(0)]}
+    new = {"a": [_row(0)], "b": {"error": "RuntimeError: x"}, "d": [_row(0)]}
+    diff = compare.diff_dumps(old, new)
+    assert not any(diff["counts"].values())
+    assert diff["problems"] == ["a: 2 records -> 1",
+                                "b: 1 records -> RuntimeError: x",
+                                "c: only in the old tree",
+                                "d: only in the new tree"]
+    assert compare.differs(diff)

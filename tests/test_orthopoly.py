@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.measures import DiscreteSpectralMeasure, weight_by_power
+from powercg.measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure,
+                              weight_by_power)
 from powercg import orthopoly
-from powercg.orthopoly import (ResidualPolynomial, bound_chain,
+from powercg.orthopoly import (CHAIN_SLACK, ResidualPolynomial, bound_chain,
                                check_separation, delta_n, orthogonality_gap,
                                residual_polynomials)
 
@@ -101,10 +102,39 @@ def test_mp_zero_table_matches_reference_route():
 
 def test_newton_polish_that_does_not_settle_raises(monkeypatch):
     # from a double start one Newton correction is still far above the
-    # 10^-(dps-3) stopping rule
+    # 10^-(dps-3) stopping rule and the 10^-(dps-6) floor
     monkeypatch.setattr(orthopoly, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match=r"degree-1 zero .* dps=\d+"):
         orthopoly._mp_zero_table(_pool_like(8, 1), 4)
+
+
+def test_newton_accepts_a_zero_at_the_recurrences_rounding_floor():
+    # member (72, 4) of the benchmark's diagonal pool, at xi = 1: one
+    # degree-53 zero's corrections stall at 1.2e-51 relative against the
+    # 1e-51 stopping rule (dps = 54), because the degree-53 recurrence loses
+    # about three digits; the 10^-(dps-6) floor accepts it
+    from powercg.runs import build_custom_case
+
+    POOL_SEED = 20261017
+
+    def diag_spectrum(m, index):
+        rng = np.random.default_rng([POOL_SEED, m, index])
+        while True:
+            lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=m))
+            if np.unique(lam).size == m:
+                return lam, rng.standard_normal(m)
+
+    lam, e0 = diag_spectrum(72, 4)
+    prob = build_custom_case({"eigenvalues": lam, "error": e0})
+    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
+                                   np.abs(prob.error_coefficients(prob.f0)) ** 2)
+    table = orthopoly._mp_zero_table(weight_by_power(base, 2.0), 72)
+    assert len(table) == 72
+    polys = [ResidualPolynomial(z, split) for z, split in table]
+    for N, p in enumerate(polys, 1):
+        assert orthogonality_gap(p)[2] <= CHAIN_SLACK, N
+    for N in range(1, 72):
+        assert check_separation(polys[N - 1], polys[N])[0], N
 
 
 def test_mp_zero_table_ignores_the_callers_decimal_context():
@@ -257,6 +287,55 @@ def test_product_evaluation_log_path():
                          for z in zeros)
     assert float(logmag) > 308.0
     assert np.isinf(big) and big > 0
+
+
+def test_values_and_split_share_one_factor_matrix():
+    # 300 atoms (double path), degrees on both sides of the log threshold.
+    # The base support is strictly larger than nu's: it keeps a kernel atom
+    # at 0 and an atom whose lambda^2 w falls below WEIGHT_FLOOR
+    rng = np.random.default_rng(31)
+    lam = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 299)))
+    lam = np.concatenate([[0.0], lam])
+    w = rng.uniform(0.1, 1.0, lam.size)
+    w[1] = 1e-299
+    base = DiscreteSpectralMeasure(lam, w)
+    nu = weight_by_power(base, 2.0)
+    support = base.support
+    assert support.size == 300 and len(nu) == 298
+    assert support[1] ** 2 * base.weights[1] <= WEIGHT_FLOOR
+    assert nu.support[0] == support[2]
+    polys = residual_polynomials(nu, 60, support)
+    assert len(polys) == 61
+    assert orthopoly._LOG_EVAL_DEGREE < 60
+    for N in range(1, 61):
+        p = polys[N]
+        assert np.array_equal(p.values, p.evaluate(support)), N
+        assert p.values[0] == 1.0
+        z = p.zeros
+        # the layout does not change the rounding: a product along each
+        # atom's row, and above degree 50 a pairwise sum of its log factors
+        # (zeros that have captured an atom give a factor of exactly 0)
+        rows = 1.0 - support[:, None] / z[None, :]
+        if N <= orthopoly._LOG_EVAL_DEGREE:
+            want = np.prod(rows, axis=1)
+        else:
+            mag = np.abs(rows)
+            want = (np.prod(np.sign(rows), axis=1)
+                    * np.exp(np.sum(np.log(np.where(mag > 0, mag, 1.0)),
+                                    axis=1)))
+        assert np.array_equal(p.values, want), N
+        rest = np.ones(len(nu))
+        for zk in z[1:]:
+            rest *= 1.0 - nu.support / zk
+        term = nu.weights * np.abs(1.0 - nu.support / z[0]) * rest ** 2
+        left = term[nu.support < z[0]].sum()
+        right = term[nu.support > z[0]].sum()
+        lhs, rhs = p.split
+        assert abs(lhs - left) <= 1e-13 * left, N
+        assert abs(rhs - right) <= 1e-13 * right, N
+    for bad in (support[:-1], np.delete(support, 150)):
+        with pytest.raises(ValueError, match="support"):
+            residual_polynomials(nu, 3, bad)
 
 
 def test_rho_integral_identity_is_weighted_sum():

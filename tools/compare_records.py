@@ -1,0 +1,197 @@
+"""Compare the run records of the working tree with those of a revision.
+
+  python3 tools/compare_records.py REV
+
+REV is checked out into a temporary local git worktree (no network), which
+is removed again however the comparison ends. Each tree runs the same series
+through powercg.runs.run in a fresh process of its own, importing powercg
+from its own src/:
+
+  - the built-in cases 1a, 2a, 1b, 2b at their defaults, for xi in {1, 2};
+  - the diagonal pool of the benchmark: every slot of DiagSeries.SLOTS times
+    every one of its POOL members, xi in {1, 2}, run to full dimension, with
+    spectra from this tree's perfbench/workloads.diag_spectrum.
+
+Per field the report gives the number of records that differ: rho_sigma
+(any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
+hex, and the bound_chain_ok and lemma_ok verdicts. It lists every verdict
+flip and every series that is missing, raised, or has a different number of
+records on one side. Exit status: 0 when nothing differs, 1 on any
+difference, 2 when REV cannot be checked out or a tree cannot be run.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUILTINS = ("1a", "2a", "1b", "2b")
+XIS = (1.0, 2.0)
+VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
+VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def series():
+    """[(key, RunConfig keyword arguments)], the same list in every tree."""
+    out = [(f"{test}/xi{int(xi)}", {"test": test, "xi": xi})
+           for test in BUILTINS for xi in XIS]
+    wl = _workloads()
+    for m in wl.DiagSeries.SLOTS:
+        for index in range(wl.DiagSeries.POOL):
+            lam, e0 = wl.diag_spectrum(m, index)
+            for xi in XIS:
+                out.append((f"m{m}/i{index}/xi{int(xi)}",
+                            {"test": "custom", "xi": xi, "n_max": m,
+                             "custom": {"eigenvalues": lam, "error": e0}}))
+    return out
+
+
+def _hex(v):
+    return None if v is None else float(v).hex()
+
+
+def record_row(r):
+    return {"N": r.N,
+            "rho_sigma": {repr(s): _hex(v) for s, v in sorted(r.rho.items())},
+            "n_sq_rho1": _hex(r.n_sq_rho1),
+            "delta_n": _hex(r.delta_n),
+            "ritz_min": _hex(r.ritz_min),
+            "ritz_max": _hex(r.ritz_max),
+            "bound_chain_ok": r.bound_chain_ok,
+            "lemma_ok": getattr(r, "lemma_ok", None)}
+
+
+def dump(path):
+    """Run every series with the powercg on sys.path and write
+    {"powercg": its file, "series": {key: [rows] or {"error": ...}}}."""
+    import powercg
+    from powercg.runs import RunConfig, run
+
+    out = {}
+    for key, kwargs in series():
+        try:
+            out[key] = [record_row(r) for r in run(RunConfig(**kwargs)).records]
+        except Exception as exc:  # a raising series is part of the record
+            out[key] = {"error": f"{type(exc).__name__}: {exc}"}
+    with open(path, "w") as fh:
+        json.dump({"powercg": powercg.__file__, "series": out}, fh)
+
+
+def diff_dumps(old, new):
+    """Differences between two {key: [rows] or {"error": ...}} dumps:
+    {"counts": {field: differing records}, "flips": [(key, N, field, old,
+    new)], "problems": [str]}. Records are matched by series and N."""
+    counts = {f: 0 for f in VALUE_FIELDS + VERDICT_FIELDS}
+    flips = []
+    problems = []
+    for key in sorted(set(old) | set(new)):
+        if key not in old or key not in new:
+            problems.append(f"{key}: only in the "
+                            f"{'new' if key in new else 'old'} tree")
+            continue
+        a, b = old[key], new[key]
+        if isinstance(a, dict) or isinstance(b, dict):
+            if a != b:
+                problems.append(f"{key}: {_outcome(a)} -> {_outcome(b)}")
+            continue
+        if len(a) != len(b):
+            problems.append(f"{key}: {len(a)} records -> {len(b)}")
+        for ra, rb in zip(a, b):
+            for f in VALUE_FIELDS:
+                counts[f] += ra[f] != rb[f]
+            for f in VERDICT_FIELDS:
+                if ra[f] != rb[f]:
+                    counts[f] += 1
+                    flips.append((key, ra["N"], f, ra[f], rb[f]))
+    return {"counts": counts, "flips": flips, "problems": problems}
+
+
+def _outcome(entry):
+    return entry["error"] if isinstance(entry, dict) else f"{len(entry)} records"
+
+
+def differs(diff):
+    return bool(any(diff["counts"].values()) or diff["flips"]
+                or diff["problems"])
+
+
+def report(diff, label, n_series, n_records):
+    lines = [f"{label}: {n_series} series, {n_records} records"]
+    for f, n in diff["counts"].items():
+        lines.append(f"  {f:<15} {n} differing records")
+    for key, N, f, a, b in diff["flips"]:
+        lines.append(f"  flip {key} N={N} {f}: {a} -> {b}")
+    lines += [f"  {p}" for p in diff["problems"]]
+    lines.append("differences found" if differs(diff) else "no differences")
+    return "\n".join(lines)
+
+
+def _run_tree(tree, path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update({v: "1" for v in THREAD_VARS})
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", path],
+                   env=env, check=True)
+    with open(path) as fh:
+        data = json.load(fh)
+    if not data["powercg"].startswith(os.path.join(tree, "src") + os.sep):
+        raise RuntimeError(f"{tree} imported powercg from {data['powercg']}")
+    return data["series"]
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(prog="tools/compare_records.py")
+    p.add_argument("rev", nargs="?")
+    p.add_argument("--dump", metavar="PATH", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if not args.rev:
+        p.error("REV is required")
+    tmp = tempfile.mkdtemp(prefix="compare-records-")
+    tree = os.path.join(tmp, "tree")
+    try:
+        try:
+            sha = _git("rev-parse", "--verify", args.rev + "^{commit}")
+            _git("worktree", "add", "--detach", tree, sha)
+            old = _run_tree(tree, os.path.join(tmp, "old.json"))
+            new = _run_tree(ROOT, os.path.join(tmp, "new.json"))
+        except (subprocess.CalledProcessError, RuntimeError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            print(f"compare_records: {detail}", file=sys.stderr)
+            return 2
+    finally:
+        if os.path.isdir(tree):
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                            tree], capture_output=True)
+        subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    diff = diff_dumps(old, new)
+    n_records = sum(len(v) for v in new.values() if isinstance(v, list))
+    print(report(diff, f"{args.rev} ({sha[:12]}) vs working tree", len(new),
+                 n_records))
+    return 1 if differs(diff) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
