@@ -20,8 +20,7 @@ from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
 from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
                         bound_chain, check_separation, delta_n,
                         orthogonality_gap, residual_polynomials)
-from .diagnostics import (ConvergenceRecord, class_membership_indicator,
-                          np_rate_monitor, rho)
+from .diagnostics import ConvergenceRecord, np_rate_monitor, rho
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
                    build_test_case, emit_json, read_csv, read_json, run,
                    verify_case, write_csv)
@@ -39,8 +38,7 @@ __all__ = [
     "ResidualPolynomial", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "bound_chain",
     "ChainReport", "ChainStep",
-    "ConvergenceRecord", "rho", "class_membership_indicator",
-    "np_rate_monitor",
+    "ConvergenceRecord", "rho", "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",
     "build_custom_case", "run", "verify_case", "emit_json", "read_json",
     "write_csv", "read_csv",

@@ -2,8 +2,10 @@
 
 rho_sigma(x) = ||A^{sigma/2}(x - P x)||^2 with P the projection onto the
 solution set; sigma = 0 is the squared error, sigma = 1 the energy error,
-sigma = 2 the squared residual. Negative sigma probes smoothness classes and
-only makes sense for kernel-orthogonal errors.
+sigma = 2 the squared residual. At the initial guess rho_sigma is the
+magnitude of e0 in D(A^{sigma/2}), the paper's regularity assumption.
+Negative sigma probes smoothness classes and only makes sense for
+kernel-orthogonal errors.
 """
 
 from dataclasses import dataclass
@@ -106,37 +108,6 @@ def rho_evaluator(problem, sigmas):
                               else float(np.dot(d, op.apply(d))))
         return out
     return evaluate
-
-
-def class_membership_indicator(problem, x, sigma):
-    """Whether x - (minimal-norm solution) lies in the domain of A^{sigma/2},
-    plus the magnitude sum it would have there.
-
-    In finite dimension membership for sigma < 0 reduces to
-    kernel-orthogonality of the difference; for sigma >= 0 everything is a
-    member. The magnitude (sum of lambda^sigma |coeff|^2 over the kernel
-    complement) is a conditioning indicator: it is what diverges in the
-    continuum limit when x leaves the class.
-    """
-    sigma = float(sigma)
-    op = problem.operator
-    if not op.spectral:
-        raise SpectralAccessError("class_membership_indicator needs spectral access")
-    e = op.coefficients(np.asarray(x)) - problem.solution_coefficients()
-    ker = op.kernel_mask()
-    lam = np.asarray(op.eigenvalues(), dtype=float)
-    live = ~ker
-    mag = np.abs(e[live]) ** 2
-    if sigma == 0.0:
-        magnitude = float(mag.sum())
-    else:
-        magnitude = float(np.sum(lam[live] ** sigma * mag))
-    if sigma >= 0:
-        return True, magnitude
-    knorm = float(np.linalg.norm(e[ker]))
-    enorm = float(np.linalg.norm(e))
-    member = knorm <= _KER_DRIFT_REL * max(enorm, 1e-300)
-    return member, magnitude
 
 
 def np_rate_monitor(records, sigma, sigma_prime):

@@ -93,16 +93,6 @@ class InverseProblem:
 
     # spectral helpers -----------------------------------------------------
 
-    def solution_coefficients(self):
-        """Coefficients of the minimal-norm solution (kernel part zero)."""
-        op = self.operator
-        cg = op.coefficients(self.g)
-        lam = op.eigenvalues()
-        ker = op.kernel_mask()
-        sol = np.zeros_like(cg)
-        sol[~ker] = cg[~ker] / lam[~ker]
-        return sol
-
     def error_coefficients(self, x):
         """Coefficients of x minus its projection onto the solution set.
 
@@ -369,23 +359,20 @@ def theta_iterate(problem, theta, N):
         rhs = np.zeros(Nc)
         rhs[0] = -nR0
         y = np.linalg.solve(T[:Nc, :Nc], rhs)
-    elif theta % 2 == 0:
-        # ||A^s e||: coordinates of A^s V_N and A^{s-1} R0 in the long basis
+    else:
+        # ||A^{theta/2} e|| with s = theta // 2: coordinates of A^s V_N and
+        # A^{s-1} R0 in the long basis. Odd theta = 2s+1 weighs them with
+        # c^T T c, and T = L L^T is positive definite on the Krylov space
+        # (A >= 0 and R0 in ran A keep the Ritz values positive)
         s = theta // 2
         P = _tridiag_powers(T, s)
         B = P[s][:, :Nc]
-        a = nR0 * P[s - 1][:, 0]
-        y, *_ = np.linalg.lstsq(B, -a, rcond=None)
-    else:
-        # odd theta = 2s+1: objective c^T T c with c the A^s-image
-        # coordinates; T = L L^T is positive definite on the Krylov space
-        # (A >= 0 and R0 in ran A keep the Ritz values positive)
-        s = (theta - 1) // 2
-        P = _tridiag_powers(T, s)
-        Lc = _chol_psd(T)
-        B = Lc.T @ P[s][:, :Nc]
-        a = nR0 * (Lc.T @ P[s - 1][:, 0])
-        y, *_ = np.linalg.lstsq(B, -a, rcond=None)
+        a = P[s - 1][:, 0]
+        if theta % 2:
+            Lc = _chol_psd(T)
+            B = Lc.T @ B
+            a = Lc.T @ a
+        y, *_ = np.linalg.lstsq(B, -nR0 * a, rcond=None)
     return problem.f0 + V[:, :Nc] @ y
 
 

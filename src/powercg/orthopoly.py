@@ -404,6 +404,9 @@ class ChainReport:
     ritz_min: float = None
     delta: float = None
     mass_below: float = None
+    # the lemma's own verdict: weighted_left_bound at LEMMA_SLACK, with
+    # neither the chain's slack nor its absolute epsilon
+    lemma_ok: bool = None
 
     def add(self, name, lhs, rhs, ok):
         # inf <= slack * inf holds: an overflowed operand must fail the step
@@ -465,6 +468,8 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
               <= CHAIN_SLACK * max(leftint, rightint) + atol)
     rep.add("split_orthogonality", leftint, rightint, gap_ok)
     rep.add("weighted_left_bound", leftint, lemma_rhs, leq(leftint, lemma_rhs))
+    lemma = rep.steps[-1]
+    rep.lemma_ok = lemma.lhs <= lemma.rhs * (1.0 + LEMMA_SLACK)
     assembled = below * (1.0 + z1 ** (-q) * (q / d) ** q)
     rep.add("assembled_bound", rho_value, assembled, leq(rho_value, assembled))
     rep.add("edge_times_delta", 1.0, z1 * d, z1 * d >= 1.0 - EDGE_SLACK)

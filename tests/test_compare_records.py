@@ -34,18 +34,25 @@ def test_identical_dumps_do_not_differ(compare):
 
 
 def test_changed_value_and_flipped_verdict(compare):
+    # a matrix-free series carries rho alone, every other field None
+    mf_row = compare.rho_row(4, {0.0: 1.0, 1.0: 0.5, 2.0: 0.25})
+    assert mf_row["delta_n"] is None and mf_row["lemma_ok"] is None
+    moved = dict(mf_row, rho_sigma=dict(mf_row["rho_sigma"],
+                                        **{"2.0": (0.25 + 2.0 ** -54).hex()}))
     old = {"1a/xi1": [_row(0), _row(1), _row(2)],
-           "2a/xi1": [_row(0), _row(1)]}
+           "2a/xi1": [_row(0), _row(1)],
+           "mf/p0/theta2": [mf_row]}
     new = {"1a/xi1": [_row(0), _row(1, rho1=0.5 + 2.0 ** -53), _row(2)],
-           "2a/xi1": [_row(0), _row(1, lemma=False)]}
+           "2a/xi1": [_row(0), _row(1, lemma=False)],
+           "mf/p0/theta2": [moved]}
     diff = compare.diff_dumps(old, new)
-    assert diff["counts"] == {"rho_sigma": 1, "n_sq_rho1": 1, "delta_n": 0,
+    assert diff["counts"] == {"rho_sigma": 2, "n_sq_rho1": 1, "delta_n": 0,
                               "ritz_min": 0, "ritz_max": 0,
                               "bound_chain_ok": 0, "lemma_ok": 1}
     assert diff["flips"] == [("2a/xi1", 1, "lemma_ok", True, False)]
     assert diff["problems"] == []
     assert compare.differs(diff)
-    text = compare.report(diff, "x", 2, 5)
+    text = compare.report(diff, "x", 3, 6)
     assert "flip 2a/xi1 N=1 lemma_ok: True -> False" in text
     assert text.endswith("differences found")
 

@@ -8,8 +8,7 @@ rho_0 = 17/81, rho_1 = 2/9, rho_2 = 20/81 as exact fractions.
 import numpy as np
 import pytest
 
-from powercg.diagnostics import (ConvergenceRecord, class_membership_indicator,
-                                 np_rate_monitor, rho)
+from powercg.diagnostics import ConvergenceRecord, np_rate_monitor, rho
 from powercg.krylov import InverseProblem, run_cg
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
@@ -34,6 +33,9 @@ def test_rho_hand_values():
     assert rho(prob, z, 2) == pytest.approx(5.0, rel=1e-14)
     # negative exponent, kernel-free operator: sum lambda^-1 |e|^2
     assert rho(prob, z, -1) == pytest.approx(1.5, rel=1e-14)
+    # one atom: A = 4, g = 2, e0 = -1/2, so rho_-1 = 4^-1 * 1/4
+    one = InverseProblem(DiagonalOperator(np.array([4.0])), g=np.array([2.0]))
+    assert rho(one, np.zeros(1), -1) == 0.0625
 
 
 def test_rho_two_is_recomputed_residual():
@@ -82,30 +84,6 @@ def test_negative_sigma_kernel_drift_guard():
     rho(prob, drifted, 0)  # fine for sigma >= 0
     with pytest.raises(KernelComponentError, match="kernel drift"):
         rho(prob, drifted, -1)
-
-
-def test_class_membership_indicator():
-    op = DiagonalOperator(np.array([4.0]))
-    prob = InverseProblem(op, g=np.array([2.0]))
-    member, mag = class_membership_indicator(prob, np.zeros(1), -1.0)
-    assert member and mag == pytest.approx(0.0625, rel=1e-14)
-
-    ker_op = FourierOperator(16, 4.0, shift=0.0)
-    x = ker_op.grid()
-    g = np.sin(2 * np.pi * x / 4.0) * (2 * np.pi / 4.0) ** 2
-    kprob = InverseProblem(ker_op, g=g)
-    sol = np.sin(2 * np.pi * x / 4.0)
-    ok, _ = class_membership_indicator(kprob, sol + 0.5, -1.0)
-    assert not ok  # constant offset lives in the kernel
-    ok, _ = class_membership_indicator(kprob, sol + 0.5, 0.0)
-    assert ok  # sigma >= 0 admits everything
-    ok, _ = class_membership_indicator(
-        kprob, sol + 0.1 * np.sin(4 * np.pi * x / 4.0), -2.0)
-    assert ok
-    with pytest.raises(SpectralAccessError):
-        class_membership_indicator(
-            InverseProblem(MatrixOperator(np.eye(2)), g=np.ones(2)),
-            np.ones(2), -1.0)
 
 
 def records_from(rho1_series, rho0_at_0=1.0):

@@ -76,7 +76,6 @@ def test_kernel_gate_on_spectral_datum():
 
 def test_solution_and_error_coefficients():
     prob = two_dim()
-    assert np.allclose(prob.solution_coefficients(), [1.0, 1.0])
     e0 = prob.error_coefficients(prob.f0)
     assert np.allclose(e0, [-1.0, -1.0])
     # kernel entries stay exactly zero on an operator with a kernel

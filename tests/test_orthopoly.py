@@ -378,8 +378,8 @@ def test_lemma_sweep_all_exponents():
 
 
 def test_bound_chain_hand_case():
-    rep = bound_chain(17.0 / 81.0, residual_polynomials(NU2, 1)[1],
-                      MU0_2, 1.0, 0.0)
+    p = residual_polynomials(NU2, 1)[1]
+    rep = bound_chain(17.0 / 81.0, p, MU0_2, 1.0, 0.0)
     names = [s.name for s in rep.steps]
     assert names == ["integral_identity", "split_bound", "tail_bound",
                      "split_orthogonality", "weighted_left_bound",
@@ -397,6 +397,7 @@ def test_bound_chain_hand_case():
     assert abs(by["assembled_bound"].rhs - 5.0) < 1e-13
     assert abs(by["coarse_bound"].rhs - 5.0) < 1e-13
     assert abs(rep.mass_below - 1.0) < 1e-15
+    assert rep.lemma_ok == lemma_bound(p, MU0_2, 1.0, 0.0)[2]
 
 
 def test_bound_chain_detects_wrong_rho():

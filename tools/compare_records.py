@@ -10,7 +10,12 @@ from its own src/:
   - the built-in cases 1a, 2a, 1b, 2b at their defaults, for xi in {1, 2};
   - the diagonal pool of the benchmark: every slot of DiagSeries.SLOTS times
     every one of its POOL members, xi in {1, 2}, run to full dimension, with
-    spectra from this tree's perfbench/workloads.diag_spectrum.
+    spectra from this tree's perfbench/workloads.diag_spectrum;
+  - the matrix-free pool of the benchmark: workloads.dense_case at
+    MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
+    theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
+    N <= MatrixFree.N_MAX, one problem per member. These records carry rho
+    only; their node fields and verdicts are None.
 
 Per field the report gives the number of records that differ: rho_sigma
 (any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
@@ -64,15 +69,45 @@ def _hex(v):
     return None if v is None else float(v).hex()
 
 
+def rho_row(N, rho):
+    """A record row of rho alone, every other field None."""
+    return {"N": N,
+            "rho_sigma": {repr(s): _hex(v) for s, v in sorted(rho.items())},
+            **dict.fromkeys(VALUE_FIELDS[1:] + VERDICT_FIELDS)}
+
+
 def record_row(r):
-    return {"N": r.N,
-            "rho_sigma": {repr(s): _hex(v) for s, v in sorted(r.rho.items())},
+    return {**rho_row(r.N, r.rho),
             "n_sq_rho1": _hex(r.n_sq_rho1),
             "delta_n": _hex(r.delta_n),
             "ritz_min": _hex(r.ritz_min),
             "ritz_max": _hex(r.ritz_max),
             "bound_chain_ok": r.bound_chain_ok,
             "lemma_ok": getattr(r, "lemma_ok", None)}
+
+
+def matrix_free_series(wl, index):
+    """[(key, thunk giving rho rows)] for one member of the benchmark's
+    matrix-free pool; the thetas share one problem, as in the benchmark."""
+    from powercg.diagnostics import rho_evaluator
+    from powercg.krylov import InverseProblem, run_cg, theta_iterate
+    from powercg.linop import MatrixOperator
+
+    mf = wl.MatrixFree
+    matrix, solution = wl.dense_case(mf.N, mf.KERNEL, index)
+    problem = InverseProblem(MatrixOperator(matrix), matrix @ solution,
+                             known_solution=solution)
+    rho_of = rho_evaluator(problem, wl.SIGMAS)
+
+    def rows(theta):
+        if theta == 1:
+            iterates = run_cg(problem, mf.N_MAX).iterates
+        else:
+            iterates = [problem.f0] + [theta_iterate(problem, theta, N)
+                                       for N in range(1, mf.N_MAX + 1)]
+        return [rho_row(N, rho_of(f)) for N, f in enumerate(iterates)]
+    return [(f"mf/{mf.unit_key(index, theta)}", lambda t=theta: rows(t))
+            for theta in mf.THETAS]
 
 
 def dump(path):
@@ -82,11 +117,21 @@ def dump(path):
     from powercg.runs import RunConfig, run
 
     out = {}
-    for key, kwargs in series():
+
+    def record(key, job):
         try:
-            out[key] = [record_row(r) for r in run(RunConfig(**kwargs)).records]
+            out[key] = job()
         except Exception as exc:  # a raising series is part of the record
             out[key] = {"error": f"{type(exc).__name__}: {exc}"}
+
+    for key, kwargs in series():
+        record(key, lambda: [record_row(r)
+                             for r in run(RunConfig(**kwargs)).records])
+    wl = _workloads()
+    # one pool member's dense problem at a time
+    for index in range(wl.MatrixFree.POOL):
+        for key, job in matrix_free_series(wl, index):
+            record(key, job)
     with open(path, "w") as fh:
         json.dump({"powercg": powercg.__file__, "series": out}, fh)
 
