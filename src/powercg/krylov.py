@@ -57,7 +57,8 @@ class InverseProblem:
         self.known_solution = None
         self.consistency_tol = consistency_tol
         self.notes = dict(notes) if notes else {}
-        # the Lanczos recurrence from R0 that theta_iterate extends
+        # (f0 bytes, g bytes, Lanczos recurrence from their R0) that
+        # theta_iterate extends
         self._lanczos = None
 
         if operator.spectral:
@@ -314,9 +315,10 @@ def theta_iterate(problem, theta, N):
     touching the leading N columns is exact. The problem stores one Lanczos
     recurrence from R0 and extends it on demand; its leading steps are the
     same numbers whatever was asked before, so a series N = 1..K costs
-    K + theta Lanczos applies (plus one apply per call for R0) instead of a
-    rebuild per N. Another operator object or a changed R0 (f0 or g
-    reassigned or edited) starts a new recurrence. The projected problem
+    K + theta Lanczos applies plus one apply for R0, instead of a rebuild
+    per N. The recurrence is kept with copies of the f0 and g it started
+    from; another operator object, or f0 or g reassigned or edited, makes a
+    new R0 and a new recurrence. The projected problem
     is solved in a square-rooted form (rectangular least squares; the
     normal equations would square the condition number). Early Lanczos
     breakdown saturates the Krylov space; the iterate returned is then the
@@ -331,11 +333,16 @@ def theta_iterate(problem, theta, N):
         raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
     if N == 0:
         return problem.f0.copy()
-    R0 = problem.residual0()
-    nR0 = float(np.linalg.norm(R0))
-    if nR0 == 0.0:
-        return problem.f0.copy()
     op = problem.operator
+    key = (problem.f0.tobytes(), problem.g.tobytes())
+    cached = problem._lanczos
+    state = (cached[2] if cached is not None and cached[:2] == key
+             and cached[2].op is op else None)
+    if state is None:
+        # a stored recurrence implies a nonzero R0; only a new one is checked
+        R0 = problem.residual0()
+        if float(np.linalg.norm(R0)) == 0.0:
+            return problem.f0.copy()
     if float(theta) != int(theta) or theta < 1:
         # theta = 0 must take the spectral route too: the tridiagonal
         # branches index powers of T from theta >= 1
@@ -344,10 +351,10 @@ def theta_iterate(problem, theta, N):
                 f"non-integer theta = {theta} needs spectral access")
         return spectral_iterates(problem, theta, N)[N]
     theta = int(theta)
-    state = problem._lanczos
-    if (state is None or state.op is not op
-            or state.start.tobytes() != R0.tobytes()):
-        state = problem._lanczos = _Lanczos(op, R0)
+    if state is None:
+        state = _Lanczos(op, R0)
+        problem._lanczos = (*key, state)
+    nR0 = float(np.linalg.norm(state.start))
     m = min(N + theta, problem.dimension)
     state.extend(m)
     T_jac, V = state.leading(m)

@@ -7,12 +7,12 @@ functional delta_n, the split-integral orthogonality identity, and the tail
 bound chain built on them are verified numerically step by step.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .krylov import lanczos
+from .krylov import JacobiMatrix, lanczos
 from .linop import DiagonalOperator
 from .measures import mass_below
 
@@ -176,6 +176,14 @@ def _newton_polish(x, alphas, beta2, tol, floor_tol):
     return x if abs(step) <= floor_tol * abs(x) else None
 
 
+def _ritz_values(T):
+    """Eigenvalues, ascending, of every leading N x N block of the dense
+    Jacobi matrix T, N = 1..order. LAPACK's dsyevd leaves a block that is
+    already tridiagonal unchanged (every Householder tau is 0) and hands it
+    to dsterf, the root-free QR of the tridiagonal eigenvalue drivers."""
+    return [np.linalg.eigvalsh(T[:N, :N]) for N in range(1, len(T) + 1)]
+
+
 def _mp_zero_table(measure, n_max):
     """(zeros, split integrals) of every degree 1..reached, the zeros in
     extended precision rounded to double at the end. Working precision
@@ -217,11 +225,11 @@ def _mp_zero_table(measure, n_max):
                        n_max)
         diag = np.array([float(a) for a in alphas[:reached]])
         off = np.sqrt([float(b) for b in beta2[1:reached]])
+        starts = _ritz_values(JacobiMatrix(diag, off).dense())
         newton_tol = Decimal(10) ** (-(dps - 3))
         floor_tol = Decimal(10) ** (-(dps - 6))
         table = []
-        for N in range(1, reached + 1):
-            start = eigh_tridiagonal(diag[:N], off[:N - 1], eigvals_only=True)
+        for N, start in enumerate(starts, 1):
             zeros = []
             for x0 in start:
                 z = _newton_polish(Decimal(float(x0)), alphas[:N], beta2[:N],
@@ -274,9 +282,7 @@ def residual_polynomials(nu, n_max, support=None):
     # largest atom
     T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
                       min(n_max, m))
-    for N in range(1, T.order + 1):
-        z = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
-                                     eigvals_only=True))
+    for z in _ritz_values(T.dense()):
         s, rest = _factor_products(support, z, rest=True)
         polys.append(ResidualPolynomial(
             z, _split_integrals(z[0], nu, rest[rows]), s))
@@ -411,7 +417,7 @@ class ChainReport:
     def add(self, name, lhs, rhs, ok):
         # inf <= slack * inf holds: an overflowed operand must fail the step
         lhs, rhs = float(lhs), float(rhs)
-        ok = bool(ok and np.isfinite(lhs) and np.isfinite(rhs))
+        ok = bool(ok and math.isfinite(lhs) and math.isfinite(rhs))
         self.steps.append(ChainStep(name, lhs, rhs, ok))
         if not ok and self.first_failure is None:
             self.first_failure = name

@@ -1,12 +1,14 @@
 """Exit codes, config merging, and file outputs of the command line tool."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import powercg
 from powercg.cli import main
 from powercg.runs import read_csv, read_json
 
@@ -157,3 +159,20 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "records" in proc.stdout
     assert len(read_csv(str(csv))) == 7
+
+
+def test_solve_loads_no_scipy():
+    # the runtime is numpy only: a whole solve in a fresh interpreter leaves
+    # no scipy module behind
+    code = ("import sys\n"
+            "from powercg.cli import main\n"
+            "code = main(['solve', '--test', '1a', '--n', '256', '--L', '40', "
+            "'--nmax', '8'])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = os.path.dirname(os.path.dirname(powercg.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

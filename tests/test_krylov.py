@@ -296,7 +296,8 @@ def test_theta_iterate_is_history_free():
 
 
 def test_theta_iterate_follows_changed_data():
-    # a new f0 or g is a new R0: results must match a fresh problem's
+    # a new or edited f0 or g is a new R0: results must match a fresh
+    # problem's
     rng = np.random.default_rng(53)
     prob = dense_problem(53)
     op = prob.operator
@@ -318,11 +319,15 @@ def test_theta_iterate_follows_changed_data():
     fresh = InverseProblem(op, g=g, f0=prob.f0.copy())
     assert np.array_equal(theta_iterate(prob, 2, 6),
                           theta_iterate(fresh, 2, 6))
+    prob.g[0] += 1.0
+    fresh = InverseProblem(op, g=prob.g.copy(), f0=prob.f0.copy())
+    assert np.array_equal(theta_iterate(prob, 2, 7),
+                          theta_iterate(fresh, 2, 7))
 
 
 def test_theta_series_extends_one_lanczos_basis():
     # N = 1..K at theta = 2: K + 2 Lanczos applies in all, plus one apply
-    # per call for R0, where rebuilding per N would cost O(K^2)
+    # for R0, where rebuilding per N would cost O(K^2)
     class CountingOperator(MatrixOperator):
         applies = 0
 
@@ -336,7 +341,7 @@ def test_theta_series_extends_one_lanczos_basis():
     K = 15
     for N in range(1, K + 1):
         theta_iterate(prob, 2, N)
-    assert op.applies == (K + 2) + K
+    assert op.applies == (K + 2) + 1
 
 
 def test_theta_iterate_against_brute_force():

@@ -108,27 +108,62 @@ def test_newton_polish_that_does_not_settle_raises(monkeypatch):
         orthopoly._mp_zero_table(_pool_like(8, 1), 4)
 
 
+def _orthogonality_measure(prob, xi):
+    """The measure run() takes the node polynomials of at xi."""
+    base = DiscreteSpectralMeasure(prob.operator.eigenvalues().real,
+                                   np.abs(prob.error_coefficients(prob.f0)) ** 2)
+    return weight_by_power(base, xi + 1.0)
+
+
+def _pool_measure(m, index, xi):
+    """_orthogonality_measure of member (m, index) of the benchmark's
+    diagonal pool: m distinct atoms log-uniform on [1e-3, 1e3] and a
+    standard-normal initial error, from the pool's seed."""
+    from powercg.runs import build_custom_case
+
+    rng = np.random.default_rng([20261017, m, index])
+    while True:
+        lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=m))
+        if np.unique(lam).size == m:
+            break
+    prob = build_custom_case({"eigenvalues": lam,
+                              "error": rng.standard_normal(m)})
+    return _orthogonality_measure(prob, xi)
+
+
+def test_double_path_zeros_match_scipy_eigh_tridiagonal():
+    # the double path's Ritz values come from numpy's eigvalsh on each
+    # leading block of the dense Lanczos matrix; scipy's tridiagonal
+    # eigensolver on the same recurrence is the oracle, to 4 ulps at every
+    # degree. 2b at its default size (4096 atoms) and pool member (96, 0)
+    # are both above the extended-precision cutoff
+    from scipy.linalg import eigh_tridiagonal
+    from powercg.krylov import lanczos
+    from powercg.linop import DiagonalOperator
+    from powercg.runs import RunConfig, build_test_case
+
+    config = RunConfig(test="2b", xi=1.0).resolve()
+    cases = [(_orthogonality_measure(build_test_case("2b"), 1.0),
+              config.n_max), (_pool_measure(96, 0, 1.0), 96)]
+    for nu, n_max in cases:
+        assert len(nu) > orthopoly._MP_MAX_ATOMS
+        polys = residual_polynomials(nu, n_max)
+        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
+                          n_max)
+        assert len(polys) == T.order + 1
+        for N in range(1, T.order + 1):
+            want = eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
+                                    eigvals_only=True)
+            got = polys[N].zeros
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), N
+
+
 def test_newton_accepts_a_zero_at_the_recurrences_rounding_floor():
     # member (72, 4) of the benchmark's diagonal pool, at xi = 1: one
     # degree-53 zero's corrections stall at 1.2e-51 relative against the
     # 1e-51 stopping rule (dps = 54), because the degree-53 recurrence loses
     # about three digits; the 10^-(dps-6) floor accepts it
-    from powercg.runs import build_custom_case
-
-    POOL_SEED = 20261017
-
-    def diag_spectrum(m, index):
-        rng = np.random.default_rng([POOL_SEED, m, index])
-        while True:
-            lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=m))
-            if np.unique(lam).size == m:
-                return lam, rng.standard_normal(m)
-
-    lam, e0 = diag_spectrum(72, 4)
-    prob = build_custom_case({"eigenvalues": lam, "error": e0})
-    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
-                                   np.abs(prob.error_coefficients(prob.f0)) ** 2)
-    table = orthopoly._mp_zero_table(weight_by_power(base, 2.0), 72)
+    table = orthopoly._mp_zero_table(_pool_measure(72, 4, 1.0), 72)
     assert len(table) == 72
     polys = [ResidualPolynomial(z, split) for z, split in table]
     for N, p in enumerate(polys, 1):
