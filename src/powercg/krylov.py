@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import KernelComponentError, SpectralAccessError
+from .measures import distinct_atoms
 
 # Lanczos/CG breakdown: directions with curvature below this times the
 # operator norm signal an exhausted (invariant) Krylov subspace
@@ -433,7 +434,9 @@ def spectral_iterates(problem, theta, n_max):
 
     The objective is a weighted polynomial least-squares problem on the
     eigenvalue atoms with weights lambda^theta |e0|^2; the optimal residual
-    polynomial evaluated at the atoms transports e0 to e_N directly.
+    polynomial evaluated at the atoms transports e0 to e_N directly. Equal
+    eigenvalues are one atom with their summed weight (a periodic
+    surrogate's +-m pairs), so the ladder runs on the distinct ones only.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
@@ -448,12 +451,11 @@ def spectral_iterates(problem, theta, n_max):
     w = np.zeros(op.dimension)
     live = ~ker
     w[live] = lam[live] ** theta if theta > 0 else 1.0
-    w = w * np.abs(e0) ** 2
+    atoms, w, inverse = distinct_atoms(lam, w * np.abs(e0) ** 2)
     c0 = op.coefficients(problem.f0)
     out = [problem.f0.copy()]
-    for p in _weighted_residual_values(lam, w, n_max):
-        f = op.from_coefficients(c0 + (p - 1.0) * e0)
-        if np.isrealobj(problem.f0) and np.iscomplexobj(f):
-            f = f.real.copy()
-        out.append(f)
+    for p in _weighted_residual_values(atoms, w, n_max):
+        # exactly hermitian on a real Fourier field: equal eigenvalues share
+        # their atom's value, so the field comes back real
+        out.append(op.from_coefficients(c0 + (p[inverse] - 1.0) * e0))
     return out

@@ -179,9 +179,10 @@ class FourierOperator(SelfAdjointOperator):
         return -self.L + 2.0 * self.L * np.arange(self.n) / self.n
 
     def _apply(self, x):
-        c = np.fft.fft(x)
-        out = np.fft.ifft(self._lam * c)
-        return out.real if np.isrealobj(x) else out
+        if np.isrealobj(x):
+            return np.fft.irfft(self._lam[: self.n // 2 + 1] * np.fft.rfft(x),
+                                self.n)
+        return np.fft.ifft(self._lam * np.fft.fft(x))
 
     def norm_estimate(self):
         return float(self._lam.max())
@@ -209,8 +210,13 @@ class FourierOperator(SelfAdjointOperator):
         if c.shape != (self.n,):
             raise DimensionMismatchError(
                 f"from_coefficients: expected ({self.n},), got {c.shape}")
+        h = self.n // 2
+        if (c[0].imag == 0.0 and c[h].imag == 0.0
+                and np.array_equal(c[h + 1:], np.conj(c[1:h][::-1]))):
+            # exactly hermitian: a real field, from its half spectrum
+            return np.fft.irfft(c[: h + 1] * np.sqrt(self.n), self.n)
         out = np.fft.ifft(c * np.sqrt(self.n))
-        # hermitian-symmetric input comes back real up to roundoff
+        # nearly hermitian input comes back real up to roundoff
         if np.abs(out.imag).max() <= 1e-10 * max(1.0, np.abs(out.real).max()):
             return out.real.copy()
         return out

@@ -13,6 +13,15 @@ MERGE_REL = 1e-12
 WEIGHT_FLOOR = 1e-300
 
 
+def distinct_atoms(lam, w):
+    """(atoms, weights, inverse): the distinct values of lam ascending, the
+    weights w of equal values summed in index order, and each entry's atom
+    index, so that atoms[inverse] == lam."""
+    atoms, inverse = np.unique(lam, return_inverse=True)
+    return (atoms, np.bincount(inverse, weights=w, minlength=atoms.size),
+            inverse)
+
+
 class DiscreteSpectralMeasure:
     """Finitely many atoms (support[i], weights[i]), support ascending."""
 
@@ -29,12 +38,11 @@ class DiscreteSpectralMeasure:
         if np.any(w < 0):
             raise ValueError(f"negative weight: {w.min()}")
         keep = w > WEIGHT_FLOOR
-        lam, w = lam[keep], w[keep]
-        order = np.argsort(lam, kind="stable")
-        lam, w = lam[order], w[order]
+        lam, w, _ = distinct_atoms(lam[keep], w[keep])
         # merge near-coincident atoms, summing weight; an atom joins a
         # cluster by its distance to the cluster's first atom, so the loop
-        # only runs when some consecutive gap is within reach
+        # only runs when some consecutive gap is within reach (equal atoms
+        # are already one)
         if np.any(np.diff(lam) <= MERGE_REL * np.maximum(1.0, lam[1:])):
             out_l = [lam[0]]
             out_w = [w[0]]

@@ -16,9 +16,9 @@ from .krylov import JacobiMatrix, lanczos
 from .linop import DiagonalOperator
 from .measures import mass_below
 
-# product evaluation switches to log-magnitude accumulation above this degree;
-# 60 factors of size up to lambda_max/z_1 ~ 1e10 overflow a float64 product
-_LOG_EVAL_DEGREE = 50
+# the normal double range; a product outside it is recomputed rescaled
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 # relative slack of the lemma's weighted left bound
 LEMMA_SLACK = 1e-10
 # relative slack of bound_chain's comparisons
@@ -40,55 +40,47 @@ _MP_MAX_ATOMS = 64
 _NEWTON_MAX_STEPS = 20
 
 
-def _from_logs(logs, negatives, dead):
-    """sign * exp(logs), the sign the parity of the negative factors, and
-    exactly 0 on dead rows (a factor that is 0)."""
-    with np.errstate(over="ignore"):
-        out = np.exp(logs)
-    np.negative(out, out=out, where=negatives % 2 == 1)
-    out[dead] = 0.0
+def _column_products(G):
+    """Sequential products down the columns of G, whose rows are factors
+    (1 - lambda/z_k) by ascending zero: a column's running product rises
+    while |factor| > 1 and falls after, so its final value shows any
+    intermediate overflow or underflow. A column that is not finite, or
+    below the normal range without an exactly-zero factor, is recomputed
+    rescaled by an exact power of two after each factor (the plain
+    product's bits wherever that stays in range), its exponent applied at
+    the end: a signed inf above the double range, a subnormal or 0 below."""
+    out = np.prod(G, axis=0)
+    mag = np.abs(out)
+    if not mag.size or (mag.min() >= _TINY and mag.max() <= _HUGE):
+        return out
+    # an exactly-zero factor (a captured atom) makes 0 the value
+    cols = np.flatnonzero(~(mag <= _HUGE)
+                          | ((mag < _TINY) & ~(G == 0.0).any(axis=0)))
+    if cols.size:
+        m, e = np.ones(cols.size), 0
+        for row in G[:, cols]:
+            m, step = np.frexp(m * row)
+            e = e + step
+        out[cols] = np.ldexp(m, e)
     return out
 
 
 def _factor_products(lam, zeros, rest=False):
-    """prod_k (1 - lam/zeros_k) on the 1-d array lam, overflow-safe; with
-    rest=True also prod_{k>=2} (1 - lam/zeros_k), from the same factor
-    matrix.
+    """prod_k (1 - lam/zeros_k) on the 1-d array lam; with rest=True also
+    prod_{k>=2} (1 - lam/zeros_k), from the same factor matrix.
 
-    Up to _LOG_EVAL_DEGREE zeros the factors are laid out zeros x atoms and
-    multiplied down the columns: a sequential product, vectorized over the
-    atoms, that rounds like a product along each atom's row. Above it they
-    are laid out atoms x zeros and the log magnitudes summed along the rows,
-    which numpy sums pairwise; a sum down the columns would be sequential
-    and round differently. A slice of the columns reduces bit for bit like
-    a matrix built from those zeros alone, so s and the rest product agree
-    with separate evaluations.
+    The factors are laid out zeros x atoms and multiplied down the columns
+    (_column_products): a sequential product, vectorized over the atoms,
+    that rounds like a product along each atom's row. A slice of the rows
+    reduces bit for bit like a matrix built from those zeros alone, so s
+    and the rest product agree with separate evaluations.
     """
-    n = zeros.size
-    if n <= _LOG_EVAL_DEGREE:
-        G = lam[None, :] / zeros[:, None]
-        np.subtract(1.0, G, out=G)
-        s = np.prod(G, axis=0)
-        return (s, np.prod(G[1:], axis=0)) if rest else s
-    F = lam[:, None] / zeros[None, :]
-    np.subtract(1.0, F, out=F)
-    r = None
-    if rest and n - 1 <= _LOG_EVAL_DEGREE:
-        r = np.prod(F[:, 1:], axis=1)
-    negative = F < 0
-    dead = F == 0.0
-    # log|F| in place; a dead factor keeps 0 = log 1, its row is zeroed
-    np.abs(F, out=F)
-    np.log(F, out=F, where=~dead)
-    s = _from_logs(F.sum(axis=1), np.count_nonzero(negative, axis=1),
-                   dead.any(axis=1))
-    if not rest:
-        return s
-    if r is None:
-        r = _from_logs(F[:, 1:].sum(axis=1),
-                       np.count_nonzero(negative[:, 1:], axis=1),
-                       dead[:, 1:].any(axis=1))
-    return s, r
+    G = lam[None, :] / zeros[:, None]
+    np.subtract(1.0, G, out=G)
+    # an overflowing or an inf * 0 product is recomputed, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _column_products(G)
+        return (s, _column_products(G[1:])) if rest else s
 
 
 class ResidualPolynomial:

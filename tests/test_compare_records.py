@@ -49,11 +49,18 @@ def test_changed_value_and_flipped_verdict(compare):
     assert diff["counts"] == {"rho_sigma": 2, "n_sq_rho1": 1, "delta_n": 0,
                               "ritz_min": 0, "ritz_max": 0,
                               "bound_chain_ok": 0, "lemma_ok": 1}
+    one_ulp = 2.0 ** -53 / (0.5 + 2.0 ** -53)
+    assert diff["max_rel"] == {"rho_sigma": one_ulp, "n_sq_rho1": one_ulp,
+                               "delta_n": 0.0, "ritz_min": 0.0,
+                               "ritz_max": 0.0}
     assert diff["flips"] == [("2a/xi1", 1, "lemma_ok", True, False)]
     assert diff["problems"] == []
     assert compare.differs(diff)
     text = compare.report(diff, "x", 3, 6)
     assert "flip 2a/xi1 N=1 lemma_ok: True -> False" in text
+    assert f"rho_sigma       2 differing records, max rel {one_ulp:.3g}" in text
+    assert "delta_n         0 differing records, max rel 0\n" in text
+    assert "lemma_ok        1 differing records\n" in text
     assert text.endswith("differences found")
 
 

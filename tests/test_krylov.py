@@ -374,14 +374,22 @@ def test_fractional_theta_against_brute_force():
 
 
 def test_spectral_iterates_against_brute_force_past_breakdown():
-    # zero initial error on 4 of 8 atoms: the ladder degenerates at degree
-    # 4 and degrees 5..8 must repeat the terminated minimizer
+    # zero initial error on 4 of 8 atoms, or every eigenvalue of 8 taken
+    # twice (coincident atoms, the ladder runs on the 4 distinct ones):
+    # the ladder degenerates at degree 4 and degrees 5..8 must repeat the
+    # terminated minimizer
     rng = np.random.default_rng(37)
     lam = np.sort(rng.uniform(0.1, 10.0, 8))
     e0 = rng.standard_normal(8)
     e0[::2] = 0.0
-    prob = InverseProblem(DiagonalOperator(lam), g=-lam * e0,
-                          known_solution=-e0)
+    lam2 = np.repeat(np.sort(rng.uniform(0.1, 10.0, 4)), 2)
+    e02 = rng.standard_normal(8)
+    for lam, e0 in ((lam, e0), (lam2, e02)):
+        _check_past_breakdown(InverseProblem(
+            DiagonalOperator(lam), g=-lam * e0, known_solution=-e0))
+
+
+def _check_past_breakdown(prob):
     for theta in (1.0, 2.0):
         floor = 1e-12 * brute_force_objective(prob, theta, prob.f0)
         iterates = spectral_iterates(prob, theta, 8)

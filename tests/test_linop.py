@@ -75,6 +75,16 @@ def test_fourier_eigenfunction_oracle():
         u = np.sin(k * np.pi * x / L)
         lam = (k * np.pi / L) ** 2 + shift
         assert np.allclose(op.apply(u), lam * u, atol=1e-10 * lam)
+    # a real field takes the real-FFT route: a real array, within roundoff
+    # of the complex DFT route
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(n), np.exp(-op.grid() ** 2)):
+        got = op.apply(x)
+        assert np.isrealobj(got)
+        lam = op.eigenvalues()
+        want = np.fft.ifft(lam * np.fft.fft(x)).real
+        assert (np.abs(got - want).max()
+                <= 1e-13 * np.abs(lam).max() * np.linalg.norm(x))
 
 
 def test_fourier_validation():
@@ -98,6 +108,22 @@ def test_fourier_coefficients_hermitian_for_real_input():
     back = op.from_coefficients(c)
     assert np.isrealobj(back)
     assert np.allclose(back, x, atol=1e-12)
+    # exactly hermitian input, built by hand: the real route from the half
+    # spectrum
+    h = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    h[0] = h[0].real
+    h[16] = h[16].real
+    c = np.concatenate([h, np.conj(h[1:16][::-1])])
+    assert np.array_equal(c, np.conj(c[idx]))
+    back = op.from_coefficients(c)
+    assert np.isrealobj(back)
+    assert np.array_equal(back, np.fft.irfft(h * np.sqrt(32), 32))
+    # a one-ulp break of the mirror takes the complex route, whose output
+    # is that of the complex inverse DFT bit for bit
+    c[20] = np.nextafter(c[20].real, np.inf) + 1j * c[20].imag
+    back = op.from_coefficients(c)
+    assert np.isrealobj(back)
+    assert np.array_equal(back, np.fft.ifft(c * np.sqrt(32)).real)
 
 
 def test_fourier_complex_coefficient_round_trip():

@@ -299,23 +299,31 @@ def test_split_integrals_against_mpmath():
             assert abs(rhs - float(right)) <= 1e-12 * float(right), m
 
 
-def test_product_evaluation_log_path():
-    # degree 60 with a huge spread overflows the running direct product; the
-    # log path must agree with mpmath where the value is representable and
-    # give a signed inf (not nan) where it is not
+def _mp_product(zeros, lam):
+    from mpmath import mp
+    with mp.workdps(80):
+        want = mp.mpf(1)
+        for z in zeros:
+            want *= 1 - mp.mpf(float(lam)) / mp.mpf(float(z))
+    return want
+
+
+def test_product_evaluation_out_of_range_rule():
+    # a product out of the normal double range is recomputed with the
+    # running value rescaled by powers of two: it must agree with mpmath
+    # where the value is representable and give a signed inf (not nan)
+    # where it is not
     from mpmath import mp
     zeros = np.sort(np.exp(np.linspace(np.log(1e-4), np.log(1.0), 60)))
     p = ResidualPolynomial(zeros)
     got = p.evaluate(np.array([1e3]))[0]
-    with mp.workdps(80):
-        want = mp.mpf(1)
-        for z in zeros:
-            want *= (1 - mp.mpf(1e3) / mp.mpf(float(z)))
-    rel = abs(got - float(want)) / abs(float(want))
-    assert rel < 1e-12, (got, float(want), rel)
+    want = float(_mp_product(zeros, 1e3))
+    rel = abs(got - want) / abs(want)
+    assert rel < 1e-12, (got, want, rel)
 
     # at 1e5 every factor is negative and the true magnitude is ~1e420,
-    # beyond float64 range: the log path yields +inf (even factor count)
+    # beyond float64 range: the rescaled product yields +inf (even factor
+    # count)
     big = p.evaluate(np.array([1e5]))[0]
     with mp.workdps(80):
         logmag = mp.fsum(mp.log(abs(1 - mp.mpf(1e5) / mp.mpf(float(z))), 10)
@@ -323,11 +331,29 @@ def test_product_evaluation_log_path():
     assert float(logmag) > 308.0
     assert np.isinf(big) and big > 0
 
+    # degree 50 whose running product overflows on the way and comes back
+    # into range: 19 factors of about -2e17, then 31 of magnitude below 1.
+    # A plain product returns -inf here; the true value is -1.4252e293
+    zeros = np.concatenate([np.geomspace(1e-17, 2e-17, 19),
+                            np.linspace(2.05, 2.4, 31)])
+    lam = np.array([2.0])
+    with np.errstate(over="ignore"):
+        G = 1.0 - lam[None, :] / zeros[:, None]
+        assert np.prod(G, axis=0)[0] == -np.inf
+    got = ResidualPolynomial(zeros).evaluate(lam)[0]
+    want = _mp_product(zeros, 2.0)
+    assert float(want) == pytest.approx(-1.4252e293, rel=1e-4)
+    assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (got, want)
+
+    # an exactly-zero factor gives exactly 0 whatever the other factors do
+    zeros = np.array([1e-300, 1e-299, 1.0])
+    assert ResidualPolynomial(zeros).evaluate(np.array([1.0]))[0] == 0.0
+
 
 def test_values_and_split_share_one_factor_matrix():
-    # 300 atoms (double path), degrees on both sides of the log threshold.
-    # The base support is strictly larger than nu's: it keeps a kernel atom
-    # at 0 and an atom whose lambda^2 w falls below WEIGHT_FLOOR
+    # 300 atoms (double path), degrees 1..60. The base support is strictly
+    # larger than nu's: it keeps a kernel atom at 0 and an atom whose
+    # lambda^2 w falls below WEIGHT_FLOOR
     rng = np.random.default_rng(31)
     lam = np.sort(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 299)))
     lam = np.concatenate([[0.0], lam])
@@ -341,23 +367,17 @@ def test_values_and_split_share_one_factor_matrix():
     assert nu.support[0] == support[2]
     polys = residual_polynomials(nu, 60, support)
     assert len(polys) == 61
-    assert orthopoly._LOG_EVAL_DEGREE < 60
     for N in range(1, 61):
         p = polys[N]
         assert np.array_equal(p.values, p.evaluate(support)), N
         assert p.values[0] == 1.0
         z = p.zeros
-        # the layout does not change the rounding: a product along each
-        # atom's row, and above degree 50 a pairwise sum of its log factors
-        # (zeros that have captured an atom give a factor of exactly 0)
+        # the layout does not change the rounding: at every degree a
+        # sequential product along each atom's row (zeros that have
+        # captured an atom give a factor of exactly 0)
         rows = 1.0 - support[:, None] / z[None, :]
-        if N <= orthopoly._LOG_EVAL_DEGREE:
-            want = np.prod(rows, axis=1)
-        else:
-            mag = np.abs(rows)
-            want = (np.prod(np.sign(rows), axis=1)
-                    * np.exp(np.sum(np.log(np.where(mag > 0, mag, 1.0)),
-                                    axis=1)))
+        want = np.prod(rows, axis=1)
+        assert np.all(np.isfinite(want)), N
         assert np.array_equal(p.values, want), N
         rest = np.ones(len(nu))
         for zk in z[1:]:

@@ -14,7 +14,8 @@ import pytest
 
 from powercg.diagnostics import rho
 from powercg.krylov import ConsistencyError, spectral_iterates
-from powercg.measures import DiscreteSpectralMeasure, weight_by_power
+from powercg.measures import (MERGE_REL, WEIGHT_FLOOR, DiscreteSpectralMeasure,
+                              weight_by_power)
 from powercg.orthopoly import bound_chain, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
@@ -212,6 +213,48 @@ def test_run_rho_is_the_public_rho_bit_for_bit():
             assert set(r.rho) == set(config.sigmas) | {0.0, 1.0, 2.0}
             for s, v in r.rho.items():
                 assert v == rho(prob, f_n, s), (config.test, r.N, s)
+
+
+def _sequential_merge(lam, w):
+    """(support, weights) of (lam, w) merged one atom at a time in stable
+    sorted order: the reference for the vectorized merge of equal atoms in
+    DiscreteSpectralMeasure."""
+    keep = w > WEIGHT_FLOOR
+    order = np.argsort(lam[keep], kind="stable")
+    out_l, out_w = [], []
+    for li, wi in zip(lam[keep][order], w[keep][order]):
+        if out_l and li - out_l[-1] <= MERGE_REL * max(1.0, li):
+            out_w[-1] += wi
+        else:
+            out_l.append(li)
+            out_w.append(wi)
+    return np.array(out_l), np.array(out_w)
+
+
+def test_run_base_measure_is_the_sequential_merge(monkeypatch):
+    # on the built-ins at their default sizes every eigenvalue but 0 and
+    # the Nyquist one comes as an exactly equal +-m pair: run()'s base
+    # measure has one atom per distinct eigenvalue and is the one-at-a-time
+    # merge of the raw eigenvalues bit for bit
+    from powercg import runs
+    made = []
+
+    def spy(support, weights):
+        made.append((support, weights, DiscreteSpectralMeasure(support,
+                                                               weights)))
+        return made[-1][2]
+    monkeypatch.setattr(runs, "DiscreteSpectralMeasure", spy)
+    for test in TEST_IDS:
+        made.clear()
+        run(RunConfig(test=test, n_max=1))
+        assert len(made) == 1, test
+        lam, w, base = made[0]
+        assert lam.size == TEST_DEFAULTS[test][0], test
+        assert np.unique(lam).size == lam.size // 2 + 1, test
+        assert len(base) == np.unique(lam[w > WEIGHT_FLOOR]).size, test
+        support, weights = _sequential_merge(lam, w)
+        assert np.array_equal(base.support, support), test
+        assert np.array_equal(base.weights, weights), test
 
 
 def test_chain_on_shared_s_values_matches_its_own_evaluation():

@@ -19,7 +19,9 @@ from its own src/:
 
 Per field the report gives the number of records that differ: rho_sigma
 (any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
-hex, and the bound_chain_ok and lemma_ok verdicts. It lists every verdict
+hex, each with its largest relative difference |new - old| / max(|old|,
+|new|) (inf where one side is not finite), and the bound_chain_ok and
+lemma_ok verdicts. It lists every verdict
 flip and every series that is missing, raised, or has a different number of
 records on one side. Exit status: 0 when nothing differs, 1 on any
 difference, 2 when REV cannot be checked out or a tree cannot be run.
@@ -136,11 +138,30 @@ def dump(path):
         json.dump({"powercg": powercg.__file__, "series": out}, fh)
 
 
+def _rel(a, b):
+    """Relative difference of two float-hex values (None: not finite)."""
+    if a == b:
+        return 0.0
+    if a is None or b is None:
+        return float("inf")
+    a, b = float.fromhex(a), float.fromhex(b)
+    return abs(b - a) / max(abs(a), abs(b))
+
+
+def _max_rel(a, b):
+    if isinstance(a, dict):
+        return max((_rel(a.get(k), b.get(k)) for k in set(a) | set(b)),
+                   default=0.0)
+    return _rel(a, b)
+
+
 def diff_dumps(old, new):
     """Differences between two {key: [rows] or {"error": ...}} dumps:
-    {"counts": {field: differing records}, "flips": [(key, N, field, old,
-    new)], "problems": [str]}. Records are matched by series and N."""
+    {"counts": {field: differing records}, "max_rel": {value field: largest
+    relative difference}, "flips": [(key, N, field, old, new)], "problems":
+    [str]}. Records are matched by series and N."""
     counts = {f: 0 for f in VALUE_FIELDS + VERDICT_FIELDS}
+    max_rel = dict.fromkeys(VALUE_FIELDS, 0.0)
     flips = []
     problems = []
     for key in sorted(set(old) | set(new)):
@@ -157,12 +178,15 @@ def diff_dumps(old, new):
             problems.append(f"{key}: {len(a)} records -> {len(b)}")
         for ra, rb in zip(a, b):
             for f in VALUE_FIELDS:
-                counts[f] += ra[f] != rb[f]
+                if ra[f] != rb[f]:
+                    counts[f] += 1
+                    max_rel[f] = max(max_rel[f], _max_rel(ra[f], rb[f]))
             for f in VERDICT_FIELDS:
                 if ra[f] != rb[f]:
                     counts[f] += 1
                     flips.append((key, ra["N"], f, ra[f], rb[f]))
-    return {"counts": counts, "flips": flips, "problems": problems}
+    return {"counts": counts, "max_rel": max_rel, "flips": flips,
+            "problems": problems}
 
 
 def _outcome(entry):
@@ -177,7 +201,10 @@ def differs(diff):
 def report(diff, label, n_series, n_records):
     lines = [f"{label}: {n_series} series, {n_records} records"]
     for f, n in diff["counts"].items():
-        lines.append(f"  {f:<15} {n} differing records")
+        line = f"  {f:<15} {n} differing records"
+        if f in diff["max_rel"]:
+            line += f", max rel {diff['max_rel'][f]:.3g}"
+        lines.append(line)
     for key, N, f, a, b in diff["flips"]:
         lines.append(f"  flip {key} N={N} {f}: {a} -> {b}")
     lines += [f"  {p}" for p in diff["problems"]]
