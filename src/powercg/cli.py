@@ -64,9 +64,12 @@ def _config_from_args(args):
     if args.config:
         try:
             with open(args.config) as fh:
-                merged.update(json.load(fh))
+                merged = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(merged, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON "
+                             f"object, got {type(merged).__name__}")
     flag_map = {
         "test": args.test, "n": args.n, "L": args.L, "xi": args.xi,
         "n_max": args.nmax, "out": getattr(args, "out", None),
@@ -82,8 +85,6 @@ def _config_from_args(args):
             merged[k] = v
     if "test" not in merged:
         raise UsageError("--test is required (directly or via --config)")
-    if "sigmas" in merged:
-        merged["sigmas"] = tuple(float(s) for s in merged["sigmas"])
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     unknown = set(merged) - known
     if unknown:

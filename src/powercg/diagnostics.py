@@ -69,14 +69,12 @@ def rho(problem, f_n, sigma):
 
 def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
-    the one code path of rho. The datum's part of the error coefficients
-    is computed here, once, from the current g; each call transforms its
-    iterate once and takes every spectral sigma != 2 from that one vector.
+    the one code path of rho. Each call transforms its iterate once and
+    takes every spectral sigma != 2 from that one vector.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
     if op.spectral and any(s != 2.0 for s in sigmas):
-        transform = problem.error_transform()
         live = ~op.kernel_mask()
         lam_live = np.asarray(op.eigenvalues(), dtype=float)[live]
 
@@ -92,7 +90,7 @@ def rho_evaluator(problem, sigmas):
                 if sigma < 0:
                     _kernel_drift_guard(problem, f_n, sigma)
                 if mag is None:
-                    mag = np.abs(transform(f_n)[live]) ** 2
+                    mag = np.abs(problem.error_coefficients(f_n)[live]) ** 2
                 out[sigma] = (float(mag.sum()) if sigma == 0.0
                               else float(np.sum(lam_live ** sigma * mag)))
             else:

@@ -21,6 +21,8 @@ BREAKDOWN_REL = 1e-13
 # a datum on a spectral operator may carry at most this fraction of ||g||
 # in the kernel
 KERNEL_TOL = 1e-10
+# run_cg stops once ||R|| falls to this fraction of ||g||
+CG_TOL_REL = 1e-12
 
 
 class ConsistencyError(ValueError):
@@ -30,52 +32,43 @@ class ConsistencyError(ValueError):
 class InverseProblem:
     """Operator, datum, initial guess, and (optionally) a known solution.
 
-    A supplied known_solution must reproduce g: ||A f - g|| is checked
-    against consistency_tol * (||A||_est ||f|| + ||g||) at construction and
-    the constructor raises when the gate fails. On spectral operators g must
-    also be kernel-orthogonal (the datum must be attainable), up to
-    KERNEL_TOL * ||g||. The default consistency_tol suits problems built by
-    exact arithmetic; discretized surrogates pass their own gate value (see
-    runs.build_test_case).
+    Fixed at construction: g, f0 and known_solution are read-only float
+    copies, checked for shape and finiteness, so the gates hold for the
+    problem's whole life. A supplied known_solution must reproduce g:
+    ||A f - g|| is checked against consistency_tol * (||A||_est ||f|| +
+    ||g||) and the constructor raises when the gate fails. On spectral
+    operators g must also be kernel-orthogonal (the datum must be
+    attainable), up to KERNEL_TOL * ||g||. The default consistency_tol
+    suits problems built by exact arithmetic; discretized surrogates pass
+    their own gate value (see runs.build_test_case).
     """
 
     def __init__(self, operator, g, f0=None, known_solution=None,
                  consistency_tol=1e-10, notes=None):
-        self.operator = operator
+        self._operator = operator
         n = operator.dimension
-        g = np.asarray(g, dtype=float)
-        if g.shape != (n,):
-            raise ValueError(f"g: expected shape ({n},), got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("g contains non-finite entries")
-        self.g = g
-        if f0 is None:
-            f0 = np.zeros(n)
-        f0 = np.asarray(f0, dtype=float)
-        if f0.shape != (n,):
-            raise ValueError(f"f0: expected shape ({n},), got {f0.shape}")
-        self.f0 = f0
-        self.known_solution = None
+        self._g = g = _fixed_vector(g, n, "g")
+        self._f0 = _fixed_vector(np.zeros(n) if f0 is None else f0, n, "f0")
+        self._known_solution = f = (
+            None if known_solution is None
+            else _fixed_vector(known_solution, n, "known_solution"))
         self.consistency_tol = consistency_tol
         self.notes = dict(notes) if notes else {}
-        # (f0 bytes, g bytes, Lanczos recurrence from their R0) that
-        # theta_iterate extends
+        # the Lanczos recurrence from R0 that theta_iterate extends
         self._lanczos = None
 
         if operator.spectral:
             cg = operator.coefficients(g)
-            ker = operator.kernel_mask()
+            ker = self._ker = operator.kernel_mask()
             knorm = float(np.linalg.norm(cg[ker]))
             gnorm = float(np.linalg.norm(g))
             if knorm > KERNEL_TOL * max(gnorm, 1e-300):
                 raise KernelComponentError(
                     f"datum has kernel component of norm {knorm:.6e}, "
                     f"allowed {KERNEL_TOL:g} * ||g|| = {KERNEL_TOL * gnorm:.6e}")
-        if known_solution is not None:
-            f = np.asarray(known_solution, dtype=float)
-            if f.shape != (n,):
-                raise ValueError(
-                    f"known_solution: expected shape ({n},), got {f.shape}")
+            # the datum's part of every error coefficient vector
+            self._g_over_lam = cg / np.where(ker, 1.0, operator.eigenvalues())
+        if f is not None:
             resid = float(np.linalg.norm(operator.apply(f) - g))
             scale = (operator.norm_estimate() * float(np.linalg.norm(f))
                      + float(np.linalg.norm(g)))
@@ -84,7 +77,11 @@ class InverseProblem:
                 raise ConsistencyError(
                     f"known solution fails: ||A f - g|| = {resid:.6e} exceeds "
                     f"{consistency_tol:g} * (||A|| ||f|| + ||g||) = {allowed:.6e}")
-            self.known_solution = f
+
+    operator = property(lambda self: self._operator)
+    g = property(lambda self: self._g)
+    f0 = property(lambda self: self._f0)
+    known_solution = property(lambda self: self._known_solution)
 
     @property
     def dimension(self):
@@ -93,35 +90,32 @@ class InverseProblem:
     def residual0(self):
         return self.operator.apply(self.f0) - self.g
 
-    # spectral helpers -----------------------------------------------------
-
     def error_coefficients(self, x):
         """Coefficients of x minus its projection onto the solution set.
 
         The projection keeps x's own kernel component, so the kernel entries
-        are exactly zero and the rest is coeff(x) - coeff(g)/lambda.
+        are exactly zero and the rest is coeff(x) - coeff(g)/lambda, whose
+        datum part the kernel gate computed. A non-spectral operator raises
+        SpectralAccessError in coefficients.
         """
-        return self.error_transform()(x)
+        e = self.operator.coefficients(np.asarray(x)) - self._g_over_lam
+        e[self._ker] = 0.0
+        return e
 
-    def error_transform(self):
-        """x -> error_coefficients(x), with the datum's part coeff(g)/lambda
-        and the kernel mask computed once from the current g, so a series of
-        iterates pays one coefficient transform each."""
-        op = self.operator
-        ker = op.kernel_mask()
-        g_over_lam = op.coefficients(self.g) / np.where(ker, 1.0,
-                                                        op.eigenvalues())
 
-        def transform(x):
-            e = op.coefficients(np.asarray(x)) - g_over_lam
-            e[ker] = 0.0
-            return e
-        return transform
+def _fixed_vector(x, n, name):
+    """A read-only float copy of x, checked for shape (n,) and finiteness."""
+    x = np.array(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name}: expected shape ({n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite entries")
+    x.flags.writeable = False
+    return x
 
 
 @dataclass
 class IterateHistory:
-    theta: float
     iterates: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     terminated: bool = False
@@ -244,14 +238,14 @@ def lanczos(op, b, n_steps):
     return T, V, state.breakdown
 
 
-def run_cg(problem, n_max, tol_rel=1e-12, tol_abs=0.0):
+def run_cg(problem, n_max):
     """Conjugate gradients from f0, residual sign R = A f - g.
 
     Residuals are reorthogonalized against all previous ones; at condition
     numbers around 1e6 plain CG iterates drift from the exact Krylov
     minimizer by order one while the reorthogonalized ones stay at 1e-12
     (cost O(N^2 n), harmless here). Stops early when
-    ||R|| <= tol_abs + tol_rel ||g|| or on curvature breakdown.
+    ||R|| <= CG_TOL_REL ||g|| or on curvature breakdown.
     """
     if n_max > problem.dimension:
         raise ValueError(
@@ -259,10 +253,10 @@ def run_cg(problem, n_max, tol_rel=1e-12, tol_abs=0.0):
     op = problem.operator
     f = problem.f0.astype(float).copy()
     R = op.apply(f) - problem.g
-    hist = IterateHistory(theta=1.0)
+    hist = IterateHistory()
     hist.iterates.append(f.copy())
     hist.residuals.append(R.copy())
-    threshold = tol_abs + tol_rel * float(np.linalg.norm(problem.g))
+    threshold = CG_TOL_REL * float(np.linalg.norm(problem.g))
     crv_tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
     r = -R
     rr = float(np.dot(r, r))
@@ -317,11 +311,9 @@ def theta_iterate(problem, theta, N):
     recurrence from R0 and extends it on demand; its leading steps are the
     same numbers whatever was asked before, so a series N = 1..K costs
     K + theta Lanczos applies plus one apply for R0, instead of a rebuild
-    per N. The recurrence is kept with copies of the f0 and g it started
-    from; another operator object, or f0 or g reassigned or edited, makes a
-    new R0 and a new recurrence. The projected problem
-    is solved in a square-rooted form (rectangular least squares; the
-    normal equations would square the condition number). Early Lanczos
+    per N. The projected problem is solved in a square-rooted form
+    (rectangular least squares; the normal equations would square the
+    condition number). Early Lanczos
     breakdown saturates the Krylov space; the iterate returned is then the
     minimizer of the saturated space, which equals the requested one.
     """
@@ -335,10 +327,7 @@ def theta_iterate(problem, theta, N):
     if N == 0:
         return problem.f0.copy()
     op = problem.operator
-    key = (problem.f0.tobytes(), problem.g.tobytes())
-    cached = problem._lanczos
-    state = (cached[2] if cached is not None and cached[:2] == key
-             and cached[2].op is op else None)
+    state = problem._lanczos
     if state is None:
         # a stored recurrence implies a nonzero R0; only a new one is checked
         R0 = problem.residual0()
@@ -353,8 +342,7 @@ def theta_iterate(problem, theta, N):
         return spectral_iterates(problem, theta, N)[N]
     theta = int(theta)
     if state is None:
-        state = _Lanczos(op, R0)
-        problem._lanczos = (*key, state)
+        state = problem._lanczos = _Lanczos(op, R0)
     nR0 = float(np.linalg.norm(state.start))
     m = min(N + theta, problem.dimension)
     state.extend(m)

@@ -153,6 +153,9 @@ def build_custom_case(spec):
             kappa = float(spec.get("kappa", 1e3))
         except TypeError as exc:
             raise ValueError(f"custom spec: {exc}") from None
+        if not (kappa > 0 and 0.0 < 1.0 / kappa < np.inf):
+            raise ValueError(f"custom spec: 'kappa' must be finite and > 0, "
+                             f"with 1/kappa finite, got {kappa}")
         rng = np.random.default_rng(seed)
         lam = np.sort(np.exp(rng.uniform(np.log(1.0 / kappa), 0.0, size=d)))
         e0 = rng.standard_normal(d)
@@ -178,11 +181,18 @@ class RunConfig:
     json_out: str = None
     custom: dict = None
 
+    def _cast(self, name, kind):
+        value = getattr(self, name)
+        try:
+            return kind(value)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"config field {name!r} = {value!r}: {exc}") from None
+
     def resolve(self):
         if self.test in TEST_IDS:
             dn, dL = TEST_DEFAULTS[self.test]
-            self.n = dn if self.n is None else int(self.n)
-            self.L = dL if self.L is None else float(self.L)
+            self.n = dn if self.n is None else self._cast("n", int)
+            self.L = dL if self.L is None else self._cast("L", float)
             if self.n <= 0 or (self.n & (self.n - 1)) != 0:
                 raise ValueError(f"n must be a power of two, got {self.n}")
             if not self.L > 0:
@@ -193,15 +203,16 @@ class RunConfig:
         else:
             raise ValueError(
                 f"unknown test id {self.test!r}, expected {TEST_IDS + ('custom',)}")
-        self.xi = float(self.xi)
+        self.xi = self._cast("xi", float)
         if self.xi < 0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
-        self.n_max = int(self.n_max)
+        self.n_max = self._cast("n_max", int)
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.test in TEST_IDS and self.n_max > self.n:
             raise ValueError(f"n_max {self.n_max} exceeds n = {self.n}")
-        self.sigmas = tuple(float(s) for s in self.sigmas)
+        self.sigmas = self._cast("sigmas",
+                                 lambda v: tuple(float(s) for s in v))
         return self
 
 

@@ -134,7 +134,7 @@ def test_2_cg_and_weighted_minimizer_coincide_at_one(random_problems, acceptance
     failures = []
     worst = 0.0
     for i, prob in enumerate(random_problems):
-        hist = run_cg(prob, prob.dimension, tol_rel=0.0)
+        hist = run_cg(prob, prob.dimension)
         for N in range(1, len(hist.iterates)):
             f_cg = hist.iterates[N]
             f_th = theta_iterate(prob, 1.0, N)

@@ -85,6 +85,21 @@ def test_malformed_custom_spec_exits_one(tmp_path, capsys):
         assert "FAIL" not in captured.out
 
 
+def test_malformed_config_exits_one(tmp_path, capsys):
+    bad = [(payload, "JSON object") for payload in ([1, 2], [["test", "1a"]], 3)]
+    bad += [({"test": "1a", field: value}, field)
+            for field, value in (("xi", [1]), ("n_max", [3]), ("sigmas", 5))]
+    bad += [(dict(CUSTOM, custom={"dimension": 6, "kappa": kappa}), "kappa")
+            for kappa in (0, -1, float("inf"), float("nan"))]
+    for payload, match in bad:
+        cfg = write_config(tmp_path, payload)
+        for command in ("solve", "verify"):
+            assert main([command, "--config", cfg]) == 1, (payload, command)
+            captured = capsys.readouterr()
+            assert "powercg: error:" in captured.err and match in captured.err
+            assert captured.out == ""
+
+
 def test_missing_config_file(capsys):
     assert main(["solve", "--config", "/no/such/file.json"]) == 1
     assert "cannot read --config" in capsys.readouterr().err

@@ -147,7 +147,7 @@ def test_rho_along_cg_run_is_monotone_where_minimized():
     lam = np.sort(rng.uniform(0.1, 10.0, 8))
     sol = rng.standard_normal(8)
     prob = InverseProblem(DiagonalOperator(lam), g=lam * sol)
-    hist = run_cg(prob, 8, tol_rel=0.0)
+    hist = run_cg(prob, 8)
     vals = [rho(prob, f, 1) for f in hist.iterates]
     for a, b in zip(vals, vals[1:]):
         assert b <= a * (1 + 1e-12) + 1e-16

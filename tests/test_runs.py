@@ -131,6 +131,8 @@ def test_custom_spec_is_checked():
         ("dimension", "mapping"),
         ({"dimension": [3]}, "int"),
     ]
+    bad += [({"dimension": 3, "kappa": kappa}, "'kappa' must be finite and > 0")
+            for kappa in (0, -1, np.inf, np.nan, 5e-324)]
     for spec, match in bad:
         with pytest.raises(ValueError, match=match):
             build_custom_case(spec)
@@ -255,6 +257,24 @@ def test_run_base_measure_is_the_sequential_merge(monkeypatch):
         support, weights = _sequential_merge(lam, w)
         assert np.array_equal(base.support, support), test
         assert np.array_equal(base.weights, weights), test
+
+
+def test_run_transforms_the_datum_once(monkeypatch):
+    # the kernel gate's coeff(g)/lambda serves every error coefficient of
+    # the run: the iterates, the base measure and rho
+    from powercg.linop import FourierOperator
+    seen = []
+    coefficients = FourierOperator.coefficients
+
+    def spy(self, x):
+        seen.append(np.asarray(x).tobytes())
+        return coefficients(self, x)
+    monkeypatch.setattr(FourierOperator, "coefficients", spy)
+    n, L = SMALL["2b"]
+    g = build_test_case("2b", n, L).g.tobytes()
+    seen.clear()
+    run(RunConfig(test="2b", n=n, L=L, n_max=8, xi=2.0))
+    assert seen.count(g) == 1
 
 
 def test_chain_on_shared_s_values_matches_its_own_evaluation():
