@@ -105,7 +105,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         config = _config_from_args(args)
-        config.resolve()
     except ValueError as exc:
         print(f"powercg: error: {exc}", file=sys.stderr)
         return 1

@@ -398,7 +398,6 @@ class ChainReport:
     steps: list = field(default_factory=list)
     ok: bool = True
     first_failure: str = None
-    exponent: float = None
     ritz_min: float = None
     delta: float = None
     mass_below: float = None
@@ -450,8 +449,7 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     below = mass_below(mu_sigma, z1)
     lemma_rhs = below * (q / d) ** q
 
-    rep = ChainReport(exponent=q, ritz_min=float(z1), delta=d,
-                      mass_below=below)
+    rep = ChainReport(ritz_min=float(z1), delta=d, mass_below=below)
 
     def leq(a, b):
         return a <= b * (1.0 + CHAIN_SLACK) + atol

@@ -12,6 +12,7 @@ sampled solution and the sampled datum guards every construction.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -213,6 +214,11 @@ class RunConfig:
             raise ValueError(f"n_max {self.n_max} exceeds n = {self.n}")
         self.sigmas = self._cast("sigmas",
                                  lambda v: tuple(float(s) for s in v))
+        for name in ("out", "json_out"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, (str, os.PathLike))):
+                raise ValueError(f"config field {name!r} must be a path, "
+                                 f"got {value!r}")
         return self
 
 
@@ -250,6 +256,36 @@ def _build_problem(config):
     return build_test_case(config.test, config.n, config.L)
 
 
+def _measures(problem, xi, sigmas):
+    """(base, {sigma: mu_sigma}, nu): base puts |e0|^2 on the eigenvalues,
+    mu_sigma and nu = mu_{xi+1}, the measure the residual polynomials are
+    orthogonal to, are its power reweightings."""
+    e0 = problem.error_coefficients(problem.f0)
+    base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
+                                   np.abs(e0) ** 2)
+    mu = {s: weight_by_power(base, s) for s in sigmas}
+    return base, mu, weight_by_power(base, xi + 1.0)
+
+
+def _record(N, rho_values, polys, mu, rows, xi):
+    """The record of iterate N. While the table reaches degree N >= 1 it
+    carries the node data of polys[N] and the chain verdicts for every
+    sigma of mu (never empty: sigma = 0 is always checked), whose s values
+    are polys[N].values at rows[sigma]."""
+    rec = ConvergenceRecord(N=N, rho=rho_values,
+                            n_sq_rho1=float(N * N * rho_values[1.0]))
+    if 1 <= N < len(polys):
+        p = polys[N]
+        reps = [bound_chain(rho_values[s], p, mu[s], xi, s,
+                            s_vals=p.values[rows[s]]) for s in mu]
+        rec.delta_n = reps[0].delta
+        rec.ritz_min = reps[0].ritz_min
+        rec.ritz_max = float(p.zeros[-1])
+        rec.bound_chain_ok = all(rep.ok for rep in reps)
+        rec.lemma_ok = all(rep.lemma_ok for rep in reps)
+    return rec
+
+
 def run(config):
     """Execute the configured experiment and assemble the record series.
 
@@ -266,55 +302,22 @@ def run(config):
     config = config.resolve()
     t0 = time.perf_counter()
     problem = _build_problem(config)
-    op = problem.operator
-    if config.n_max > problem.dimension:
-        raise ValueError(
-            f"n_max {config.n_max} exceeds dimension {problem.dimension}")
     iterates = (spectral_iterates(problem, config.xi, config.n_max)
                 if config.n_max else [])
-
     sigmas = tuple(sorted(set(config.sigmas) | {0.0, 1.0, 2.0}))
-    chain_sigmas = [s for s in sigmas if 0.0 <= s <= config.xi]
-
-    polys = []
-    if iterates:
-        e0 = problem.error_coefficients(problem.f0)
-        base = DiscreteSpectralMeasure(op.eigenvalues().real,
-                                       np.abs(e0) ** 2)
-        mu = {s: weight_by_power(base, s) for s in chain_sigmas}
-        # every mu_sigma support is a subset of base's: weight_by_power keeps
-        # the atom values and never merges atoms of a merged support, so the
-        # lookup is exact and s, which residual_polynomials evaluates once
-        # per degree on base's support, serves every chain sigma
-        rows = {s: np.searchsorted(base.support, mu[s].support)
-                for s in mu}
-        nu = weight_by_power(base, config.xi + 1.0)
-        if len(base):
-            polys = residual_polynomials(nu, min(config.n_max, len(nu)),
-                                         base.support)
-
-    records = []
+    base, mu, nu = _measures(problem, config.xi,
+                             [s for s in sigmas if 0.0 <= s <= config.xi])
+    # every mu_sigma support is a subset of base's: weight_by_power keeps
+    # the atom values and never merges atoms of a merged support, so the
+    # lookup is exact and s, which residual_polynomials evaluates once
+    # per degree on base's support, serves every chain sigma
+    rows = {s: np.searchsorted(base.support, m.support) for s, m in mu.items()}
+    polys = residual_polynomials(nu, config.n_max, base.support)
     rho_of = rho_evaluator(problem, sigmas)
-    for N, f_n in enumerate(iterates):
-        vals = rho_of(f_n)
-        rec = ConvergenceRecord(N=N, rho=vals,
-                                n_sq_rho1=float(N * N * vals.get(1.0, np.nan)))
-        if N >= 1 and N < len(polys):
-            p = polys[N]
-            rec.delta_n = delta_n(p)
-            rec.ritz_min = float(p.zeros[0])
-            rec.ritz_max = float(p.zeros[-1])
-            chain_ok = True
-            lemma_ok = True
-            for s in chain_sigmas:
-                rep = bound_chain(vals[s], p, mu[s], config.xi, s,
-                                  s_vals=p.values[rows[s]])
-                chain_ok = chain_ok and rep.ok
-                lemma_ok = lemma_ok and rep.lemma_ok
-            rec.bound_chain_ok = chain_ok
-            rec.lemma_ok = lemma_ok
-        records.append(rec)
+    records = [_record(N, rho_of(f_n), polys, mu, rows, config.xi)
+               for N, f_n in enumerate(iterates)]
 
+    op = problem.operator
     metadata = {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -330,7 +333,7 @@ def run(config):
     # lower spectral edge, for rates that depend on kappa
     live = op.eigenvalues().real[~op.kernel_mask()]
     metadata["lambda_min"] = float(live.min()) if live.size else None
-    if records and len(polys) > 1:
+    if len(polys) > 1:
         metadata["delta_first"] = records[1].delta_n
         metadata["delta_last"] = records[-1].delta_n
         metadata["ritz_min_last"] = records[-1].ritz_min
@@ -445,12 +448,10 @@ def verify_case(config):
     mass_gap = abs(m.total_mass() - float(np.dot(x, x))) / float(np.dot(x, x))
     checks.append(("measure_mass", mass_gap <= 1e-10,
                    f"rel gap {mass_gap:.3e}"))
-    e0 = problem.error_coefficients(problem.f0)
-    base = DiscreteSpectralMeasure(op.eigenvalues().real, np.abs(e0) ** 2)
-    nu = weight_by_power(base, config.xi + 1.0)
+    base, _, nu = _measures(problem, config.xi, ())
     k = min(8, max(1, len(nu) - 1))
-    polys = residual_polynomials(nu, k)
-    zeros_ok = all(p.zeros.min() > 0 for p in polys[1:] if p.degree)
+    polys = residual_polynomials(nu, k, base.support)
+    zeros_ok = all(p.zeros.min() > 0 for p in polys[1:])
     checks.append(("zeros_positive", zeros_ok,
                    f"{len(polys) - 1} degrees"))
     sep_ok = True
@@ -467,6 +468,6 @@ def verify_case(config):
     checks.append(("split_orthogonality", worst <= CHAIN_SLACK,
                    f"max rel gap {worst:.3e}"))
     edge_ok = all(p.zeros[0] * delta_n(p) >= 1.0 - EDGE_SLACK
-                  for p in polys[1:] if p.degree)
+                  for p in polys[1:])
     checks.append(("edge_times_delta", edge_ok, "z1 * delta >= 1"))
     return checks

@@ -91,6 +91,11 @@ def test_malformed_config_exits_one(tmp_path, capsys):
             for field, value in (("xi", [1]), ("n_max", [3]), ("sigmas", 5))]
     bad += [(dict(CUSTOM, custom={"dimension": 6, "kappa": kappa}), "kappa")
             for kappa in (0, -1, float("inf"), float("nan"))]
+    # a path field of the wrong type fails before the series runs (an int
+    # would be taken as a file descriptor to write to)
+    bad += [({"test": "custom", "custom": {"dimension": 4}, "n_max": 2,
+              field: value}, repr(field))
+            for field, value in (("json_out", [1]), ("out", 7))]
     for payload, match in bad:
         cfg = write_config(tmp_path, payload)
         for command in ("solve", "verify"):
@@ -146,15 +151,21 @@ def test_solve_gate_failure_exits_two(capsys):
 
 
 def test_verify_ok_prints_all_checks(capsys):
-    code = main(["verify", "--test", "1a", "--n", "256", "--L", "40"])
-    assert code == 0
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
-    names = [ln.split()[1].rstrip(":") for ln in lines]
-    assert names == ["consistency_gate", "operator_symmetry",
-                     "operator_nonnegative", "measure_mass",
-                     "zeros_positive", "zeros_interlace",
-                     "split_orthogonality", "edge_times_delta"]
-    assert all(ln.startswith("ok") for ln in lines)
+    sizes = {"1a": ("256", "40"), "2a": ("256", "40"),
+             "1b": ("256", "25"), "2b": ("256", "25")}
+    for test, (n, L) in sizes.items():
+        for xi in ("1", "2"):
+            code = main(["verify", "--test", test, "--n", n, "--L", L,
+                         "--xi", xi])
+            assert code == 0, (test, xi)
+            lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+            names = [ln.split()[1].rstrip(":") for ln in lines]
+            assert names == ["consistency_gate", "operator_symmetry",
+                             "operator_nonnegative", "measure_mass",
+                             "zeros_positive", "zeros_interlace",
+                             "split_orthogonality", "edge_times_delta"], \
+                (test, xi)
+            assert all(ln.startswith("ok") for ln in lines), (test, xi, lines)
 
 
 def test_verify_gate_failure_exits_two(capsys):

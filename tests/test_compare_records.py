@@ -74,3 +74,22 @@ def test_structural_differences_are_problems(compare):
                                 "c: only in the old tree",
                                 "d: only in the new tree"]
     assert compare.differs(diff)
+
+
+def test_changed_verify_line_is_reported(compare):
+    old = {"1a/xi1": [["zeros_positive", True, "8 degrees"],
+                      ["zeros_interlace", True, "max violation 0.000e+00"]],
+           "2b/xi2": {"error": "ValueError: x"}}
+    new = {"1a/xi1": [["zeros_positive", True, "8 degrees"],
+                      ["zeros_interlace", True, "max violation 1.000e-16"]],
+           "2b/xi2": {"error": "ValueError: x"}}
+    assert compare.diff_verify(old, old) == []
+    lines = compare.diff_verify(old, new)
+    assert lines == ["verify 1a/xi1: ['zeros_interlace', True, 'max violation "
+                     "0.000e+00'] -> ['zeros_interlace', True, 'max violation "
+                     "1.000e-16']"]
+    diff = compare.diff_dumps({}, {})
+    diff["problems"] += lines
+    assert compare.differs(diff)
+    text = compare.report(diff, "x", 0, 0)
+    assert f"  {lines[0]}" in text and text.endswith("differences found")

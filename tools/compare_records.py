@@ -17,18 +17,24 @@ from its own src/:
     N <= MatrixFree.N_MAX, one problem per member. These records carry rho
     only; their node fields and verdicts are None.
 
+Each tree also runs powercg.runs.verify_case on the built-in cases at their
+defaults, for xi in {1, 2}, and keeps every check line: name, verdict and
+detail string.
+
 Per field the report gives the number of records that differ: rho_sigma
 (any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
 hex, each with its largest relative difference |new - old| / max(|old|,
 |new|) (inf where one side is not finite), and the bound_chain_ok and
-lemma_ok verdicts. It lists every verdict
-flip and every series that is missing, raised, or has a different number of
-records on one side. Exit status: 0 when nothing differs, 1 on any
-difference, 2 when REV cannot be checked out or a tree cannot be run.
+lemma_ok verdicts. It lists every verdict flip, every series that is
+missing, raised, or has a different number of records on one side, and
+every verify check line that differs. Exit status: 0 when nothing differs,
+1 on any difference, 2 when REV cannot be checked out or a tree cannot be
+run.
 """
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -52,10 +58,15 @@ def _workloads():
     return module
 
 
+def builtin_series():
+    """[(key, RunConfig keyword arguments)] of the built-ins at defaults."""
+    return [(f"{test}/xi{int(xi)}", {"test": test, "xi": xi})
+            for test in BUILTINS for xi in XIS]
+
+
 def series():
     """[(key, RunConfig keyword arguments)], the same list in every tree."""
-    out = [(f"{test}/xi{int(xi)}", {"test": test, "xi": xi})
-           for test in BUILTINS for xi in XIS]
+    out = builtin_series()
     wl = _workloads()
     for m in wl.DiagSeries.SLOTS:
         for index in range(wl.DiagSeries.POOL):
@@ -113,29 +124,36 @@ def matrix_free_series(wl, index):
 
 
 def dump(path):
-    """Run every series with the powercg on sys.path and write
-    {"powercg": its file, "series": {key: [rows] or {"error": ...}}}."""
+    """Run every series and verify case with the powercg on sys.path and
+    write {"powercg": its file, "series": {key: [rows] or {"error": ...}},
+    "verify": {key: [[name, ok, detail]] or {"error": ...}}}."""
     import powercg
-    from powercg.runs import RunConfig, run
+    from powercg.runs import RunConfig, run, verify_case
 
     out = {}
+    checks = {}
 
-    def record(key, job):
+    def record(into, key, job):
         try:
-            out[key] = job()
+            into[key] = job()
         except Exception as exc:  # a raising series is part of the record
-            out[key] = {"error": f"{type(exc).__name__}: {exc}"}
+            into[key] = {"error": f"{type(exc).__name__}: {exc}"}
 
     for key, kwargs in series():
-        record(key, lambda: [record_row(r)
-                             for r in run(RunConfig(**kwargs)).records])
+        record(out, key, lambda: [record_row(r)
+                                  for r in run(RunConfig(**kwargs)).records])
     wl = _workloads()
     # one pool member's dense problem at a time
     for index in range(wl.MatrixFree.POOL):
         for key, job in matrix_free_series(wl, index):
-            record(key, job)
+            record(out, key, job)
+    for key, kwargs in builtin_series():
+        record(checks, key, lambda: [
+            [name, bool(ok), detail]
+            for name, ok, detail in verify_case(RunConfig(**kwargs))])
     with open(path, "w") as fh:
-        json.dump({"powercg": powercg.__file__, "series": out}, fh)
+        json.dump({"powercg": powercg.__file__, "series": out,
+                   "verify": checks}, fh)
 
 
 def _rel(a, b):
@@ -189,6 +207,22 @@ def diff_dumps(old, new):
             "problems": problems}
 
 
+def diff_verify(old, new):
+    """Every verify check line that differs between two {key: [[name, ok,
+    detail]] or {"error": ...}} dumps, as "verify key: old -> new" (None
+    where one side has no such line)."""
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, []), new.get(key, [])
+        if isinstance(a, dict) or isinstance(b, dict):
+            pairs = [(a, b)]
+        else:
+            pairs = itertools.zip_longest(a, b)
+        lines += [f"verify {key}: {la} -> {lb}" for la, lb in pairs
+                  if la != lb]
+    return lines
+
+
 def _outcome(entry):
     return entry["error"] if isinstance(entry, dict) else f"{len(entry)} records"
 
@@ -221,7 +255,7 @@ def _run_tree(tree, path):
         data = json.load(fh)
     if not data["powercg"].startswith(os.path.join(tree, "src") + os.sep):
         raise RuntimeError(f"{tree} imported powercg from {data['powercg']}")
-    return data["series"]
+    return data
 
 
 def _git(*args):
@@ -258,10 +292,12 @@ def main(argv=None):
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-    diff = diff_dumps(old, new)
-    n_records = sum(len(v) for v in new.values() if isinstance(v, list))
-    print(report(diff, f"{args.rev} ({sha[:12]}) vs working tree", len(new),
-                 n_records))
+    diff = diff_dumps(old["series"], new["series"])
+    diff["problems"] += diff_verify(old["verify"], new["verify"])
+    n_records = sum(len(v) for v in new["series"].values()
+                    if isinstance(v, list))
+    print(report(diff, f"{args.rev} ({sha[:12]}) vs working tree",
+                 len(new["series"]), n_records))
     return 1 if differs(diff) else 0
 
 
