@@ -17,8 +17,8 @@ from powercg.runs import build_custom_case
 
 prob = build_custom_case({"eigenvalues": [0.01, 0.1, 0.5, 1.0, 4.0, 25.0],
                           "error": [1.0, -0.5, 2.0, 1.0, -1.0, 0.3]})
-e0 = prob.error_coefficients(prob.f0)
-base = DiscreteSpectralMeasure(prob.operator.eigenvalues(), np.abs(e0) ** 2)
+base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
+                               np.abs(prob.e0) ** 2)
 nu = weight_by_power(base, 2.0)  # orthogonality measure for xi = 1
 
 polys = residual_polynomials(nu, 6)

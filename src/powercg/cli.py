@@ -66,9 +66,9 @@ def _config_from_args(args):
             with open(args.config) as fh:
                 merged = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read --config {args.config}: {exc}")
+            raise ValueError(f"cannot read --config {args.config}: {exc}")
         if not isinstance(merged, dict):
-            raise UsageError(f"--config {args.config} must hold a JSON "
+            raise ValueError(f"--config {args.config} must hold a JSON "
                              f"object, got {type(merged).__name__}")
     flag_map = {
         "test": args.test, "n": args.n, "L": args.L, "xi": args.xi,
@@ -79,21 +79,17 @@ def _config_from_args(args):
         try:
             flag_map["sigmas"] = tuple(float(s) for s in args.sigma.split(","))
         except ValueError:
-            raise UsageError(f"cannot parse --sigma {args.sigma!r}")
+            raise ValueError(f"cannot parse --sigma {args.sigma!r}")
     for k, v in flag_map.items():
         if v is not None:
             merged[k] = v
     if "test" not in merged:
-        raise UsageError("--test is required (directly or via --config)")
+        raise ValueError("--test is required (directly or via --config)")
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     unknown = set(merged) - known
     if unknown:
-        raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return RunConfig(**merged)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def main(argv=None):

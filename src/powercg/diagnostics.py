@@ -44,7 +44,7 @@ def _kernel_drift_guard(problem, x, sigma):
     ker = op.kernel_mask()
     if not ker.any():
         return
-    drift = op.coefficients(np.asarray(x)) - op.coefficients(problem.f0)
+    drift = op.coefficients(np.asarray(x) - problem.f0)
     dn = float(np.linalg.norm(drift[ker]))
     xn = float(np.linalg.norm(x))
     if dn > _KER_DRIFT_REL * max(xn, 1e-300):

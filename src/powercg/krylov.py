@@ -40,7 +40,8 @@ class InverseProblem:
     operators g must also be kernel-orthogonal (the datum must be
     attainable), up to KERNEL_TOL * ||g||. The default consistency_tol
     suits problems built by exact arithmetic; discretized surrogates pass
-    their own gate value (see runs.build_test_case).
+    their own gate value (see runs.build_test_case). On spectral operators
+    f0 is transformed once, here, and e0 holds its error coefficients.
     """
 
     def __init__(self, operator, g, f0=None, known_solution=None,
@@ -68,6 +69,11 @@ class InverseProblem:
                     f"allowed {KERNEL_TOL:g} * ||g|| = {KERNEL_TOL * gnorm:.6e}")
             # the datum's part of every error coefficient vector
             self._g_over_lam = cg / np.where(ker, 1.0, operator.eigenvalues())
+            self._c0 = operator.coefficients(self._f0)
+            self._e0 = self._error(self._c0)
+            self._c0.flags.writeable = self._e0.flags.writeable = False
+        else:
+            self._c0 = self._e0 = None
         if f is not None:
             resid = float(np.linalg.norm(operator.apply(f) - g))
             scale = (operator.norm_estimate() * float(np.linalg.norm(f))
@@ -82,6 +88,8 @@ class InverseProblem:
     g = property(lambda self: self._g)
     f0 = property(lambda self: self._f0)
     known_solution = property(lambda self: self._known_solution)
+    # error coefficients of f0, read-only; None without spectral access
+    e0 = property(lambda self: self._e0)
 
     @property
     def dimension(self):
@@ -98,7 +106,10 @@ class InverseProblem:
         datum part the kernel gate computed. A non-spectral operator raises
         SpectralAccessError in coefficients.
         """
-        e = self.operator.coefficients(np.asarray(x)) - self._g_over_lam
+        return self._error(self.operator.coefficients(np.asarray(x)))
+
+    def _error(self, c):
+        e = c - self._g_over_lam
         e[self._ker] = 0.0
         return e
 
@@ -433,14 +444,10 @@ def spectral_iterates(problem, theta, n_max):
         raise SpectralAccessError("spectral iterates need spectral access")
     if n_max > problem.dimension:
         raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
-    e0 = problem.error_coefficients(problem.f0)
+    c0, e0 = problem._c0, problem.e0
     lam = np.asarray(op.eigenvalues(), dtype=float)
-    ker = op.kernel_mask()
-    w = np.zeros(op.dimension)
-    live = ~ker
-    w[live] = lam[live] ** theta if theta > 0 else 1.0
-    atoms, w, inverse = distinct_atoms(lam, w * np.abs(e0) ** 2)
-    c0 = op.coefficients(problem.f0)
+    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta
+    atoms, w, inverse = distinct_atoms(lam, lam ** theta * np.abs(e0) ** 2)
     out = [problem.f0.copy()]
     for p in _weighted_residual_values(atoms, w, n_max):
         # exactly hermitian on a real Fourier field: equal eigenvalues share

@@ -196,8 +196,9 @@ class RunConfig:
             self.L = dL if self.L is None else self._cast("L", float)
             if self.n <= 0 or (self.n & (self.n - 1)) != 0:
                 raise ValueError(f"n must be a power of two, got {self.n}")
-            if not self.L > 0:
-                raise ValueError(f"L must be positive, got {self.L}")
+            if not 0 < self.L < np.inf:
+                raise ValueError(
+                    f"L must be positive and finite, got {self.L}")
         elif self.test == "custom":
             if not self.custom:
                 raise ValueError("custom test needs a custom problem spec")
@@ -205,8 +206,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown test id {self.test!r}, expected {TEST_IDS + ('custom',)}")
         self.xi = self._cast("xi", float)
-        if self.xi < 0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
+        if not 0 <= self.xi < np.inf:
+            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
         self.n_max = self._cast("n_max", int)
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
@@ -214,6 +215,8 @@ class RunConfig:
             raise ValueError(f"n_max {self.n_max} exceeds n = {self.n}")
         self.sigmas = self._cast("sigmas",
                                  lambda v: tuple(float(s) for s in v))
+        if not np.all(np.isfinite(self.sigmas)):
+            raise ValueError(f"sigmas must be finite, got {self.sigmas}")
         for name in ("out", "json_out"):
             value = getattr(self, name)
             if not (value is None or isinstance(value, (str, os.PathLike))):
@@ -260,9 +263,8 @@ def _measures(problem, xi, sigmas):
     """(base, {sigma: mu_sigma}, nu): base puts |e0|^2 on the eigenvalues,
     mu_sigma and nu = mu_{xi+1}, the measure the residual polynomials are
     orthogonal to, are its power reweightings."""
-    e0 = problem.error_coefficients(problem.f0)
     base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
-                                   np.abs(e0) ** 2)
+                                   np.abs(problem.e0) ** 2)
     mu = {s: weight_by_power(base, s) for s in sigmas}
     return base, mu, weight_by_power(base, xi + 1.0)
 

@@ -35,9 +35,8 @@ def _report(recorder, num, label, failures, detail_ok):
 
 
 def _poly_table(problem, xi, n_max):
-    e0 = problem.error_coefficients(problem.f0)
     base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
-                                   np.abs(e0) ** 2)
+                                   np.abs(problem.e0) ** 2)
     nu = weight_by_power(base, xi + 1.0)
     polys = residual_polynomials(nu, min(n_max, len(nu)))
     return base, polys

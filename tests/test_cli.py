@@ -89,6 +89,11 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     bad = [(payload, "JSON object") for payload in ([1, 2], [["test", "1a"]], 3)]
     bad += [({"test": "1a", field: value}, field)
             for field, value in (("xi", [1]), ("n_max", [3]), ("sigmas", 5))]
+    # non-finite numbers fail before any work, naming their field
+    inf, nan = float("inf"), float("nan")
+    bad += [({"test": "1a", "n": 256, "n_max": 4, field: value}, field)
+            for field, value in (("xi", inf), ("xi", nan), ("L", inf),
+                                 ("sigmas", [0.0, nan]))]
     bad += [(dict(CUSTOM, custom={"dimension": 6, "kappa": kappa}), "kappa")
             for kappa in (0, -1, float("inf"), float("nan"))]
     # a path field of the wrong type fails before the series runs (an int

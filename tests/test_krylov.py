@@ -60,10 +60,10 @@ def test_problem_is_fixed_at_construction():
     sol = np.array([1.0, 1.0])
     prob = InverseProblem(DiagonalOperator(np.array([1.0, 2.0])), g=g, f0=f0,
                           known_solution=sol)
-    for name in ("g", "f0", "known_solution"):
+    for name in ("g", "f0", "known_solution", "e0"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(prob, name)[0] += 1.0
-    for name in ("g", "f0", "known_solution", "operator"):
+    for name in ("g", "f0", "known_solution", "operator", "e0"):
         with pytest.raises(AttributeError):
             setattr(prob, name, getattr(prob, name))
     g[0] = 7.0
@@ -117,9 +117,17 @@ def test_solution_and_error_coefficients():
     op = FourierOperator(16, 4.0, shift=0.0)
     x = op.grid()
     g = np.sin(2 * np.pi * x / 4.0)
-    p = InverseProblem(op, g=g)
+    p = InverseProblem(op, g=g, f0=np.cos(x))
     e = p.error_coefficients(np.ones(16))
     assert e[op.kernel_mask()] == pytest.approx(0.0, abs=0.0)
+    # the stored e0 is error_coefficients(f0) bit for bit; without spectral
+    # access there is none
+    for q in (prob, p):
+        want = q.error_coefficients(q.f0)
+        assert q.e0.dtype == want.dtype and q.e0.tobytes() == want.tobytes()
+    mat = InverseProblem(MatrixOperator(np.diag([1.0, 2.0])),
+                         g=np.array([1.0, 2.0]))
+    assert mat.e0 is None
 
 
 # run_cg ---------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_newton_polish_that_does_not_settle_raises(monkeypatch):
 def _orthogonality_measure(prob, xi):
     """The measure run() takes the node polynomials of at xi."""
     base = DiscreteSpectralMeasure(prob.operator.eigenvalues().real,
-                                   np.abs(prob.error_coefficients(prob.f0)) ** 2)
+                                   np.abs(prob.e0) ** 2)
     return weight_by_power(base, xi + 1.0)
 
 

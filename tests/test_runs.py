@@ -261,7 +261,9 @@ def test_run_base_measure_is_the_sequential_merge(monkeypatch):
 
 def test_run_transforms_the_datum_once(monkeypatch):
     # the kernel gate's coeff(g)/lambda serves every error coefficient of
-    # the run: the iterates, the base measure and rho
+    # the run: the iterates, the base measure and rho. f0 is transformed
+    # once for the problem's e0 and once more by rho at N = 0, which
+    # measures the vector itself
     from powercg.linop import FourierOperator
     seen = []
     coefficients = FourierOperator.coefficients
@@ -275,6 +277,7 @@ def test_run_transforms_the_datum_once(monkeypatch):
     seen.clear()
     run(RunConfig(test="2b", n=n, L=L, n_max=8, xi=2.0))
     assert seen.count(g) == 1
+    assert seen.count(np.zeros(n).tobytes()) == 2
 
 
 def test_chain_on_shared_s_values_matches_its_own_evaluation():
@@ -285,7 +288,7 @@ def test_chain_on_shared_s_values_matches_its_own_evaluation():
     xi = 2.0
     prob = build_test_case("2a", 256, 40.0)
     lam = prob.operator.eigenvalues().real
-    w = np.abs(prob.error_coefficients(prob.f0)) ** 2
+    w = np.abs(prob.e0) ** 2
     polys = residual_polynomials(
         weight_by_power(DiscreteSpectralMeasure(lam, w), xi + 1.0), 12)
     f_n = spectral_iterates(prob, xi, 12)
@@ -317,9 +320,8 @@ def test_lemma_verdict_matches_lemma_bound():
     # must come from the lemma's own comparison, not from the chain's
     spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
     prob = build_custom_case(spec)
-    e0 = prob.error_coefficients(prob.f0)
     base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
-                                   np.abs(e0) ** 2)
+                                   np.abs(prob.e0) ** 2)
     mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
@@ -339,9 +341,8 @@ def test_chain_steps_fail_on_non_finite_operands():
     # check those steps would pass
     spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
     prob = build_custom_case(spec)
-    e0 = prob.error_coefficients(prob.f0)
     base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
-                                   np.abs(e0) ** 2)
+                                   np.abs(prob.e0) ** 2)
     non_finite = 0
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
