@@ -30,7 +30,7 @@ for N in range(1, 7):
 
 N = 3
 sigma = 1.0
-f = spectral_iterates(prob, 1.0, N)[N]
+f = list(spectral_iterates(prob, 1.0, N))[N]
 mu1 = weight_by_power(base, sigma)
 rep = bound_chain(rho(prob, f, sigma), polys[N], mu1, 1.0, sigma)
 print(f"\nbound chain at N={N}, sigma={sigma} "

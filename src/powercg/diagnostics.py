@@ -70,16 +70,23 @@ def rho(problem, f_n, sigma):
 def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
     the one code path of rho. Each call transforms its iterate once and
-    takes every spectral sigma != 2 from that one vector.
+    takes every spectral sigma != 2 from that one vector; a negative sigma
+    adds the kernel-drift guard's one transform of f_n - f0.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
     if op.spectral and any(s != 2.0 for s in sigmas):
         live = ~op.kernel_mask()
         lam_live = np.asarray(op.eigenvalues(), dtype=float)[live]
+    # the drift guard does not depend on sigma: it runs once per iterate,
+    # named by the first negative sigma
+    drift_sigma = (next((s for s in sigmas if s < 0), None) if op.spectral
+                   else None)
 
     def evaluate(f_n):
         f_n = np.asarray(f_n)
+        if drift_sigma is not None:
+            _kernel_drift_guard(problem, f_n, drift_sigma)
         out = {}
         mag = None
         for sigma in sigmas:
@@ -87,8 +94,6 @@ def rho_evaluator(problem, sigmas):
                 r = op.apply(f_n) - problem.g
                 out[sigma] = float(np.real(np.vdot(r, r)))
             elif op.spectral:
-                if sigma < 0:
-                    _kernel_drift_guard(problem, f_n, sigma)
                 if mag is None:
                     mag = np.abs(problem.error_coefficients(f_n)[live]) ** 2
                 out[sigma] = (float(mag.sum()) if sigma == 0.0

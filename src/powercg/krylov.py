@@ -8,12 +8,13 @@ for integer theta >= 1 through Lanczos tridiagonal powers; everything else
 needs spectral access.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linop import KernelComponentError, SpectralAccessError
-from .measures import distinct_atoms
+from .measures import _power_weights, distinct_atoms
 
 # Lanczos/CG breakdown: directions with curvature below this times the
 # operator norm signal an exhausted (invariant) Krylov subspace
@@ -350,7 +351,10 @@ def theta_iterate(problem, theta, N):
         if not op.spectral:
             raise SpectralAccessError(
                 f"non-integer theta = {theta} needs spectral access")
-        return spectral_iterates(problem, theta, N)[N]
+        values, inverse = _spectral_ladder(problem, theta, N)
+        for p in values:
+            pass
+        return _transported(problem, p[inverse])
     theta = int(theta)
     if state is None:
         state = problem._lanczos = _Lanczos(op, R0)
@@ -427,6 +431,35 @@ def _weighted_residual_values(lam, w, n_max):
         yield p
 
 
+def _spectral_ladder(problem, theta, n_max):
+    """The eager set-up of the eigenbasis route: the argument checks, the
+    weights lambda^theta |e0|^2 (checked for overflow) and the distinct
+    atoms. Returns (values, inverse): values lazily yields the optimal
+    residual polynomial at the atoms for N = 1..n_max, and inverse maps
+    every eigenvalue to its atom."""
+    if theta < 0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
+    op = problem.operator
+    if not op.spectral:
+        raise SpectralAccessError("spectral iterates need spectral access")
+    if n_max > problem.dimension:
+        raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
+    lam = np.asarray(op.eigenvalues(), dtype=float)
+    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta
+    atoms, w, inverse = distinct_atoms(
+        lam, _power_weights(lam, theta, np.abs(problem.e0) ** 2))
+    return _weighted_residual_values(atoms, w, n_max), inverse
+
+
+def _transported(problem, p):
+    """The iterate whose error coefficients are p * e0, p given on every
+    eigenvalue."""
+    # exactly hermitian on a real Fourier field: equal eigenvalues share
+    # their atom's value, so the field comes back real
+    return problem.operator.from_coefficients(
+        problem._c0 + (p - 1.0) * problem.e0)
+
+
 def spectral_iterates(problem, theta, n_max):
     """f0 and the minimizers of degree 1..n_max, computed in the eigenbasis
     from one least-squares ladder; valid for any theta >= 0.
@@ -436,21 +469,11 @@ def spectral_iterates(problem, theta, n_max):
     polynomial evaluated at the atoms transports e0 to e_N directly. Equal
     eigenvalues are one atom with their summed weight (a periodic
     surrogate's +-m pairs), so the ladder runs on the distinct ones only.
+
+    Returns a lazy iterator: each degree's iterate is made when it is asked
+    for, so a caller that drops one before asking for the next holds one at
+    a time. The arguments are checked here, at the call.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    op = problem.operator
-    if not op.spectral:
-        raise SpectralAccessError("spectral iterates need spectral access")
-    if n_max > problem.dimension:
-        raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
-    c0, e0 = problem._c0, problem.e0
-    lam = np.asarray(op.eigenvalues(), dtype=float)
-    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta
-    atoms, w, inverse = distinct_atoms(lam, lam ** theta * np.abs(e0) ** 2)
-    out = [problem.f0.copy()]
-    for p in _weighted_residual_values(atoms, w, n_max):
-        # exactly hermitian on a real Fourier field: equal eigenvalues share
-        # their atom's value, so the field comes back real
-        out.append(op.from_coefficients(c0 + (p[inverse] - 1.0) * e0))
-    return out
+    values, inverse = _spectral_ladder(problem, theta, n_max)
+    return itertools.chain([problem.f0.copy()],
+                           (_transported(problem, p[inverse]) for p in values))

@@ -85,6 +85,18 @@ def spectral_measure(op, x):
     return DiscreteSpectralMeasure(op.eigenvalues(), w)
 
 
+def _power_weights(lam, t, w):
+    """lam^t * w, raising one ValueError that names the exponent and the
+    largest eigenvalue where a finite but large t overflows it."""
+    with np.errstate(over="raise"):
+        try:
+            return lam ** t * w
+        except FloatingPointError:
+            raise ValueError(
+                f"lambda^t weighting overflows: exponent t = {t:g} at the "
+                f"largest eigenvalue {float(lam.max()):.6e}") from None
+
+
 def weight_by_power(measure, t):
     """New measure with weights lambda^t * w.
 
@@ -101,7 +113,7 @@ def weight_by_power(measure, t):
     # 0^t = 0 for t > 0 drops a kernel atom naturally
     out = np.empty_like(w)
     pos = lam > 0
-    out[pos] = lam[pos] ** t * w[pos]
+    out[pos] = _power_weights(lam[pos], t, w[pos])
     out[~pos] = 0.0
     return DiscreteSpectralMeasure(lam, out)
 

@@ -304,6 +304,8 @@ def run(config):
     config = config.resolve()
     t0 = time.perf_counter()
     problem = _build_problem(config)
+    # lazy: its checks run here, but each iterate is made in the record
+    # loop, after the zero table, and dropped before the next one is made
     iterates = (spectral_iterates(problem, config.xi, config.n_max)
                 if config.n_max else [])
     sigmas = tuple(sorted(set(config.sigmas) | {0.0, 1.0, 2.0}))

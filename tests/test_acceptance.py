@@ -43,7 +43,7 @@ def _poly_table(problem, xi, n_max):
 
 
 def _series(problem, xi, n_max):
-    iterates = spectral_iterates(problem, xi, n_max)
+    iterates = list(spectral_iterates(problem, xi, n_max))
     base, polys = _poly_table(problem, xi, n_max)
     rho_tab = {s: [rho(problem, f, s) for f in iterates]
                for s in (0.0, 1.0, 2.0)}

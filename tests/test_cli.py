@@ -94,6 +94,9 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     bad += [({"test": "1a", "n": 256, "n_max": 4, field: value}, field)
             for field, value in (("xi", inf), ("xi", nan), ("L", inf),
                                  ("sigmas", [0.0, nan]))]
+    # a finite xi whose weights overflow fails before any work, naming the
+    # exponent
+    bad += [({"test": "1a", "n": 256, "n_max": 4, "xi": 400}, "overflows")]
     bad += [(dict(CUSTOM, custom={"dimension": 6, "kappa": kappa}), "kappa")
             for kappa in (0, -1, float("inf"), float("nan"))]
     # a path field of the wrong type fails before the series runs (an int

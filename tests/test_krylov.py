@@ -282,7 +282,7 @@ def test_theta_two_hand_value():
     prob = two_dim()
     want = [9.0 / 17.0, 18.0 / 17.0]
     assert np.allclose(theta_iterate(prob, 2, 1), want, rtol=0, atol=1e-13)
-    assert np.allclose(spectral_iterates(prob, 2.0, 1)[1], want,
+    assert np.allclose(list(spectral_iterates(prob, 2.0, 1))[1], want,
                        rtol=0, atol=1e-13)
 
 
@@ -291,7 +291,7 @@ def test_theta_zero_hand_value():
     prob = two_dim()
     want = [0.6, 1.2]
     assert np.allclose(theta_iterate(prob, 0, 1), want, rtol=0, atol=1e-13)
-    assert np.allclose(spectral_iterates(prob, 0.0, 1)[1], want,
+    assert np.allclose(list(spectral_iterates(prob, 0.0, 1))[1], want,
                        rtol=0, atol=1e-13)
 
 
@@ -372,14 +372,25 @@ def test_theta_iterate_against_brute_force():
                 assert abs(got - want) <= 1e-8 * max(want, 1e-14)
 
 
-def test_fractional_theta_against_brute_force():
+def test_fractional_theta_against_brute_force(monkeypatch):
     rng = np.random.default_rng(23)
     prob = random_problem(rng, 6, lo=0.2, hi=5.0)
+    made = []
+    from_coefficients = DiagonalOperator.from_coefficients
+
+    def spy(self, c):
+        made.append(c)
+        return from_coefficients(self, c)
+    monkeypatch.setattr(DiagonalOperator, "from_coefficients", spy)
     for theta in (0.5, 1.5):
         for N in (1, 2, 4, 6):
+            made.clear()
             f = theta_iterate(prob, theta, N)
+            # the ladder runs to degree N; only its last polynomial is
+            # transformed back
+            assert len(made) == 1
             # non-integer theta takes the spectral route
-            assert np.array_equal(f, spectral_iterates(prob, theta, N)[N])
+            assert np.array_equal(f, list(spectral_iterates(prob, theta, N))[N])
             got = brute_force_objective(prob, theta, f)
             want = brute_force_objective(
                 prob, theta, brute_force_iterate(prob, theta, N))
@@ -405,14 +416,14 @@ def test_spectral_iterates_against_brute_force_past_breakdown():
 def _check_past_breakdown(prob):
     for theta in (1.0, 2.0):
         floor = 1e-12 * brute_force_objective(prob, theta, prob.f0)
-        iterates = spectral_iterates(prob, theta, 8)
+        iterates = list(spectral_iterates(prob, theta, 8))
         assert len(iterates) == 9
         for N, f in enumerate(iterates):
             got = brute_force_objective(prob, theta, f)
             want = brute_force_objective(
                 prob, theta, brute_force_iterate(prob, theta, N))
             assert abs(got - want) <= 1e-8 * max(want, floor), (theta, N)
-            assert np.array_equal(f, spectral_iterates(prob, theta, N)[N])
+            assert np.array_equal(f, list(spectral_iterates(prob, theta, N))[N])
 
 
 def test_theta_iterate_validation():
@@ -448,7 +459,7 @@ def test_kernel_component_of_f0_is_preserved():
     prob = InverseProblem(op, g=g, f0=f0)
     for N in (1, 3):
         for f in (theta_iterate(prob, 1, N),
-                  spectral_iterates(prob, 2.0, N)[N]):
+                  list(spectral_iterates(prob, 2.0, N))[N]):
             assert abs(f.mean() - 0.7) < 1e-12
     hist = run_cg(prob, 4)
     assert abs(hist.last.mean() - 0.7) < 1e-12
@@ -473,7 +484,7 @@ def test_spectral_minimizer_beats_any_krylov_member():
     for theta in (1.0, 2.0):
         for N in (2, 5, 8):
             s = brute_force_objective(
-                prob, theta, spectral_iterates(prob, theta, N)[N])
+                prob, theta, list(spectral_iterates(prob, theta, N))[N])
             t = brute_force_objective(
                 prob, theta, theta_iterate(prob, theta, N))
             assert s <= t * (1 + 1e-6) + 1e-16

@@ -8,6 +8,7 @@ cannot survive.
 
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_run_rho_is_the_public_rho_bit_for_bit():
         out = run(config)
         prob = (build_custom_case(config.custom) if config.test == "custom"
                 else build_test_case("2a", config.n, config.L))
-        iterates = spectral_iterates(prob, xi, config.n_max)
+        iterates = list(spectral_iterates(prob, xi, config.n_max))
         assert len(out.records) == len(iterates)
         for r, f_n in zip(out.records, iterates):
             assert set(r.rho) == set(config.sigmas) | {0.0, 1.0, 2.0}
@@ -280,6 +281,44 @@ def test_run_transforms_the_datum_once(monkeypatch):
     assert seen.count(np.zeros(n).tobytes()) == 2
 
 
+def test_run_guards_kernel_drift_once_per_iterate(monkeypatch):
+    # g and f0 once each, then one transform per iterate for rho; a
+    # negative sigma adds one transform of x - f0 per iterate, however many
+    # negative sigmas there are
+    from powercg.linop import FourierOperator
+    seen = []
+    coefficients = FourierOperator.coefficients
+
+    def spy(self, x):
+        seen.append(None)
+        return coefficients(self, x)
+    monkeypatch.setattr(FourierOperator, "coefficients", spy)
+    for sigmas, want in (((0.0, 1.0, 2.0), 15), ((-1.0, 0.0), 28),
+                         ((-1.0, -0.5, 0.0), 28)):
+        seen.clear()
+        run(small_config("2a", n_max=12, sigmas=sigmas))
+        assert len(seen) == want, sigmas
+
+
+def test_run_holds_at_most_two_iterates(monkeypatch):
+    # each iterate is made, measured and dropped before the next: when one
+    # is made, only it and the record loop's previous one are alive
+    from powercg.linop import FourierOperator
+    made = []
+    most = []
+    from_coefficients = FourierOperator.from_coefficients
+
+    def spy(self, c):
+        f = from_coefficients(self, c)
+        made.append(weakref.ref(f))
+        most.append(sum(ref() is not None for ref in made))
+        return f
+    monkeypatch.setattr(FourierOperator, "from_coefficients", spy)
+    run(small_config("2b", n_max=12))
+    assert len(made) == 12
+    assert max(most) <= 2, most
+
+
 def test_chain_on_shared_s_values_matches_its_own_evaluation():
     # run() evaluates s once per degree on the base support and hands each
     # chain sigma its atoms by index; the report must be the one bound_chain
@@ -291,7 +330,7 @@ def test_chain_on_shared_s_values_matches_its_own_evaluation():
     w = np.abs(prob.e0) ** 2
     polys = residual_polynomials(
         weight_by_power(DiscreteSpectralMeasure(lam, w), xi + 1.0), 12)
-    f_n = spectral_iterates(prob, xi, 12)
+    f_n = list(spectral_iterates(prob, xi, 12))
     for w_base in (w, np.where(lam == 0.0, 0.3, w)):
         base = DiscreteSpectralMeasure(lam, w_base)
         mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}

@@ -14,8 +14,11 @@ from its own src/:
   - the matrix-free pool of the benchmark: workloads.dense_case at
     MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
     theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
-    N <= MatrixFree.N_MAX, one problem per member. These records carry rho
-    only; their node fields and verdicts are None.
+    N <= MatrixFree.N_MAX, one problem per member;
+  - spectral theta_iterate on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
+    at N = 0..12, one problem for both thetas.
+These matrix-free and theta_iterate records carry rho only, at the
+benchmark's SIGMAS; their node fields and verdicts are None.
 
 Each tree also runs powercg.runs.verify_case on the built-in cases at their
 defaults, for xi in {1, 2}, and keeps every check line: name, verdict and
@@ -45,6 +48,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILTINS = ("1a", "2a", "1b", "2b")
 XIS = (1.0, 2.0)
+SPECTRAL_THETAS = (0.5, 1.5)
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -123,6 +127,23 @@ def matrix_free_series(wl, index):
             for theta in mf.THETAS]
 
 
+def spectral_theta_series(wl):
+    """[(key, thunk giving rho rows)] of the spectral theta_iterate route:
+    2a at n = 256, L = 40, every theta of SPECTRAL_THETAS at N = 0..12."""
+    from powercg.diagnostics import rho_evaluator
+    from powercg.krylov import theta_iterate
+    from powercg.runs import build_test_case
+
+    problem = build_test_case("2a", 256, 40.0)
+    rho_of = rho_evaluator(problem, wl.SIGMAS)
+
+    def rows(theta):
+        return [rho_row(N, rho_of(theta_iterate(problem, theta, N)))
+                for N in range(13)]
+    return [(f"theta/2a/{theta:g}", lambda t=theta: rows(t))
+            for theta in SPECTRAL_THETAS]
+
+
 def dump(path):
     """Run every series and verify case with the powercg on sys.path and
     write {"powercg": its file, "series": {key: [rows] or {"error": ...}},
@@ -147,6 +168,8 @@ def dump(path):
     for index in range(wl.MatrixFree.POOL):
         for key, job in matrix_free_series(wl, index):
             record(out, key, job)
+    for key, job in spectral_theta_series(wl):
+        record(out, key, job)
     for key, kwargs in builtin_series():
         record(checks, key, lambda: [
             [name, bool(ok), detail]
