@@ -113,14 +113,11 @@ def main(argv=None):
         except ValueError as exc:
             print(f"powercg: error: {exc}", file=sys.stderr)
             return 1
-        last = record.records[-1] if record.records else None
-        where = config.out or "(no file)"
-        if last is not None:
-            print(f"{config.test}: {len(record.records)} records, "
-                  f"rho0 {last.rho[0.0]:.6e} rho1 {last.rho[1.0]:.6e} "
-                  f"rho2 {last.rho[2.0]:.6e} at N={last.N}; csv -> {where}")
-        else:
-            print(f"{config.test}: metadata-only record; csv -> {where}")
+        last = record.records[-1]
+        print(f"{config.test}: {len(record.records)} records, "
+              f"rho0 {last.rho[0.0]:.6e} rho1 {last.rho[1.0]:.6e} "
+              f"rho2 {last.rho[2.0]:.6e} at N={last.N}; "
+              f"csv -> {config.out or '(no file)'}")
         return 0
     # verify
     try:

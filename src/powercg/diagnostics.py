@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import KernelComponentError, SpectralAccessError
+from .measures import _power_weights
 
 _KER_DRIFT_REL = 1e-10
 
@@ -71,13 +72,16 @@ def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
     the one code path of rho. Each call transforms its iterate once and
     takes every spectral sigma != 2 from that one vector; a negative sigma
-    adds the kernel-drift guard's one transform of f_n - f0.
+    adds the kernel-drift guard's one transform of f_n - f0. lambda^sigma
+    is taken here, once, so an overflowing sigma raises before any iterate.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
-    if op.spectral and any(s != 2.0 for s in sigmas):
+    if op.spectral:
         live = ~op.kernel_mask()
-        lam_live = np.asarray(op.eigenvalues(), dtype=float)[live]
+        lam_live = op.eigenvalues()[live]
+        power = {s: _power_weights(lam_live, s, 1.0)
+                 for s in sigmas if s != 2.0}
     # the drift guard does not depend on sigma: it runs once per iterate,
     # named by the first negative sigma
     drift_sigma = (next((s for s in sigmas if s < 0), None) if op.spectral
@@ -92,12 +96,11 @@ def rho_evaluator(problem, sigmas):
         for sigma in sigmas:
             if sigma == 2.0:
                 r = op.apply(f_n) - problem.g
-                out[sigma] = float(np.real(np.vdot(r, r)))
+                out[sigma] = float(np.dot(r, r))
             elif op.spectral:
                 if mag is None:
                     mag = np.abs(problem.error_coefficients(f_n)[live]) ** 2
-                out[sigma] = (float(mag.sum()) if sigma == 0.0
-                              else float(np.sum(lam_live ** sigma * mag)))
+                out[sigma] = float(np.sum(power[sigma] * mag))
             else:
                 if sigma not in (0.0, 1.0):
                     raise SpectralAccessError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import KernelComponentError, SpectralAccessError
+from .linop import KernelComponentError, SpectralAccessError, _as_vector
 from .measures import _power_weights, distinct_atoms
 
 # Lanczos/CG breakdown: directions with curvature below this times the
@@ -116,12 +116,8 @@ class InverseProblem:
 
 
 def _fixed_vector(x, n, name):
-    """A read-only float copy of x, checked for shape (n,) and finiteness."""
-    x = np.array(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"{name}: expected shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
+    """A read-only float copy of x, checked by linop._as_vector."""
+    x = np.array(_as_vector(x, n, name), dtype=float)
     x.flags.writeable = False
     return x
 
@@ -331,9 +327,12 @@ def theta_iterate(problem, theta, N):
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    if theta < 1 and not problem.operator.spectral:
+    # theta = 0 must take the spectral route too: the tridiagonal branches
+    # index powers of T from theta >= 1
+    spectral_route = theta < 1 or float(theta) != int(theta)
+    if spectral_route and not problem.operator.spectral:
         raise SpectralAccessError(
-            f"theta = {theta} < 1 needs spectral access")
+            f"theta = {theta} (non-integer or < 1) needs spectral access")
     if N > problem.dimension:
         raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
     if N == 0:
@@ -345,12 +344,7 @@ def theta_iterate(problem, theta, N):
         R0 = problem.residual0()
         if float(np.linalg.norm(R0)) == 0.0:
             return problem.f0.copy()
-    if float(theta) != int(theta) or theta < 1:
-        # theta = 0 must take the spectral route too: the tridiagonal
-        # branches index powers of T from theta >= 1
-        if not op.spectral:
-            raise SpectralAccessError(
-                f"non-integer theta = {theta} needs spectral access")
+    if spectral_route:
         values, inverse = _spectral_ladder(problem, theta, N)
         for p in values:
             pass
@@ -454,8 +448,8 @@ def _spectral_ladder(problem, theta, n_max):
 def _transported(problem, p):
     """The iterate whose error coefficients are p * e0, p given on every
     eigenvalue."""
-    # exactly hermitian on a real Fourier field: equal eigenvalues share
-    # their atom's value, so the field comes back real
+    # equal eigenvalues share their atom's value, so the coefficients keep
+    # the exact conjugate symmetry of c0 and e0 that from_coefficients checks
     return problem.operator.from_coefficients(
         problem._c0 + (p - 1.0) * problem.e0)
 

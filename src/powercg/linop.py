@@ -23,21 +23,29 @@ class SpectralAccessError(TypeError):
     """Raised when an operation needs eigendata the operator cannot provide."""
 
 
-def _as_vector(x, dim, who):
+def _as_vector(x, dim, who, complex_ok=False):
+    """x as an array, checked for shape (dim,) and finite entries. A field
+    is a real vector; only Fourier coefficients (complex_ok) may be complex."""
     x = np.asarray(x)
     if x.shape != (dim,):
         raise DimensionMismatchError(
             f"{who}: expected shape ({dim},), got {x.shape}")
+    if np.iscomplexobj(x) and not complex_ok:
+        raise ValueError(f"{who} is complex, expected a real vector")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{who}: vector contains non-finite entries")
+        raise ValueError(f"{who} contains non-finite entries")
     return x
 
 
 class SelfAdjointOperator:
-    """Base class. Subclasses set .dimension and implement _apply."""
+    """Base class. Subclasses set .dimension and implement _apply; spectral
+    ones also implement eigenvalues, _coefficients and _from_coefficients.
+    The public methods check their input once, here."""
 
     spectral = False
     dimension = None
+    # the coefficients of a real field are complex (a Fourier basis)
+    _complex_coefficients = False
 
     def _apply(self, x):
         raise NotImplementedError
@@ -55,13 +63,20 @@ class SelfAdjointOperator:
         raise SpectralAccessError(
             f"{type(self).__name__} has no spectral access")
 
-    def coefficients(self, x):
+    def _coefficients(self, x):
         raise SpectralAccessError(
             f"{type(self).__name__} has no spectral access")
 
+    _from_coefficients = _coefficients
+
+    def coefficients(self, x):
+        return self._coefficients(_as_vector(
+            x, self.dimension, type(self).__name__ + ".coefficients"))
+
     def from_coefficients(self, c):
-        raise SpectralAccessError(
-            f"{type(self).__name__} has no spectral access")
+        return self._from_coefficients(_as_vector(
+            c, self.dimension, type(self).__name__ + ".from_coefficients",
+            complex_ok=self._complex_coefficients))
 
     def kernel_mask(self):
         """Boolean mask of eigenvalues treated as zero."""
@@ -138,15 +153,10 @@ class DiagonalOperator(SelfAdjointOperator):
     def eigenvalues(self):
         return self._lam
 
-    def coefficients(self, x):
-        return _as_vector(x, self.dimension, "DiagonalOperator.coefficients")
+    def _coefficients(self, x):
+        return x
 
-    def from_coefficients(self, c):
-        c = np.asarray(c)
-        if c.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"from_coefficients: expected ({self.dimension},), got {c.shape}")
-        return c
+    _from_coefficients = _coefficients
 
 
 class FourierOperator(SelfAdjointOperator):
@@ -159,6 +169,7 @@ class FourierOperator(SelfAdjointOperator):
     """
 
     spectral = True
+    _complex_coefficients = True
 
     def __init__(self, n, L, shift=0.0):
         n = int(n)
@@ -179,10 +190,8 @@ class FourierOperator(SelfAdjointOperator):
         return -self.L + 2.0 * self.L * np.arange(self.n) / self.n
 
     def _apply(self, x):
-        if np.isrealobj(x):
-            return np.fft.irfft(self._lam[: self.n // 2 + 1] * np.fft.rfft(x),
-                                self.n)
-        return np.fft.ifft(self._lam * np.fft.fft(x))
+        return np.fft.irfft(self._lam[: self.n // 2 + 1] * np.fft.rfft(x),
+                            self.n)
 
     def norm_estimate(self):
         return float(self._lam.max())
@@ -190,33 +199,22 @@ class FourierOperator(SelfAdjointOperator):
     def eigenvalues(self):
         return self._lam
 
-    def coefficients(self, x):
-        x = _as_vector(x, self.n, "FourierOperator.coefficients")
-        if np.isrealobj(x):
-            # real fields need exactly conjugate-symmetric coefficients; a
-            # plain fft breaks the symmetry at the roundoff floor and the
-            # asymmetric part turns into spurious spectral-measure atoms
-            half = np.fft.rfft(x)
-            half[0] = half[0].real
-            half[-1] = half[-1].real
-            c = np.empty(self.n, dtype=complex)
-            c[: self.n // 2 + 1] = half
-            c[self.n // 2 + 1:] = np.conj(half[1:-1][::-1])
-            return c / np.sqrt(self.n)
-        return np.fft.fft(x) / np.sqrt(self.n)
+    def _coefficients(self, x):
+        # a real field has exactly conjugate-symmetric coefficients: the
+        # half spectrum and its conjugate mirror (a plain fft breaks the
+        # symmetry at the roundoff floor, and the asymmetric part would turn
+        # into spurious spectral-measure atoms)
+        half = np.fft.rfft(x)
+        half[0] = half[0].real
+        half[-1] = half[-1].real
+        c = np.concatenate([half, np.conj(half[-2:0:-1])])
+        return c / np.sqrt(self.n)
 
-    def from_coefficients(self, c):
-        c = np.asarray(c)
-        if c.shape != (self.n,):
-            raise DimensionMismatchError(
-                f"from_coefficients: expected ({self.n},), got {c.shape}")
+    def _from_coefficients(self, c):
         h = self.n // 2
-        if (c[0].imag == 0.0 and c[h].imag == 0.0
+        if not (c[0].imag == 0.0 and c[h].imag == 0.0
                 and np.array_equal(c[h + 1:], np.conj(c[1:h][::-1]))):
-            # exactly hermitian: a real field, from its half spectrum
-            return np.fft.irfft(c[: h + 1] * np.sqrt(self.n), self.n)
-        out = np.fft.ifft(c * np.sqrt(self.n))
-        # nearly hermitian input comes back real up to roundoff
-        if np.abs(out.imag).max() <= 1e-10 * max(1.0, np.abs(out.real).max()):
-            return out.real.copy()
-        return out
+            raise ValueError(
+                "FourierOperator.from_coefficients: the coefficients are not "
+                "exactly conjugate-symmetric, so they name no real field")
+        return np.fft.irfft(c[: h + 1] * np.sqrt(self.n), self.n)

@@ -87,14 +87,16 @@ def spectral_measure(op, x):
 
 def _power_weights(lam, t, w):
     """lam^t * w, raising one ValueError that names the exponent and the
-    largest eigenvalue where a finite but large t overflows it."""
+    eigenvalue (largest for t > 0, smallest for t < 0) where it overflows."""
     with np.errstate(over="raise"):
         try:
             return lam ** t * w
         except FloatingPointError:
+            edge, at = (("largest", lam.max()) if t > 0
+                        else ("smallest", lam.min()))
             raise ValueError(
                 f"lambda^t weighting overflows: exponent t = {t:g} at the "
-                f"largest eigenvalue {float(lam.max()):.6e}") from None
+                f"{edge} eigenvalue {float(at):.6e}") from None
 
 
 def weight_by_power(measure, t):

@@ -263,7 +263,7 @@ def _measures(problem, xi, sigmas):
     """(base, {sigma: mu_sigma}, nu): base puts |e0|^2 on the eigenvalues,
     mu_sigma and nu = mu_{xi+1}, the measure the residual polynomials are
     orthogonal to, are its power reweightings."""
-    base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
+    base = DiscreteSpectralMeasure(problem.operator.eigenvalues(),
                                    np.abs(problem.e0) ** 2)
     mu = {s: weight_by_power(base, s) for s in sigmas}
     return base, mu, weight_by_power(base, xi + 1.0)
@@ -305,10 +305,12 @@ def run(config):
     t0 = time.perf_counter()
     problem = _build_problem(config)
     # lazy: its checks run here, but each iterate is made in the record
-    # loop, after the zero table, and dropped before the next one is made
-    iterates = (spectral_iterates(problem, config.xi, config.n_max)
-                if config.n_max else [])
+    # loop, after the zero table, and dropped before the next one is made;
+    # n_max = 0 yields f0 alone, the N = 0 record
+    iterates = spectral_iterates(problem, config.xi, config.n_max)
     sigmas = tuple(sorted(set(config.sigmas) | {0.0, 1.0, 2.0}))
+    # built before any work, so a sigma whose power overflows fails here
+    rho_of = rho_evaluator(problem, sigmas)
     base, mu, nu = _measures(problem, config.xi,
                              [s for s in sigmas if 0.0 <= s <= config.xi])
     # every mu_sigma support is a subset of base's: weight_by_power keeps
@@ -317,7 +319,6 @@ def run(config):
     # per degree on base's support, serves every chain sigma
     rows = {s: np.searchsorted(base.support, m.support) for s, m in mu.items()}
     polys = residual_polynomials(nu, config.n_max, base.support)
-    rho_of = rho_evaluator(problem, sigmas)
     records = [_record(N, rho_of(f_n), polys, mu, rows, config.xi)
                for N, f_n in enumerate(iterates)]
 
@@ -335,7 +336,7 @@ def run(config):
         "wall_time_s": time.perf_counter() - t0,
     }
     # lower spectral edge, for rates that depend on kappa
-    live = op.eigenvalues().real[~op.kernel_mask()]
+    live = op.eigenvalues()[~op.kernel_mask()]
     metadata["lambda_min"] = float(live.min()) if live.size else None
     if len(polys) > 1:
         metadata["delta_first"] = records[1].delta_n

@@ -111,6 +111,19 @@ def test_malformed_config_exits_one(tmp_path, capsys):
             captured = capsys.readouterr()
             assert "powercg: error:" in captured.err and match in captured.err
             assert captured.out == ""
+    # a finite sigma whose power of the live eigenvalues overflows fails
+    # before any work, naming the exponent; verify measures no rho and
+    # accepts the same config
+    for test, sigma in (("1a", 400.0), ("2a", -400.0)):
+        cfg = write_config(tmp_path, {"test": test, "n": 256, "n_max": 4,
+                                      "sigmas": [0.0, 1.0, 2.0, sigma]})
+        assert main(["solve", "--config", cfg]) == 1, (test, sigma)
+        captured = capsys.readouterr()
+        assert "powercg: error:" in captured.err
+        assert f"overflows: exponent t = {sigma:g}" in captured.err
+        assert captured.out == ""
+        assert main(["verify", "--config", cfg]) == 0, (test, sigma)
+        capsys.readouterr()
 
 
 def test_missing_config_file(capsys):

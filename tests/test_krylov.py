@@ -14,7 +14,8 @@ import pytest
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
 from powercg.krylov import (ConsistencyError, InverseProblem, JacobiMatrix,
-                            lanczos, run_cg, spectral_iterates, theta_iterate)
+                            _chol_psd, lanczos, run_cg, spectral_iterates,
+                            theta_iterate)
 from powercg.runs import build_test_case
 
 from mp_reference import brute_force_iterate, brute_force_objective
@@ -50,6 +51,12 @@ def test_problem_validates_shapes():
     with pytest.raises(ValueError, match="^known_solution .*non-finite"):
         InverseProblem(op, g=np.array([1.0, 2.0]),
                        known_solution=np.array([np.nan, 1.0]))
+    # a field is real: a complex datum, guess or solution is refused, not
+    # cut to its real part
+    for name in ("g", "f0", "known_solution"):
+        data = {"g": np.array([1.0, 2.0]), name: np.array([1.0, 2.0 + 1e-9j])}
+        with pytest.raises(ValueError, match=f"^{name} is complex"):
+            InverseProblem(op, **data)
 
 
 def test_problem_is_fixed_at_construction():
@@ -173,6 +180,23 @@ def test_cg_breakdown_on_near_null_direction():
 def test_cg_rejects_n_max_beyond_dimension():
     with pytest.raises(ValueError, match="exceeds dimension"):
         run_cg(two_dim(), 3)
+
+
+def test_cg_stops_at_n_max_without_terminating():
+    prob = random_problem(np.random.default_rng(11), 10)
+    hist = run_cg(prob, 3)
+    assert len(hist) == 4 and len(hist.residuals) == 4
+    assert not hist.terminated and hist.reason is None
+
+
+def test_chol_psd_falls_back_on_a_singular_matrix():
+    # Cholesky needs a positive pivot; the symmetric square root takes
+    # over and still factors the matrix
+    T = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(T)
+    L = _chol_psd(T)
+    assert np.allclose(L @ L.T, T, rtol=0, atol=1e-15)
 
 
 # lanczos --------------------------------------------------------------------
@@ -439,6 +463,10 @@ def test_theta_iterate_validation():
         theta_iterate(mat, 0.5, 1)
     with pytest.raises(SpectralAccessError):
         theta_iterate(mat, 1.5, 1)
+    # refused before the degree is looked at, N = 0 included
+    for theta in (0.0, 0.5, 1.5):
+        with pytest.raises(SpectralAccessError):
+            theta_iterate(mat, theta, 0)
     with pytest.raises(SpectralAccessError):
         spectral_iterates(mat, 1.0, 1)
     with pytest.raises(ValueError, match=">= 0"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.linop import DimensionMismatchError
+from powercg.linop import DimensionMismatchError, SpectralAccessError
 
 
 def test_diagonal_apply_hand():
@@ -118,20 +118,11 @@ def test_fourier_coefficients_hermitian_for_real_input():
     back = op.from_coefficients(c)
     assert np.isrealobj(back)
     assert np.array_equal(back, np.fft.irfft(h * np.sqrt(32), 32))
-    # a one-ulp break of the mirror takes the complex route, whose output
-    # is that of the complex inverse DFT bit for bit
+    # a one-ulp break of the mirror names no real field: it raises, and no
+    # tolerance rounds it back to one
     c[20] = np.nextafter(c[20].real, np.inf) + 1j * c[20].imag
-    back = op.from_coefficients(c)
-    assert np.isrealobj(back)
-    assert np.array_equal(back, np.fft.ifft(c * np.sqrt(32)).real)
-
-
-def test_fourier_complex_coefficient_round_trip():
-    op = pc.FourierOperator(16, 1.0)
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    back = op.from_coefficients(op.coefficients(z))
-    assert np.allclose(back, z, atol=1e-12)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        op.from_coefficients(c)
 
 
 def test_kernel_mask():
@@ -151,6 +142,50 @@ def test_dimension_mismatch():
     fo = pc.FourierOperator(8, 1.0)
     with pytest.raises(DimensionMismatchError):
         fo.from_coefficients(np.ones(9))
+    # both spectral operators: a wrong shape is a DimensionMismatchError on
+    # every route, a complex field a ValueError of its own
+    for op in (pc.DiagonalOperator(np.arange(8.0)), fo):
+        for method in (op.apply, op.coefficients, op.from_coefficients):
+            for bad in (np.ones(7), np.ones((8, 1)), np.ones((2, 8))):
+                with pytest.raises(DimensionMismatchError):
+                    method(bad)
+        for method in (op.apply, op.coefficients):
+            with pytest.raises(ValueError, match="is complex") as info:
+                method(np.ones(8) + 1e-300j)
+            assert info.type is ValueError
+    # diagonal coefficients are coordinates, so they are a real field too;
+    # Fourier coefficients are complex and must mirror exactly
+    with pytest.raises(ValueError, match="is complex"):
+        pc.DiagonalOperator(np.arange(8.0)).from_coefficients(np.ones(8) + 1j)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        fo.from_coefficients(np.ones(8) + 1j)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: pc.DiagonalOperator(np.ones(3)).apply([1.0, np.nan, 0.0]),
+     ValueError),
+    (lambda: pc.FourierOperator(4, 1.0).coefficients([0.0, np.inf, 0, 0]),
+     ValueError),
+    (lambda: pc.FourierOperator(4, 1.0).from_coefficients(
+        [np.nan, 0, 0, 0]), ValueError),
+    (lambda: pc.DiagonalOperator(np.ones((2, 2))), ValueError),
+    (lambda: pc.DiagonalOperator([1.0, np.inf]), ValueError),
+    (lambda: pc.DiagonalOperator([np.nan, 1.0]), ValueError),
+    (lambda: pc.MatrixOperator(np.ones((2, 3))), ValueError),
+    (lambda: pc.MatrixOperator(np.ones(3)), ValueError),
+    (lambda: pc.DiagonalOperator(np.ones(3)).from_coefficients(np.ones(2)),
+     DimensionMismatchError),
+    (lambda: pc.MatrixOperator(np.eye(2)).coefficients(np.ones(2)),
+     SpectralAccessError),
+], ids=["non-finite-apply", "non-finite-coefficients",
+        "non-finite-from-coefficients", "diagonal-not-1d",
+        "diagonal-infinite", "diagonal-nan", "matrix-not-square",
+        "matrix-not-2d", "diagonal-from-coefficients-shape",
+        "matrix-no-spectral-access"])
+def test_operator_safety_branches(make, error):
+    with pytest.raises(error) as info:
+        make()
+    assert info.type is error
 
 
 def test_symmetry_and_nonnegativity_sweep():

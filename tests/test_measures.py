@@ -105,3 +105,18 @@ def test_sorted_support():
     m = DiscreteSpectralMeasure(np.array([3.0, 1.0, 2.0]),
                                 np.array([1.0, 1.0, 1.0]))
     assert np.array_equal(m.support, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("support, weights", [
+    ([1.0, 2.0], [1.0]),
+    ([[1.0], [2.0]], [[1.0], [1.0]]),
+    ([1.0, np.nan], [1.0, 1.0]),
+    ([1.0, 2.0], [np.inf, 1.0]),
+    ([-1.0, 2.0], [1.0, 1.0]),
+    ([1.0, 2.0], [1.0, -1.0]),
+], ids=["shape-mismatch", "not-1d", "non-finite-support",
+        "non-finite-weight", "negative-support", "negative-weight"])
+def test_measure_rejects_malformed_atoms(support, weights):
+    with pytest.raises(ValueError) as info:
+        DiscreteSpectralMeasure(np.array(support), np.array(weights))
+    assert info.type is ValueError

@@ -190,6 +190,21 @@ def test_run_record_structure():
     assert md["lambda_min"] == lam.min()
 
 
+def test_run_with_zero_iterations_records_f0():
+    # n_max = 0 still measures e0: one N = 0 record, rho of f0 itself
+    for config in (small_config("2a", n_max=0),
+                   RunConfig(test="custom", n_max=0, sigmas=(-1.0, 0.5),
+                             custom={"dimension": 5, "seed": 3})):
+        out = run(config)
+        assert [r.N for r in out.records] == [0]
+        prob = (build_custom_case(config.custom) if config.test == "custom"
+                else build_test_case("2a", config.n, config.L))
+        assert set(out.records[0].rho) == set(config.sigmas) | {0.0, 1.0, 2.0}
+        for s, v in out.records[0].rho.items():
+            assert v == rho(prob, prob.f0, s) > 0, (config.test, s)
+        assert "delta_first" not in out.metadata
+
+
 def test_run_with_xi_two_checks_all_chain_sigmas():
     out = run(RunConfig(test="custom", xi=2.0, n_max=6,
                         custom={"dimension": 6, "seed": 9, "kappa": 50.0}))
