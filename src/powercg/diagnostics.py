@@ -73,7 +73,8 @@ def rho_evaluator(problem, sigmas):
     the one code path of rho. Each call transforms its iterate once and
     takes every spectral sigma != 2 from that one vector; a negative sigma
     adds the kernel-drift guard's one transform of f_n - f0. lambda^sigma
-    is taken here, once, so an overflowing sigma raises before any iterate.
+    is taken here, once, so an overflowing sigma raises before any iterate,
+    as does a sigma the matrix-free path cannot measure.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
@@ -82,6 +83,15 @@ def rho_evaluator(problem, sigmas):
         lam_live = op.eigenvalues()[live]
         power = {s: _power_weights(lam_live, s, 1.0)
                  for s in sigmas if s != 2.0}
+    else:
+        for sigma in sigmas:
+            if sigma not in (0.0, 1.0, 2.0):
+                raise SpectralAccessError(
+                    "matrix-free rho supports sigma in {0, 1, 2}, "
+                    f"got {sigma}")
+            if sigma != 2.0 and problem.known_solution is None:
+                raise ValueError(
+                    "matrix-free rho with sigma < 2 needs known_solution")
     # the drift guard does not depend on sigma: it runs once per iterate,
     # named by the first negative sigma
     drift_sigma = (next((s for s in sigmas if s < 0), None) if op.spectral
@@ -102,13 +112,6 @@ def rho_evaluator(problem, sigmas):
                     mag = np.abs(problem.error_coefficients(f_n)[live]) ** 2
                 out[sigma] = float(np.sum(power[sigma] * mag))
             else:
-                if sigma not in (0.0, 1.0):
-                    raise SpectralAccessError(
-                        "matrix-free rho supports sigma in {0, 1, 2}, "
-                        f"got {sigma}")
-                if problem.known_solution is None:
-                    raise ValueError(
-                        "matrix-free rho with sigma < 2 needs known_solution")
                 d = f_n - problem.known_solution
                 out[sigma] = (float(np.dot(d, d)) if sigma == 0.0
                               else float(np.dot(d, op.apply(d))))

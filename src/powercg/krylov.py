@@ -325,15 +325,13 @@ def theta_iterate(problem, theta, N):
     breakdown saturates the Krylov space; the iterate returned is then the
     minimizer of the saturated space, which equals the requested one.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
     # theta = 0 must take the spectral route too: the tridiagonal branches
     # index powers of T from theta >= 1
     spectral_route = theta < 1 or float(theta) != int(theta)
-    if spectral_route and not problem.operator.spectral:
-        raise SpectralAccessError(
-            f"theta = {theta} (non-integer or < 1) needs spectral access")
-    if N > problem.dimension:
+    if spectral_route:
+        # checks theta, spectral access and N, N = 0 included
+        values, inverse = _spectral_ladder(problem, theta, N)
+    elif N > problem.dimension:
         raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
     if N == 0:
         return problem.f0.copy()
@@ -345,7 +343,6 @@ def theta_iterate(problem, theta, N):
         if float(np.linalg.norm(R0)) == 0.0:
             return problem.f0.copy()
     if spectral_route:
-        values, inverse = _spectral_ladder(problem, theta, N)
         for p in values:
             pass
         return _transported(problem, p[inverse])
@@ -435,7 +432,8 @@ def _spectral_ladder(problem, theta, n_max):
         raise ValueError(f"theta must be >= 0, got {theta}")
     op = problem.operator
     if not op.spectral:
-        raise SpectralAccessError("spectral iterates need spectral access")
+        raise SpectralAccessError(
+            f"theta = {theta} on the eigenbasis route needs spectral access")
     if n_max > problem.dimension:
         raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
     lam = np.asarray(op.eigenvalues(), dtype=float)

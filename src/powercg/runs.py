@@ -14,7 +14,7 @@ sampled solution and the sampled datum guards every construction.
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -225,6 +225,13 @@ class RunConfig:
         return self
 
 
+# (name, default) of every ConvergenceRecord field but rho, taken once. A
+# record's JSON object has one key per field; a float that is not finite is
+# null, and rho is {repr(sigma): value}
+_FIELDS = tuple((f.name, f.default) for f in fields(ConvergenceRecord)
+                if f.name != "rho")
+
+
 @dataclass
 class RunRecord:
     records: list
@@ -233,24 +240,18 @@ class RunRecord:
     def to_dict(self):
         recs = []
         for r in self.records:
-            recs.append({
-                "N": r.N,
-                "rho": {repr(k): _num(v) for k, v in sorted(r.rho.items())},
-                "n_sq_rho1": _num(r.n_sq_rho1),
-                "delta_n": _num(r.delta_n),
-                "ritz_min": _num(r.ritz_min),
-                "ritz_max": _num(r.ritz_max),
-                "bound_chain_ok": r.bound_chain_ok,
-                "lemma_ok": r.lemma_ok,
-            })
+            obj = {"rho": {repr(s): _num(v) for s, v in sorted(r.rho.items())}}
+            for name, _ in _FIELDS:
+                v = getattr(r, name)
+                obj[name] = _num(v) if isinstance(v, float) else v
+            recs.append(obj)
         return {"schema_version": SCHEMA_VERSION,
                 "metadata": self.metadata,
                 "records": recs}
 
 
 def _num(v):
-    v = float(v)
-    return None if not np.isfinite(v) else v
+    return float(v) if np.isfinite(v) else None
 
 
 def _build_problem(config):
@@ -403,19 +404,16 @@ def read_json(path):
         raise VersionError(
             f"unsupported schema version {ver!r} in {path}, expected {SCHEMA_VERSION}")
     records = []
-    for r in data["records"]:
-        rec = ConvergenceRecord(
-            N=int(r["N"]),
-            rho={float(k): (np.nan if v is None else v)
-                 for k, v in r["rho"].items()},
-            n_sq_rho1=np.nan if r["n_sq_rho1"] is None else r["n_sq_rho1"],
-            delta_n=np.nan if r["delta_n"] is None else r["delta_n"],
-            ritz_min=np.nan if r["ritz_min"] is None else r["ritz_min"],
-            ritz_max=np.nan if r["ritz_max"] is None else r["ritz_max"],
-            bound_chain_ok=r["bound_chain_ok"],
-            lemma_ok=r.get("lemma_ok"),
-        )
-        records.append(rec)
+    for obj in data["records"]:
+        # the inverse of to_dict: a null is nan unless the field's default
+        # is None (a verdict), and a key the file lacks (written before the
+        # field existed) takes the field's default
+        kwargs = {"rho": {float(s): np.nan if v is None else v
+                          for s, v in obj["rho"].items()}}
+        for name, default in _FIELDS:
+            v = obj[name] if name in obj or default is MISSING else default
+            kwargs[name] = np.nan if v is None and default is not None else v
+        records.append(ConvergenceRecord(**kwargs))
     return RunRecord(records=records, metadata=data["metadata"])
 
 

@@ -35,7 +35,7 @@ def _report(recorder, num, label, failures, detail_ok):
 
 
 def _poly_table(problem, xi, n_max):
-    base = DiscreteSpectralMeasure(problem.operator.eigenvalues().real,
+    base = DiscreteSpectralMeasure(problem.operator.eigenvalues(),
                                    np.abs(problem.e0) ** 2)
     nu = weight_by_power(base, xi + 1.0)
     polys = residual_polynomials(nu, min(n_max, len(nu)))

@@ -93,3 +93,25 @@ def test_changed_verify_line_is_reported(compare):
     assert compare.differs(diff)
     text = compare.report(diff, "x", 0, 0)
     assert f"  {lines[0]}" in text and text.endswith("differences found")
+
+
+def test_changed_emitted_file_is_reported(compare):
+    csv = ["N, rho0", "0, 1.0", "1, 0.5"]
+    doc = ["{", ' "schema_version": 1', "}"]
+    old = {"1a/xi1.csv": csv, "1a/xi1.json": doc,
+           "2a/xi1.csv": {"error": "ValueError: x"}}
+    assert compare.diff_files(old, old) == []
+    new = {"1a/xi1.csv": csv[:2] + ["1, 0.25"], "1a/xi1.json": doc,
+           "2a/xi1.csv": {"error": "ValueError: x"}}
+    lines = compare.diff_files(old, new)
+    assert lines == ["file 1a/xi1.csv: line 3: '1, 0.5' -> '1, 0.25'"]
+    shorter = dict(new, **{"1a/xi1.json": doc[:2]})
+    del shorter["2a/xi1.csv"]
+    assert compare.diff_files(old, shorter)[1:] == [
+        "file 1a/xi1.json: line 3: '}' -> None",
+        "file 2a/xi1.csv: ValueError: x -> missing"]
+    diff = compare.diff_dumps({}, {})
+    diff["problems"] += lines
+    assert compare.differs(diff)
+    text = compare.report(diff, "x", 0, 0)
+    assert f"  {lines[0]}" in text and text.endswith("differences found")

@@ -8,7 +8,8 @@ rho_0 = 17/81, rho_1 = 2/9, rho_2 = 20/81 as exact fractions.
 import numpy as np
 import pytest
 
-from powercg.diagnostics import ConvergenceRecord, np_rate_monitor, rho
+from powercg.diagnostics import (ConvergenceRecord, np_rate_monitor, rho,
+                                 rho_evaluator)
 from powercg.krylov import InverseProblem, run_cg
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
@@ -69,6 +70,11 @@ def test_rho_matrix_free_needs_solution_and_integer_sigma():
         rho(prob, np.zeros(2), 0.5)
     with pytest.raises(ValueError, match="known_solution"):
         rho(prob, np.zeros(2), 0)
+    # refused at construction, before any iterate is evaluated
+    with pytest.raises(SpectralAccessError):
+        rho_evaluator(prob, (0.5,))
+    with pytest.raises(ValueError, match="known_solution"):
+        rho_evaluator(prob, (0.0,))
     withsol = InverseProblem(op, g=np.array([1.0, 2.0]),
                              known_solution=np.ones(2))
     assert rho(withsol, np.zeros(2), 0) == pytest.approx(2.0)

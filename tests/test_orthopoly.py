@@ -110,7 +110,7 @@ def test_newton_polish_that_does_not_settle_raises(monkeypatch):
 
 def _orthogonality_measure(prob, xi):
     """The measure run() takes the node polynomials of at xi."""
-    base = DiscreteSpectralMeasure(prob.operator.eigenvalues().real,
+    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
                                    np.abs(prob.e0) ** 2)
     return weight_by_power(base, xi + 1.0)
 

@@ -22,15 +22,18 @@ benchmark's SIGMAS; their node fields and verdicts are None.
 
 Each tree also runs powercg.runs.verify_case on the built-in cases at their
 defaults, for xi in {1, 2}, and keeps every check line: name, verdict and
-detail string.
+detail string. The built-in runs write their CSV and JSON files into a
+temporary directory; each tree keeps the CSV text and the JSON document
+without metadata.wall_time_s, so a serializer change shows as well.
 
 Per field the report gives the number of records that differ: rho_sigma
 (any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
 hex, each with its largest relative difference |new - old| / max(|old|,
 |new|) (inf where one side is not finite), and the bound_chain_ok and
 lemma_ok verdicts. It lists every verdict flip, every series that is
-missing, raised, or has a different number of records on one side, and
-every verify check line that differs. Exit status: 0 when nothing differs,
+missing, raised, or has a different number of records on one side, every
+verify check line that differs, and every emitted file that differs, with
+its first differing line. Exit status: 0 when nothing differs,
 1 on any difference, 2 when REV cannot be checked out or a tree cannot be
 run.
 """
@@ -144,15 +147,30 @@ def spectral_theta_series(wl):
             for theta in SPECTRAL_THETAS]
 
 
+def _read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def _json_lines(path):
+    """The JSON document at path without metadata.wall_time_s, as lines."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    del doc["metadata"]["wall_time_s"]
+    return json.dumps(doc, indent=1, sort_keys=True).splitlines()
+
+
 def dump(path):
     """Run every series and verify case with the powercg on sys.path and
     write {"powercg": its file, "series": {key: [rows] or {"error": ...}},
-    "verify": {key: [[name, ok, detail]] or {"error": ...}}}."""
+    "verify": {key: [[name, ok, detail]] or {"error": ...}}, "files":
+    {file name: [lines] or {"error": ...}}}."""
     import powercg
     from powercg.runs import RunConfig, run, verify_case
 
     out = {}
     checks = {}
+    files = {}
 
     def record(into, key, job):
         try:
@@ -160,9 +178,19 @@ def dump(path):
         except Exception as exc:  # a raising series is part of the record
             into[key] = {"error": f"{type(exc).__name__}: {exc}"}
 
-    for key, kwargs in series():
-        record(out, key, lambda: [record_row(r)
-                                  for r in run(RunConfig(**kwargs)).records])
+    with tempfile.TemporaryDirectory() as tmp:
+        emitted = {key: {"out": os.path.join(tmp, f"{i}.csv"),
+                         "json_out": os.path.join(tmp, f"{i}.json")}
+                   for i, (key, _) in enumerate(builtin_series())}
+        for key, kwargs in series():
+            kwargs = dict(kwargs, **emitted.get(key, {}))
+            record(out, key, lambda: [record_row(r)
+                                      for r in run(RunConfig(**kwargs)).records])
+        for key, paths in emitted.items():
+            record(files, f"{key}.csv",
+                   lambda: _read_lines(paths["out"]))
+            record(files, f"{key}.json",
+                   lambda: _json_lines(paths["json_out"]))
     wl = _workloads()
     # one pool member's dense problem at a time
     for index in range(wl.MatrixFree.POOL):
@@ -176,7 +204,7 @@ def dump(path):
             for name, ok, detail in verify_case(RunConfig(**kwargs))])
     with open(path, "w") as fh:
         json.dump({"powercg": powercg.__file__, "series": out,
-                   "verify": checks}, fh)
+                   "verify": checks, "files": files}, fh)
 
 
 def _rel(a, b):
@@ -244,6 +272,30 @@ def diff_verify(old, new):
         lines += [f"verify {key}: {la} -> {lb}" for la, lb in pairs
                   if la != lb]
     return lines
+
+
+def diff_files(old, new):
+    """One line per emitted file that differs between two {name: [lines] or
+    {"error": ...}} dumps, as "file name: line i: old -> new" at its first
+    differing line, quoted (None past the end of the shorter one)."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        a, b = (d.get(name, {"error": "missing"}) for d in (old, new))
+        if a == b:
+            continue
+        if isinstance(a, list) and isinstance(b, list):
+            i, la, lb = next((i, la, lb) for i, (la, lb)
+                             in enumerate(itertools.zip_longest(a, b), 1)
+                             if la != lb)
+            lines.append(f"file {name}: line {i}: {la!r} -> {lb!r}")
+        else:
+            lines.append(f"file {name}: {_file_outcome(a)} -> "
+                         f"{_file_outcome(b)}")
+    return lines
+
+
+def _file_outcome(entry):
+    return entry["error"] if isinstance(entry, dict) else f"{len(entry)} lines"
 
 
 def _outcome(entry):
@@ -317,6 +369,7 @@ def main(argv=None):
         shutil.rmtree(tmp, ignore_errors=True)
     diff = diff_dumps(old["series"], new["series"])
     diff["problems"] += diff_verify(old["verify"], new["verify"])
+    diff["problems"] += diff_files(old["files"], new["files"])
     n_records = sum(len(v) for v in new["series"].values()
                     if isinstance(v, list))
     print(report(diff, f"{args.rev} ({sha[:12]}) vs working tree",
