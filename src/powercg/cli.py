@@ -110,7 +110,7 @@ def main(argv=None):
         except (ConsistencyError, KernelComponentError) as exc:
             print(f"powercg: invariant failure: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"powercg: error: {exc}", file=sys.stderr)
             return 1
         last = record.records[-1]

@@ -40,13 +40,9 @@ class ConvergenceRecord:
 def _kernel_drift_guard(problem, x, sigma):
     """sigma < 0 is meaningless when the vector drifted inside the kernel
     relative to the initial guess (it is then not an iterate and its error
-    has genuine kernel content)."""
-    op = problem.operator
-    ker = op.kernel_mask()
-    if not ker.any():
-        return
-    drift = op.coefficients(np.asarray(x) - problem.f0)
-    dn = float(np.linalg.norm(drift[ker]))
+    has genuine kernel content). Called on kernel-bearing problems only."""
+    drift = problem.operator.coefficients(np.asarray(x) - problem.f0)
+    dn = float(np.linalg.norm(drift[problem.kernel_mask]))
     xn = float(np.linalg.norm(x))
     if dn > _KER_DRIFT_REL * max(xn, 1e-300):
         raise KernelComponentError(
@@ -79,7 +75,7 @@ def rho_evaluator(problem, sigmas):
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
     if op.spectral:
-        live = ~op.kernel_mask()
+        live = ~problem.kernel_mask
         lam_live = op.eigenvalues()[live]
         power = {s: _power_weights(lam_live, s, 1.0)
                  for s in sigmas if s != 2.0}
@@ -92,10 +88,10 @@ def rho_evaluator(problem, sigmas):
             if sigma != 2.0 and problem.known_solution is None:
                 raise ValueError(
                     "matrix-free rho with sigma < 2 needs known_solution")
-    # the drift guard does not depend on sigma: it runs once per iterate,
-    # named by the first negative sigma
-    drift_sigma = (next((s for s in sigmas if s < 0), None) if op.spectral
-                   else None)
+    # the drift guard does not depend on sigma: it runs once per iterate on
+    # a kernel-bearing problem, named by the first negative sigma
+    drift_sigma = (next((s for s in sigmas if s < 0), None)
+                   if op.spectral and problem.kernel_mask.any() else None)
 
     def evaluate(f_n):
         f_n = np.asarray(f_n)

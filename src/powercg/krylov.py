@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import KernelComponentError, SpectralAccessError, _as_vector
-from .measures import _power_weights, distinct_atoms
+from .measures import _power_weights
 
 # Lanczos/CG breakdown: directions with curvature below this times the
 # operator norm signal an exhausted (invariant) Krylov subspace
@@ -42,7 +42,8 @@ class InverseProblem:
     attainable), up to KERNEL_TOL * ||g||. The default consistency_tol
     suits problems built by exact arithmetic; discretized surrogates pass
     their own gate value (see runs.build_test_case). On spectral operators
-    f0 is transformed once, here, and e0 holds its error coefficients.
+    f0 is transformed once, here, and e0 holds its error coefficients; the
+    eigenvalues are grouped once, here: atoms[atom_index] == eigenvalues.
     """
 
     def __init__(self, operator, g, f0=None, known_solution=None,
@@ -58,6 +59,7 @@ class InverseProblem:
         self.notes = dict(notes) if notes else {}
         # the Lanczos recurrence from R0 that theta_iterate extends
         self._lanczos = None
+        self._ker = self._c0 = self._e0 = self._atoms = self._index = None
 
         if operator.spectral:
             cg = operator.coefficients(g)
@@ -72,9 +74,10 @@ class InverseProblem:
             self._g_over_lam = cg / np.where(ker, 1.0, operator.eigenvalues())
             self._c0 = operator.coefficients(self._f0)
             self._e0 = self._error(self._c0)
-            self._c0.flags.writeable = self._e0.flags.writeable = False
-        else:
-            self._c0 = self._e0 = None
+            self._atoms, self._index = np.unique(operator.eigenvalues(),
+                                                 return_inverse=True)
+            for a in (ker, self._c0, self._e0, self._atoms, self._index):
+                a.flags.writeable = False
         if f is not None:
             resid = float(np.linalg.norm(operator.apply(f) - g))
             scale = (operator.norm_estimate() * float(np.linalg.norm(f))
@@ -89,8 +92,11 @@ class InverseProblem:
     g = property(lambda self: self._g)
     f0 = property(lambda self: self._f0)
     known_solution = property(lambda self: self._known_solution)
-    # error coefficients of f0, read-only; None without spectral access
+    # read-only; None without spectral access
     e0 = property(lambda self: self._e0)
+    kernel_mask = property(lambda self: self._ker)
+    atoms = property(lambda self: self._atoms)
+    atom_index = property(lambda self: self._index)
 
     @property
     def dimension(self):
@@ -330,7 +336,7 @@ def theta_iterate(problem, theta, N):
     spectral_route = theta < 1 or float(theta) != int(theta)
     if spectral_route:
         # checks theta, spectral access and N, N = 0 included
-        values, inverse = _spectral_ladder(problem, theta, N)
+        values = _spectral_ladder(problem, theta, N)
     elif N > problem.dimension:
         raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
     if N == 0:
@@ -345,7 +351,7 @@ def theta_iterate(problem, theta, N):
     if spectral_route:
         for p in values:
             pass
-        return _transported(problem, p[inverse])
+        return _transported(problem, p)
     theta = int(theta)
     if state is None:
         state = problem._lanczos = _Lanczos(op, R0)
@@ -423,11 +429,10 @@ def _weighted_residual_values(lam, w, n_max):
 
 
 def _spectral_ladder(problem, theta, n_max):
-    """The eager set-up of the eigenbasis route: the argument checks, the
-    weights lambda^theta |e0|^2 (checked for overflow) and the distinct
-    atoms. Returns (values, inverse): values lazily yields the optimal
-    residual polynomial at the atoms for N = 1..n_max, and inverse maps
-    every eigenvalue to its atom."""
+    """The eager set-up of the eigenbasis route: the argument checks and
+    the weights lambda^theta |e0|^2 (checked for overflow) on the problem's
+    atoms. Returns a lazy iterator of the optimal residual polynomial at
+    the atoms for N = 1..n_max."""
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     op = problem.operator
@@ -436,20 +441,20 @@ def _spectral_ladder(problem, theta, n_max):
             f"theta = {theta} on the eigenbasis route needs spectral access")
     if n_max > problem.dimension:
         raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
-    lam = np.asarray(op.eigenvalues(), dtype=float)
-    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta
-    atoms, w, inverse = distinct_atoms(
-        lam, _power_weights(lam, theta, np.abs(problem.e0) ** 2))
-    return _weighted_residual_values(atoms, w, n_max), inverse
+    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta; the
+    # power is taken per eigenvalue, before its atom sums it
+    w = _power_weights(op.eigenvalues(), theta, np.abs(problem.e0) ** 2)
+    return _weighted_residual_values(
+        problem.atoms, np.bincount(problem.atom_index, weights=w), n_max)
 
 
 def _transported(problem, p):
-    """The iterate whose error coefficients are p * e0, p given on every
-    eigenvalue."""
+    """The iterate whose error coefficients are p * e0, p given on the
+    problem's atoms."""
     # equal eigenvalues share their atom's value, so the coefficients keep
     # the exact conjugate symmetry of c0 and e0 that from_coefficients checks
     return problem.operator.from_coefficients(
-        problem._c0 + (p - 1.0) * problem.e0)
+        problem._c0 + (p[problem.atom_index] - 1.0) * problem.e0)
 
 
 def spectral_iterates(problem, theta, n_max):
@@ -466,6 +471,6 @@ def spectral_iterates(problem, theta, n_max):
     for, so a caller that drops one before asking for the next holds one at
     a time. The arguments are checked here, at the call.
     """
-    values, inverse = _spectral_ladder(problem, theta, n_max)
+    values = _spectral_ladder(problem, theta, n_max)
     return itertools.chain([problem.f0.copy()],
-                           (_transported(problem, p[inverse]) for p in values))
+                           (_transported(problem, p) for p in values))

@@ -13,17 +13,10 @@ MERGE_REL = 1e-12
 WEIGHT_FLOOR = 1e-300
 
 
-def distinct_atoms(lam, w):
-    """(atoms, weights, inverse): the distinct values of lam ascending, the
-    weights w of equal values summed in index order, and each entry's atom
-    index, so that atoms[inverse] == lam."""
-    atoms, inverse = np.unique(lam, return_inverse=True)
-    return (atoms, np.bincount(inverse, weights=w, minlength=atoms.size),
-            inverse)
-
-
 class DiscreteSpectralMeasure:
-    """Finitely many atoms (support[i], weights[i]), support ascending."""
+    """Finitely many atoms (support[i], weights[i]), support ascending. The
+    constructor checks its input, drops weights at or below WEIGHT_FLOOR,
+    sums equal points' weights in index order and merges within MERGE_REL."""
 
     def __init__(self, support, weights):
         lam = np.asarray(support, dtype=float)
@@ -38,7 +31,8 @@ class DiscreteSpectralMeasure:
         if np.any(w < 0):
             raise ValueError(f"negative weight: {w.min()}")
         keep = w > WEIGHT_FLOOR
-        lam, w, _ = distinct_atoms(lam[keep], w[keep])
+        lam, inverse = np.unique(lam[keep], return_inverse=True)
+        w = np.bincount(inverse, weights=w[keep], minlength=lam.size)
         # merge near-coincident atoms, summing weight; an atom joins a
         # cluster by its distance to the cluster's first atom, so the loop
         # only runs when some consecutive gap is within reach (equal atoms
@@ -100,7 +94,9 @@ def _power_weights(lam, t, w):
 
 
 def weight_by_power(measure, t):
-    """New measure with weights lambda^t * w.
+    """New measure with weights lambda^t * w on measure's atoms, less those
+    at or below WEIGHT_FLOOR. It is not grouped or merged again: dropping
+    atoms keeps a merged support merged, as gaps between atoms only grow.
 
     t < 0 requires no atom at zero. t = 0 returns a copy (the zero atom
     keeps its weight, lambda^0 = 1).
@@ -110,14 +106,12 @@ def weight_by_power(measure, t):
     if t < 0 and lam.size and lam[0] == 0.0:
         raise ValueError(
             f"lambda^{t} weighting undefined: atom at 0 with weight {w[0]:.6e}")
-    if t == 0:
-        return DiscreteSpectralMeasure(lam, w)
     # 0^t = 0 for t > 0 drops a kernel atom naturally
-    out = np.empty_like(w)
-    pos = lam > 0
-    out[pos] = _power_weights(lam[pos], t, w[pos])
-    out[~pos] = 0.0
-    return DiscreteSpectralMeasure(lam, out)
+    w = _power_weights(lam, t, w)
+    keep = w > WEIGHT_FLOOR
+    out = DiscreteSpectralMeasure.__new__(DiscreteSpectralMeasure)
+    out.support, out.weights = lam[keep], w[keep]
+    return out
 
 
 def mass_below(measure, t):

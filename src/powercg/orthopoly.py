@@ -29,11 +29,11 @@ SEPARATION_SLACK = 1e-10
 EDGE_SLACK = 1e-10
 # measures up to this many atoms get their zeros in extended precision (stdlib
 # decimal at dps digits: an RKPW Jacobi matrix, double starting zeros, a
-# Newton polish):
-# double-precision Lanczos places a zero that has captured an isolated atom
-# only ~1e-8 relative to it, and the split integrals amplify that offset by
-# prod (lambda/z_k)^2, which can reach 1e19 on weights spanning twelve
-# decades. Large smooth measures stay on the fast double path.
+# Newton polish): double-precision Lanczos leaves a zero that has captured an
+# isolated atom a few ulps off it (at most 5.5e-14 relative on a 72-atom pool
+# spectrum), and the other factors amplify that offset, in the split
+# integrals by up to prod (lambda/z_k)^2, which can reach 1e19 on weights
+# spanning twelve decades. Large smooth measures stay on the fast double path.
 _MP_MAX_ATOMS = 64
 # Newton corrections allowed per polished zero; from its double start every
 # zero of the seeded diagonal pool (16, 40 and 64 atoms) settles within four
@@ -180,7 +180,7 @@ def _mp_zero_table(measure, n_max):
     """(zeros, split integrals) of every degree 1..reached, the zeros in
     extended precision rounded to double at the end. Working precision
     covers the weight dynamic range, so a zero that has captured an atom
-    lands on the atom's double exactly instead of 1e-8 off it; the split
+    lands on the atom's double exactly, not a few ulps off it; the split
     identity is infinitely sensitive to the sub-ulp rest of that offset,
     so the split integrals use the unrounded zeros.
 

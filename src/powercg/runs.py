@@ -21,7 +21,8 @@ import numpy as np
 from .diagnostics import ConvergenceRecord, rho_evaluator
 from .krylov import ConsistencyError, InverseProblem, spectral_iterates
 from .linop import DiagonalOperator, FourierOperator, KernelComponentError
-from .measures import DiscreteSpectralMeasure, spectral_measure, weight_by_power
+from .measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure, spectral_measure,
+                       weight_by_power)
 from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, bound_chain,
                         check_separation, delta_n, orthogonality_gap,
                         residual_polynomials)
@@ -261,11 +262,14 @@ def _build_problem(config):
 
 
 def _measures(problem, xi, sigmas):
-    """(base, {sigma: mu_sigma}, nu): base puts |e0|^2 on the eigenvalues,
+    """(base, {sigma: mu_sigma}, nu): base puts |e0|^2 on the problem's
+    atoms, an eigenvalue's weight at or below WEIGHT_FLOOR adding nothing;
     mu_sigma and nu = mu_{xi+1}, the measure the residual polynomials are
     orthogonal to, are its power reweightings."""
-    base = DiscreteSpectralMeasure(problem.operator.eigenvalues(),
-                                   np.abs(problem.e0) ** 2)
+    w = np.abs(problem.e0) ** 2
+    w[w <= WEIGHT_FLOOR] = 0.0
+    base = DiscreteSpectralMeasure(problem.atoms,
+                                   np.bincount(problem.atom_index, weights=w))
     mu = {s: weight_by_power(base, s) for s in sigmas}
     return base, mu, weight_by_power(base, xi + 1.0)
 
@@ -314,10 +318,8 @@ def run(config):
     rho_of = rho_evaluator(problem, sigmas)
     base, mu, nu = _measures(problem, config.xi,
                              [s for s in sigmas if 0.0 <= s <= config.xi])
-    # every mu_sigma support is a subset of base's: weight_by_power keeps
-    # the atom values and never merges atoms of a merged support, so the
-    # lookup is exact and s, which residual_polynomials evaluates once
-    # per degree on base's support, serves every chain sigma
+    # weight_by_power only drops atoms, so the lookup is exact and s, which
+    # is evaluated once per degree on base's support, serves every sigma
     rows = {s: np.searchsorted(base.support, m.support) for s, m in mu.items()}
     polys = residual_polynomials(nu, config.n_max, base.support)
     records = [_record(N, rho_of(f_n), polys, mu, rows, config.xi)
@@ -337,13 +339,13 @@ def run(config):
         "wall_time_s": time.perf_counter() - t0,
     }
     # lower spectral edge, for rates that depend on kappa
-    live = op.eigenvalues()[~op.kernel_mask()]
+    live = op.eigenvalues()[~problem.kernel_mask]
     metadata["lambda_min"] = float(live.min()) if live.size else None
     if len(polys) > 1:
-        metadata["delta_first"] = records[1].delta_n
-        metadata["delta_last"] = records[-1].delta_n
-        metadata["ritz_min_last"] = records[-1].ritz_min
-        metadata["ritz_max_last"] = records[-1].ritz_max
+        metadata["delta_first"] = _num(records[1].delta_n)
+        metadata["delta_last"] = _num(records[-1].delta_n)
+        metadata["ritz_min_last"] = _num(records[-1].ritz_min)
+        metadata["ritz_max_last"] = _num(records[-1].ritz_max)
     out = RunRecord(records=records, metadata=metadata)
     if config.out:
         write_csv(out, config.out)
@@ -391,9 +393,12 @@ def read_csv(path):
 
 
 def emit_json(record, path):
+    # encoded before the file is opened: a float that is not finite raises
+    # ValueError and leaves no partial file
+    text = json.dumps(record.to_dict(), indent=1, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(record.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

@@ -126,9 +126,19 @@ def test_malformed_config_exits_one(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_missing_config_file(capsys):
-    assert main(["solve", "--config", "/no/such/file.json"]) == 1
-    assert "cannot read --config" in capsys.readouterr().err
+def test_missing_config_file(tmp_path, capsys):
+    # an unreadable config, and an output path that cannot be written,
+    # exit 1 with one error line
+    missing = tmp_path / "no" / "such"
+    for argv, match in (
+            (["--config", str(missing / "file.json")], "cannot read --config"),
+            (["--test", "1a", "--n", "256", "--nmax", "4",
+              "--out", str(missing / "x.csv")], "x.csv")):
+        assert main(["solve", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("powercg: error:"), captured.err
+        assert captured.err.count("\n") == 1 and match in captured.err
 
 
 def test_test_id_required(capsys):

@@ -67,10 +67,11 @@ def test_problem_is_fixed_at_construction():
     sol = np.array([1.0, 1.0])
     prob = InverseProblem(DiagonalOperator(np.array([1.0, 2.0])), g=g, f0=f0,
                           known_solution=sol)
-    for name in ("g", "f0", "known_solution", "e0"):
+    grouping = ("e0", "kernel_mask", "atoms", "atom_index")
+    for name in ("g", "f0", "known_solution") + grouping:
         with pytest.raises(ValueError, match="read-only"):
             getattr(prob, name)[0] += 1.0
-    for name in ("g", "f0", "known_solution", "operator", "e0"):
+    for name in ("g", "f0", "known_solution", "operator") + grouping:
         with pytest.raises(AttributeError):
             setattr(prob, name, getattr(prob, name))
     g[0] = 7.0
@@ -127,14 +128,18 @@ def test_solution_and_error_coefficients():
     p = InverseProblem(op, g=g, f0=np.cos(x))
     e = p.error_coefficients(np.ones(16))
     assert e[op.kernel_mask()] == pytest.approx(0.0, abs=0.0)
-    # the stored e0 is error_coefficients(f0) bit for bit; without spectral
-    # access there is none
+    # the stored e0 is error_coefficients(f0) bit for bit, and the atoms
+    # give back every eigenvalue; without spectral access there are none
     for q in (prob, p):
         want = q.error_coefficients(q.f0)
         assert q.e0.dtype == want.dtype and q.e0.tobytes() == want.tobytes()
+        lam = q.operator.eigenvalues()
+        assert np.array_equal(q.atoms, np.unique(lam))
+        assert np.array_equal(q.atoms[q.atom_index], lam)
+        assert np.array_equal(q.kernel_mask, q.operator.kernel_mask())
     mat = InverseProblem(MatrixOperator(np.diag([1.0, 2.0])),
                          g=np.array([1.0, 2.0]))
-    assert mat.e0 is None
+    assert (mat.e0, mat.kernel_mask, mat.atoms, mat.atom_index) == (None,) * 4
 
 
 # run_cg ---------------------------------------------------------------------

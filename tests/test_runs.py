@@ -250,30 +250,53 @@ def _sequential_merge(lam, w):
     return np.array(out_l), np.array(out_w)
 
 
+FLOORED = {"eigenvalues": [0.5, 1.0, 1.0, 2.0, 3.0],
+           "error": [1.0, np.sqrt(0.8e-300), np.sqrt(0.8e-300), 1.0, 0.5]}
+
+
 def test_run_base_measure_is_the_sequential_merge(monkeypatch):
-    # on the built-ins at their default sizes every eigenvalue but 0 and
-    # the Nyquist one comes as an exactly equal +-m pair: run()'s base
-    # measure has one atom per distinct eigenvalue and is the one-at-a-time
-    # merge of the raw eigenvalues bit for bit
+    # run() groups the eigenvalues once, in the problem, and builds one
+    # measure through the grouping constructor, its base measure: the
+    # one-at-a-time merge of the raw eigenvalues bit for bit. On the
+    # built-ins every eigenvalue but 0 and the Nyquist one comes as an
+    # exactly equal +-m pair. In FLOORED the two entries at 1 each weigh
+    # below WEIGHT_FLOOR and are dropped before their atom sums them.
+    # Every reweighting keeps a subset of its input's atoms
     from powercg import runs
     made = []
+    init = DiscreteSpectralMeasure.__init__
 
-    def spy(support, weights):
-        made.append((support, weights, DiscreteSpectralMeasure(support,
-                                                               weights)))
-        return made[-1][2]
-    monkeypatch.setattr(runs, "DiscreteSpectralMeasure", spy)
-    for test in TEST_IDS:
+    def spy_init(self, support, weights):
+        init(self, support, weights)
+        made.append(self)
+
+    def spy_weight(measure, t):
+        out = weight_by_power(measure, t)
+        at = np.searchsorted(measure.support, out.support)
+        assert np.array_equal(measure.support[at], out.support), t
+        return out
+    monkeypatch.setattr(DiscreteSpectralMeasure, "__init__", spy_init)
+    monkeypatch.setattr(runs, "weight_by_power", spy_weight)
+    configs = [RunConfig(test=test, n_max=1) for test in TEST_IDS]
+    configs += [RunConfig(test=test, xi=xi, n_max=1, custom=custom)
+                for test, custom in (("2b", None), ("custom", FLOORED))
+                for xi in (1.0, 2.0)]
+    for config in configs:
+        problem = runs._build_problem(config.resolve())
+        lam = problem.operator.eigenvalues()
+        w = np.abs(problem.e0) ** 2
         made.clear()
-        run(RunConfig(test=test, n_max=1))
-        assert len(made) == 1, test
-        lam, w, base = made[0]
-        assert lam.size == TEST_DEFAULTS[test][0], test
-        assert np.unique(lam).size == lam.size // 2 + 1, test
-        assert len(base) == np.unique(lam[w > WEIGHT_FLOOR]).size, test
+        run(config)
+        assert len(made) == 1, config
         support, weights = _sequential_merge(lam, w)
-        assert np.array_equal(base.support, support), test
-        assert np.array_equal(base.weights, weights), test
+        assert np.array_equal(made[0].support, support), config
+        assert np.array_equal(made[0].weights, weights), config
+        if config.test in TEST_DEFAULTS:
+            assert lam.size == TEST_DEFAULTS[config.test][0]
+            assert np.unique(lam).size == lam.size // 2 + 1
+            assert support.size == np.unique(lam[w > WEIGHT_FLOOR]).size
+        else:
+            assert support.tolist() == [0.5, 2.0, 3.0]
 
 
 def test_run_transforms_the_datum_once(monkeypatch):
@@ -308,12 +331,22 @@ def test_run_guards_kernel_drift_once_per_iterate(monkeypatch):
     def spy(self, x):
         seen.append(None)
         return coefficients(self, x)
+    masks = []
+    kernel_mask = FourierOperator.kernel_mask
+
+    def spy_mask(self):
+        masks.append(None)
+        return kernel_mask(self)
     monkeypatch.setattr(FourierOperator, "coefficients", spy)
+    # the problem's kernel gate computes the one kernel mask of the run
+    monkeypatch.setattr(FourierOperator, "kernel_mask", spy_mask)
     for sigmas, want in (((0.0, 1.0, 2.0), 15), ((-1.0, 0.0), 28),
                          ((-1.0, -0.5, 0.0), 28)):
         seen.clear()
+        masks.clear()
         run(small_config("2a", n_max=12, sigmas=sigmas))
         assert len(seen) == want, sigmas
+        assert len(masks) == 1, sigmas
 
 
 def test_run_holds_at_most_two_iterates(monkeypatch):
@@ -480,23 +513,38 @@ def test_csv_header_and_roundtrip(tmp_path):
     assert rows[1]["bound_chain_ok"] == "true"
 
 
-def test_json_roundtrip_and_version_gate(tmp_path):
-    out = run(RunConfig(test="custom", n_max=5, xi=2.0,
-                        custom={"dimension": 5, "seed": 11}))
-    path = tmp_path / "series.json"
-    emit_json(out, str(path))
-    back = read_json(str(path))
-    assert back.metadata == out.metadata
-    assert len(back.records) == len(out.records)
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
 
+
+def test_json_roundtrip_and_version_gate(tmp_path):
     def same(a, b):
         return a == b or (isinstance(a, float) and np.isnan(a)
                           and isinstance(b, float) and np.isnan(b))
 
-    # every field of every record, nan equal to nan
-    for a, b in zip(out.records, back.records):
-        for f in dataclasses.fields(a):
-            assert same(getattr(a, f.name), getattr(b, f.name)), (a.N, f.name)
+    path = tmp_path / "series.json"
+    # n_max = 3 passes the end of the two-atom zero table, so the last
+    # record's node fields are nan: the metadata copies them as null, and
+    # the file is strict JSON
+    for custom, n_max in (({"eigenvalues": [1, 1, 2], "error": [1, 1, 1]}, 3),
+                          ({"dimension": 5, "seed": 11}, 5)):
+        out = run(RunConfig(test="custom", n_max=n_max, xi=2.0,
+                            custom=custom, json_out=str(path)))
+        json.loads(path.read_text(), parse_constant=_refuse)
+        back = read_json(str(path))
+        assert back.metadata == out.metadata
+        assert len(back.records) == len(out.records)
+        # every field of every record, nan equal to nan
+        for a, b in zip(out.records, back.records):
+            for f in dataclasses.fields(a):
+                assert same(getattr(a, f.name), getattr(b, f.name)), (
+                    a.N, f.name)
+    # a float that is not finite fails before the file is opened
+    bad = dataclasses.replace(out, metadata=dict(out.metadata,
+                                                 norm_estimate=np.nan))
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit_json(bad, str(tmp_path / "nan.json"))
+    assert not (tmp_path / "nan.json").exists()
     assert any(r.lemma_ok is not None for r in back.records)
     # a file written before lemma_ok existed reads it back as None
     data = json.loads(path.read_text())

@@ -11,6 +11,12 @@ from its own src/:
   - the diagonal pool of the benchmark: every slot of DiagSeries.SLOTS times
     every one of its POOL members, xi in {1, 2}, run to full dimension, with
     spectra from this tree's perfbench/workloads.diag_spectrum;
+  - three custom spectra where grouping the eigenvalues acts, xi in
+    {1, 2}, run to full dimension: two clustered ones, 12 seeded
+    eigenvalues each with a twin g * MERGE_REL relative above it (g = 0.5:
+    every twin merges; g = 3: only those below 1/3, where the merge
+    threshold is absolute), and a floored one, an equal pair whose |e0|^2
+    entries each lie below WEIGHT_FLOOR but sum above it;
   - the matrix-free pool of the benchmark: workloads.dense_case at
     MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
     theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
@@ -82,7 +88,27 @@ def series():
                 out.append((f"m{m}/i{index}/xi{int(xi)}",
                             {"test": "custom", "xi": xi, "n_max": m,
                              "custom": {"eigenvalues": lam, "error": e0}}))
-    return out
+    return out + grouping_series()
+
+
+def grouping_series():
+    """[(key, RunConfig keyword arguments)] of the clustered and floored
+    custom spectra."""
+    import numpy as np
+    from powercg.measures import MERGE_REL
+
+    base = np.sort(10.0 ** np.random.default_rng(1).uniform(-2, 2, 12))
+    e0 = np.random.default_rng(5).standard_normal(24)
+    specs = {f"clustered/g{g:g}": {
+        "eigenvalues": np.concatenate([base, base * (1 + g * MERGE_REL)]),
+        "error": e0} for g in (0.5, 3)}
+    e = np.sqrt(0.8e-300)
+    specs["floored"] = {"eigenvalues": [0.5, 1, 1, 2, 3],
+                        "error": [1, e, e, 1, 0.5]}
+    return [(f"{key}/xi{int(xi)}",
+             {"test": "custom", "xi": xi, "custom": spec,
+              "n_max": len(spec["error"])})
+            for key, spec in specs.items() for xi in XIS]
 
 
 def _hex(v):
