@@ -91,7 +91,9 @@ class MatrixOperator(SelfAdjointOperator):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix contains non-finite entries")
+        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (m + m.T)
         self.dimension = m.shape[0]

@@ -7,21 +7,19 @@ functional delta_n, the split-integral orthogonality identity, and the tail
 bound chain built on them are verified numerically step by step.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .krylov import JacobiMatrix, lanczos
 from .linop import DiagonalOperator
-from .measures import mass_below
 
 # the normal double range; a product outside it is recomputed rescaled
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 # relative slack of the lemma's weighted left bound
 LEMMA_SLACK = 1e-10
-# relative slack of bound_chain's comparisons
+# relative slack of the bound chain's comparisons
 CHAIN_SLACK = 1e-8
 # relative slack of the zero interlacing check
 SEPARATION_SLACK = 1e-10
@@ -35,8 +33,8 @@ EDGE_SLACK = 1e-10
 # integrals by up to prod (lambda/z_k)^2, which can reach 1e19 on weights
 # spanning twelve decades. Large smooth measures stay on the fast double path.
 _MP_MAX_ATOMS = 64
-# Newton corrections allowed per polished zero; from its double start every
-# zero of the seeded diagonal pool (16, 40 and 64 atoms) settles within four
+# Newton corrections allowed per polished zero; from its double start a zero
+# of the seeded diagonal pool (16-64 atoms) is mostly accepted after two
 _NEWTON_MAX_STEPS = 20
 
 
@@ -147,24 +145,38 @@ def _rkpw(lam, w):
     return alphas, beta2
 
 
+def _recurrence(x, alphas, beta2):
+    """(p(x), p'(x)), p the recurrence's monic polynomial of len(alphas)."""
+    p_prev, p, d_prev, d = 0, 1, 0, 0
+    for a, b2 in zip(alphas, beta2):
+        u = x - a
+        p_prev, p, d_prev, d = (p, u * p - b2 * p_prev,
+                                d, u * d + p - b2 * d_prev)
+    return p, d
+
+
 def _newton_polish(x, alphas, beta2, tol, floor_tol):
     """Newton from x on the monic polynomial of degree len(alphas) that the
-    three-term recurrence defines (value and derivative from the same
-    recurrence), until the correction is below tol relative. Once
+    three-term recurrence defines, until the correction r_k = |step_k| /
+    |x_k| is below tol, or until r_k < r_{k-1} and r_k^3 <= tol/1000 *
+    r_{k-1}^2: quadratic convergence then puts the next correction, about
+    r_k^3 / r_{k-1}^2, three decades below tol, and the pass that would
+    only confirm it is skipped (a stalling polish never gets here). Once
     _NEWTON_MAX_STEPS corrections are spent, the zero is accepted if the
     last correction is below floor_tol relative (the recurrence's own
     rounding floor: evaluating a high degree loses a few digits, and the
     corrections then stall just above tol); None otherwise."""
+    r_prev = 0
     for _ in range(_NEWTON_MAX_STEPS):
-        p_prev, p, d_prev, d = 0, 1, 0, 0
-        for a, b2 in zip(alphas, beta2):
-            u = x - a
-            p_prev, p, d_prev, d = (p, u * p - b2 * p_prev,
-                                    d, u * d + p - b2 * d_prev)
+        p, d = _recurrence(x, alphas, beta2)
         step = p / d
         x -= step
         if abs(step) <= tol * abs(x):
             return x
+        r = abs(step) / abs(x)
+        if r < r_prev and r ** 3 <= tol / 1000 * r_prev ** 2:
+            return x
+        r_prev = r
     return x if abs(step) <= floor_tol * abs(x) else None
 
 
@@ -191,8 +203,9 @@ def _mp_zero_table(measure, n_max):
     stops where a squared coupling falls to tol^2, tol = 10^-(dps-10) of the
     largest atom. Each degree's zeros start from the double eigenvalues of
     the rounded leading block and are polished by Newton to 10^-(dps-3)
-    relative, or to 10^-(dps-6) once _NEWTON_MAX_STEPS corrections are
-    spent; a zero that settles to neither raises RuntimeError.
+    relative, or to a predicted next correction three decades below that,
+    or to 10^-(dps-6) once _NEWTON_MAX_STEPS corrections are spent; a zero
+    that settles to none raises RuntimeError.
     """
     import decimal
     from decimal import Decimal
@@ -328,9 +341,9 @@ def _split_integrals_hp(zeros, dps, lam, lamd, wd):
     cut = Decimal(10) ** (-(dps - 15))
     lhs = Decimal(0)
     rhs = Decimal(0)
-    for lj, w_j, row in zip(lamd, wd, near):
-        if any(abs(lj - zeros[k]) <= cut * max(lj, zeros[k])
-               for k in np.flatnonzero(row)):
+    for lj, w_j, row, hit in zip(lamd, wd, near, near.any(axis=1)):
+        if hit and any(abs(lj - zeros[k]) <= cut * max(lj, zeros[k])
+                       for k in np.flatnonzero(row)):
             continue
         term = w_j * abs(1 - lj / z1)
         for z in zeros[1:]:
@@ -406,18 +419,74 @@ class ChainReport:
     lemma_ok: bool = None
 
     def add(self, name, lhs, rhs, ok):
-        # inf <= slack * inf holds: an overflowed operand must fail the step
-        lhs, rhs = float(lhs), float(rhs)
-        ok = bool(ok and math.isfinite(lhs) and math.isfinite(rhs))
-        self.steps.append(ChainStep(name, lhs, rhs, ok))
-        if not ok and self.first_failure is None:
+        step = ChainStep(name, float(lhs), float(rhs), bool(ok))
+        self.steps.append(step)
+        if not step.ok and self.first_failure is None:
             self.first_failure = name
             self.ok = False
 
 
+def _chain_table(rho, polys, deltas, mu_sigma, xi, sigma, s_vals):
+    """The bound chain at one sigma for each polynomial of polys (degree
+    >= 1), given its rho_sigma value, its delta_n and its values on
+    mu_sigma's support (s_vals yields one 1-d array per polynomial): the
+    eight steps as (name, lhs, rhs, ok) arrays over the polynomials, the
+    lemma's verdicts and the masses below each z_1. The three atom sums of
+    a polynomial are 1-d sums over the ascending support, as a separate
+    evaluation makes them; all else is elementwise over the polynomials."""
+    if xi < sigma:
+        raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
+    q = xi - sigma + 1.0
+    left, right = np.array([_split_of(p) for p in polys]).reshape(-1, 2).T
+    z1 = np.array([p.zeros[0] for p in polys])
+    rho = np.asarray(rho, dtype=float)
+    d = np.asarray(deltas, dtype=float)
+    lam, w = mu_sigma.support, mu_sigma.weights
+    atol = 1e-12 * max(mu_sigma.total_mass(), 1e-300)
+    integral, above, below = np.empty((3, z1.size))
+
+    def leq(a, b):
+        return a <= b * (1.0 + CHAIN_SLACK) + atol
+
+    def near(a, b):
+        return (np.abs(a - b)
+                <= CHAIN_SLACK * np.maximum(np.abs(a), np.abs(b)) + atol)
+
+    # double-path zeros near termination overflow the sums, and a tiny z_1
+    # overflows z_1^-q: the inf or nan operand fails its step. float_power
+    # is C pow, as on a scalar; ** on an array may take a SIMD pow that
+    # differs from it in the last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (s, k) in enumerate(zip(s_vals, np.searchsorted(lam, z1))):
+            s2w = s * s * w
+            integral[i] = s2w.sum()
+            above[i] = s2w[k:].sum()
+            below[i] = w[:k].sum()
+        zq = np.float_power(z1, -q)
+        lemma_rhs = below * np.float_power(q / d, q)
+        assembled = below * (1.0 + zq * np.float_power(q / d, q))
+        coarse = (1.0 + q ** q) * below
+        steps = [
+            ("integral_identity", rho, integral, near(rho, integral)),
+            ("split_bound", rho, below + above, leq(rho, below + above)),
+            ("tail_bound", above, zq * left, leq(above, zq * left)),
+            ("split_orthogonality", left, right, near(left, right)),
+            ("weighted_left_bound", left, lemma_rhs, leq(left, lemma_rhs)),
+            ("assembled_bound", rho, assembled, leq(rho, assembled)),
+            ("edge_times_delta", np.ones(z1.size), z1 * d,
+             z1 * d >= 1.0 - EDGE_SLACK),
+            ("coarse_bound", rho, coarse, leq(rho, coarse)),
+        ]
+        lemma_ok = left <= lemma_rhs * (1.0 + LEMMA_SLACK)
+    # inf <= slack * inf holds: an overflowed operand must fail the step
+    return ([(name, lhs, rhs, ok & np.isfinite(lhs) & np.isfinite(rhs))
+             for name, lhs, rhs, ok in steps], lemma_ok, below)
+
+
 def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     """Verify every inequality linking rho to the mass below the smallest
-    zero, reporting the first failure if any.
+    zero, reporting the first failure if any: the one-degree case of the
+    table run() takes once per sigma over all degrees (_chain_table).
 
     Needs xi >= sigma (the tail-to-left step divides by lambda^{xi-sigma+1}
     with exponent >= 1). p must come from residual_polynomials of the
@@ -425,50 +494,15 @@ def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
     integrals are taken against. A scale-aware absolute epsilon keeps the
     finite-termination case (everything 0 up to roundoff) from tripping the
     comparisons. s_vals, when given, are p's values on mu_sigma's support
-    (a caller checking several sigma takes p.values on a common superset
-    and indexes it); by default the chain evaluates p itself, by the same
-    product, so both give the same bits.
+    (as run() indexes them from a common superset); by default the chain
+    evaluates p itself, by the same product, so both give the same bits.
     """
-    if xi < sigma:
-        raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
-    q = xi - sigma + 1.0
-    leftint, rightint = _split_of(p)
-    z1 = p.zeros[0]
     d = delta_n(p)
-    mass = mu_sigma.total_mass()
-    atol = 1e-12 * max(mass, 1e-300)
-
-    if s_vals is None:
-        s_vals = p.evaluate(mu_sigma.support)
-    # an overflow here (double-path zeros near termination) leaves an
-    # infinite operand, which ChainReport.add already fails
-    with np.errstate(over="ignore"):
-        s2w = s_vals * s_vals * mu_sigma.weights
-        integral = float(s2w.sum())
-        above = float(s2w[mu_sigma.support >= z1].sum())
-    below = mass_below(mu_sigma, z1)
-    lemma_rhs = below * (q / d) ** q
-
-    rep = ChainReport(ritz_min=float(z1), delta=d, mass_below=below)
-
-    def leq(a, b):
-        return a <= b * (1.0 + CHAIN_SLACK) + atol
-
-    near = abs(rho_value - integral) <= CHAIN_SLACK * max(abs(rho_value),
-                                                          abs(integral)) + atol
-    rep.add("integral_identity", rho_value, integral, near)
-    rep.add("split_bound", rho_value, below + above, leq(rho_value, below + above))
-    rep.add("tail_bound", above, z1 ** (-q) * leftint,
-            leq(above, z1 ** (-q) * leftint))
-    gap_ok = (abs(leftint - rightint)
-              <= CHAIN_SLACK * max(leftint, rightint) + atol)
-    rep.add("split_orthogonality", leftint, rightint, gap_ok)
-    rep.add("weighted_left_bound", leftint, lemma_rhs, leq(leftint, lemma_rhs))
-    lemma = rep.steps[-1]
-    rep.lemma_ok = lemma.lhs <= lemma.rhs * (1.0 + LEMMA_SLACK)
-    assembled = below * (1.0 + z1 ** (-q) * (q / d) ** q)
-    rep.add("assembled_bound", rho_value, assembled, leq(rho_value, assembled))
-    rep.add("edge_times_delta", 1.0, z1 * d, z1 * d >= 1.0 - EDGE_SLACK)
-    coarse = (1.0 + q ** q) * below
-    rep.add("coarse_bound", rho_value, coarse, leq(rho_value, coarse))
+    steps, lemma_ok, below = _chain_table(
+        [rho_value], [p], [d], mu_sigma, xi, sigma,
+        [p.evaluate(mu_sigma.support) if s_vals is None else s_vals])
+    rep = ChainReport(ritz_min=float(p.zeros[0]), delta=d,
+                      mass_below=float(below[0]), lemma_ok=bool(lemma_ok[0]))
+    for name, lhs, rhs, ok in steps:
+        rep.add(name, lhs[0], rhs[0], ok[0])
     return rep

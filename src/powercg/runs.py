@@ -23,7 +23,7 @@ from .krylov import ConsistencyError, InverseProblem, spectral_iterates
 from .linop import DiagonalOperator, FourierOperator, KernelComponentError
 from .measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure, spectral_measure,
                        weight_by_power)
-from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, bound_chain,
+from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, _chain_table,
                         check_separation, delta_n, orthogonality_gap,
                         residual_polynomials)
 
@@ -274,23 +274,26 @@ def _measures(problem, xi, sigmas):
     return base, mu, weight_by_power(base, xi + 1.0)
 
 
-def _record(N, rho_values, polys, mu, rows, xi):
-    """The record of iterate N. While the table reaches degree N >= 1 it
-    carries the node data of polys[N] and the chain verdicts for every
-    sigma of mu (never empty: sigma = 0 is always checked), whose s values
-    are polys[N].values at rows[sigma]."""
-    rec = ConvergenceRecord(N=N, rho=rho_values,
-                            n_sq_rho1=float(N * N * rho_values[1.0]))
-    if 1 <= N < len(polys):
-        p = polys[N]
-        reps = [bound_chain(rho_values[s], p, mu[s], xi, s,
-                            s_vals=p.values[rows[s]]) for s in mu]
-        rec.delta_n = reps[0].delta
-        rec.ritz_min = reps[0].ritz_min
-        rec.ritz_max = float(p.zeros[-1])
-        rec.bound_chain_ok = all(rep.ok for rep in reps)
-        rec.lemma_ok = all(rep.lemma_ok for rep in reps)
-    return rec
+def _add_chain(records, polys, mu, rows, xi):
+    """Give records[N], N = 1..len(polys) - 1, the node data of polys[N] and
+    the chain verdicts for every sigma of mu (never empty: sigma = 0 is
+    always checked), one chain table per sigma over all those degrees, with
+    polys[N].values at rows[sigma] as the s values."""
+    ps = polys[1:]
+    deltas = [delta_n(p) for p in ps]
+    chain_ok = lemma_ok = True
+    for s, m in mu.items():
+        steps, lemma, _ = _chain_table(
+            [r.rho[s] for r in records[1:len(polys)]], ps, deltas, m, xi, s,
+            (p.values[rows[s]] for p in ps))
+        chain_ok = chain_ok & np.all([ok for *_, ok in steps], axis=0)
+        lemma_ok = lemma_ok & lemma
+    for r, p, d, ok, lem in zip(records[1:], ps, deltas, chain_ok, lemma_ok):
+        r.delta_n = d
+        r.ritz_min = float(p.zeros[0])
+        r.ritz_max = float(p.zeros[-1])
+        r.bound_chain_ok = bool(ok)
+        r.lemma_ok = bool(lem)
 
 
 def run(config):
@@ -302,9 +305,9 @@ def run(config):
     in floating point leak out of the exact Krylov space once the
     recurrence coefficients of the orthogonality measure collapse, and the
     leaked iterates break the rho / node-polynomial identity that the
-    records are meant to exhibit. Every record also carries the
-    node-polynomial data (smallest and largest zero, delta_n) and the
-    verdicts of the tail bound chain for each requested sigma <= xi.
+    records are meant to exhibit. Each record the zero table reaches also
+    carries its node data (smallest and largest zero, delta_n) and its
+    chain verdicts, the chain taken once per sigma over all degrees.
     """
     config = config.resolve()
     t0 = time.perf_counter()
@@ -322,8 +325,9 @@ def run(config):
     # is evaluated once per degree on base's support, serves every sigma
     rows = {s: np.searchsorted(base.support, m.support) for s, m in mu.items()}
     polys = residual_polynomials(nu, config.n_max, base.support)
-    records = [_record(N, rho_of(f_n), polys, mu, rows, config.xi)
-               for N, f_n in enumerate(iterates)]
+    records = [ConvergenceRecord(N=N, rho=r, n_sq_rho1=float(N * N * r[1.0]))
+               for N, r in enumerate(map(rho_of, iterates))]
+    _add_chain(records, polys, mu, rows, config.xi)
 
     op = problem.operator
     metadata = {

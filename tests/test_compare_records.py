@@ -39,27 +39,32 @@ def test_changed_value_and_flipped_verdict(compare):
     assert mf_row["delta_n"] is None and mf_row["lemma_ok"] is None
     moved = dict(mf_row, rho_sigma=dict(mf_row["rho_sigma"],
                                         **{"2.0": (0.25 + 2.0 ** -54).hex()}))
+    # a delta_n that turns nan (written 'nan' as float hex) differs by inf
+    finite = dict(_row(1), delta_n=(1.5).hex())
     old = {"1a/xi1": [_row(0), _row(1), _row(2)],
            "2a/xi1": [_row(0), _row(1)],
+           "m2/i0/xi1": [finite],
            "mf/p0/theta2": [mf_row]}
     new = {"1a/xi1": [_row(0), _row(1, rho1=0.5 + 2.0 ** -53), _row(2)],
            "2a/xi1": [_row(0), _row(1, lemma=False)],
+           "m2/i0/xi1": [dict(finite, delta_n=float("nan").hex())],
            "mf/p0/theta2": [moved]}
     diff = compare.diff_dumps(old, new)
-    assert diff["counts"] == {"rho_sigma": 2, "n_sq_rho1": 1, "delta_n": 0,
+    assert diff["counts"] == {"rho_sigma": 2, "n_sq_rho1": 1, "delta_n": 1,
                               "ritz_min": 0, "ritz_max": 0,
                               "bound_chain_ok": 0, "lemma_ok": 1}
     one_ulp = 2.0 ** -53 / (0.5 + 2.0 ** -53)
     assert diff["max_rel"] == {"rho_sigma": one_ulp, "n_sq_rho1": one_ulp,
-                               "delta_n": 0.0, "ritz_min": 0.0,
+                               "delta_n": float("inf"), "ritz_min": 0.0,
                                "ritz_max": 0.0}
     assert diff["flips"] == [("2a/xi1", 1, "lemma_ok", True, False)]
     assert diff["problems"] == []
     assert compare.differs(diff)
-    text = compare.report(diff, "x", 3, 6)
+    text = compare.report(diff, "x", 4, 7)
     assert "flip 2a/xi1 N=1 lemma_ok: True -> False" in text
     assert f"rho_sigma       2 differing records, max rel {one_ulp:.3g}" in text
-    assert "delta_n         0 differing records, max rel 0\n" in text
+    assert "delta_n         1 differing records, max rel inf\n" in text
+    assert "ritz_min        0 differing records, max rel 0\n" in text
     assert "lemma_ok        1 differing records\n" in text
     assert text.endswith("differences found")
 

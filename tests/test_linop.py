@@ -161,29 +161,34 @@ def test_dimension_mismatch():
         fo.from_coefficients(np.ones(8) + 1j)
 
 
-@pytest.mark.parametrize("make, error", [
+@pytest.mark.parametrize("make, error, match", [
     (lambda: pc.DiagonalOperator(np.ones(3)).apply([1.0, np.nan, 0.0]),
-     ValueError),
+     ValueError, "non-finite"),
     (lambda: pc.FourierOperator(4, 1.0).coefficients([0.0, np.inf, 0, 0]),
-     ValueError),
+     ValueError, "non-finite"),
     (lambda: pc.FourierOperator(4, 1.0).from_coefficients(
-        [np.nan, 0, 0, 0]), ValueError),
-    (lambda: pc.DiagonalOperator(np.ones((2, 2))), ValueError),
-    (lambda: pc.DiagonalOperator([1.0, np.inf]), ValueError),
-    (lambda: pc.DiagonalOperator([np.nan, 1.0]), ValueError),
-    (lambda: pc.MatrixOperator(np.ones((2, 3))), ValueError),
-    (lambda: pc.MatrixOperator(np.ones(3)), ValueError),
+        [np.nan, 0, 0, 0]), ValueError, "non-finite"),
+    (lambda: pc.DiagonalOperator(np.ones((2, 2))), ValueError, "1-d"),
+    (lambda: pc.DiagonalOperator([1.0, np.inf]), ValueError, "finite"),
+    (lambda: pc.DiagonalOperator([np.nan, 1.0]), ValueError, "finite"),
+    (lambda: pc.MatrixOperator(np.ones((2, 3))), ValueError, "square"),
+    (lambda: pc.MatrixOperator(np.ones(3)), ValueError, "square"),
+    # a non-finite entry is refused for what it is, before any symmetry test
+    (lambda: pc.MatrixOperator([[np.inf, 0.0], [0.0, 1.0]]), ValueError,
+     "non-finite"),
+    (lambda: pc.MatrixOperator([[1.0, np.nan], [0.0, 1.0]]), ValueError,
+     "non-finite"),
     (lambda: pc.DiagonalOperator(np.ones(3)).from_coefficients(np.ones(2)),
-     DimensionMismatchError),
+     DimensionMismatchError, "expected shape"),
     (lambda: pc.MatrixOperator(np.eye(2)).coefficients(np.ones(2)),
-     SpectralAccessError),
+     SpectralAccessError, "no spectral access"),
 ], ids=["non-finite-apply", "non-finite-coefficients",
         "non-finite-from-coefficients", "diagonal-not-1d",
         "diagonal-infinite", "diagonal-nan", "matrix-not-square",
-        "matrix-not-2d", "diagonal-from-coefficients-shape",
-        "matrix-no-spectral-access"])
-def test_operator_safety_branches(make, error):
-    with pytest.raises(error) as info:
+        "matrix-not-2d", "matrix-infinite", "matrix-nan",
+        "diagonal-from-coefficients-shape", "matrix-no-spectral-access"])
+def test_operator_safety_branches(make, error, match):
+    with pytest.raises(error, match=match) as info:
         make()
     assert info.type is error
 

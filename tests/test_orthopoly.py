@@ -79,18 +79,30 @@ def _pool_like(m, seed):
     return DiscreteSpectralMeasure(lam, lam ** 3 * rng.standard_normal(m) ** 2)
 
 
-def test_mp_zero_table_matches_reference_route():
+def test_mp_zero_table_matches_reference_route(monkeypatch):
     # the RKPW + Newton table against the reorthogonalized Stieltjes + eigsy
     # route: table length, every rounded zero and both split integrals
     # bit-equal. The 16-atom measure has weights over twelve decades and
     # zeros that have captured atoms; the 40- and 64-atom ones are cut short
-    # to keep the dense reference eigensolves cheap
+    # to keep the dense reference eigensolves cheap. Newton skips the pass
+    # that would only confirm a zero: at most 2.25 recurrence passes per
+    # zero (a confirming pass on every zero made 2.9-3.0)
+    passes = []
+    recurrence = orthopoly._recurrence
+
+    def spy(*args):
+        passes.append(1)
+        return recurrence(*args)
+    monkeypatch.setattr(orthopoly, "_recurrence", spy)
     captured = _pool_like(16, 5)
     assert captured.weights.max() / captured.weights.min() >= 1e12
     cases = [(NU2, 5), (captured, 16), (_pool_like(40, 2), 24),
              (_pool_like(64, 3), 12)]
     for nu, n_max in cases:
+        passes.clear()
         got = orthopoly._mp_zero_table(nu, n_max)
+        zeros = sum(z.size for z, _ in got)
+        assert len(passes) <= 2.25 * zeros, (len(nu), len(passes), zeros)
         want = reference_zero_table(nu, n_max)
         assert len(got) == len(want) == min(n_max, len(nu))
         for N, ((z, split), (z_ref, split_ref)) in enumerate(zip(got, want), 1):

@@ -402,6 +402,66 @@ def test_chain_on_shared_s_values_matches_its_own_evaluation():
                 assert (got.ok, got.first_failure) == (want.ok, want.first_failure)
 
 
+def _pool_spec(m, index):
+    """Member (m, index) of the benchmark's diagonal pool: m distinct atoms
+    log-uniform on [1e-3, 1e3] and a standard-normal initial error."""
+    rng = np.random.default_rng([20261017, m, index])
+    while True:
+        lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=m))
+        if np.unique(lam).size == m:
+            return {"eigenvalues": lam, "error": rng.standard_normal(m)}
+
+
+@pytest.mark.parametrize("config", [
+    small_config("2b", n_max=24),
+    RunConfig(test="custom", n_max=16, custom=_pool_spec(16, 0)),
+    RunConfig(test="custom", n_max=72, custom=_pool_spec(72, 0)),
+], ids=["2b-n256", "pool-16", "pool-72"])
+@pytest.mark.parametrize("xi", [1.0, 2.0])
+def test_run_takes_one_chain_table_per_sigma(monkeypatch, config, xi):
+    # run() evaluates the chain once per sigma over all degrees and never
+    # calls bound_chain; every step of each table (as float hex, so a nan
+    # operand compares too), and the records' delta_n and ritz_min, are bit
+    # for bit what bound_chain gives at each (N, sigma) on its own
+    from powercg import orthopoly, runs
+    tables = {}
+    chain_table = runs._chain_table
+
+    def spy(*args):
+        out = chain_table(*args)
+        sigma = args[5]
+        assert sigma not in tables
+        tables[sigma] = out[0]
+        return out
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("run() called bound_chain")
+    monkeypatch.setattr(runs, "_chain_table", spy)
+    monkeypatch.setattr(orthopoly, "bound_chain", no_chain)
+    config = dataclasses.replace(config, xi=xi).resolve()
+    out = run(config)
+    monkeypatch.undo()
+    base, mu, nu = runs._measures(runs._build_problem(config), xi,
+                                  [s for s in (0.0, 1.0, 2.0) if s <= xi])
+    assert sorted(tables) == sorted(mu)
+    polys = residual_polynomials(nu, config.n_max, base.support)
+    assert len(polys) > 2
+
+    def bits(name, lhs, rhs, ok):
+        return name, float(lhs).hex(), float(rhs).hex(), bool(ok)
+    for r in out.records[1:len(polys)]:
+        reps = {s: bound_chain(r.rho[s], polys[r.N], m, xi, s)
+                for s, m in mu.items()}
+        for s, rep in reps.items():
+            got = [bits(name, lhs[r.N - 1], rhs[r.N - 1], ok[r.N - 1])
+                   for name, lhs, rhs, ok in tables[s]]
+            assert got == [bits(t.name, t.lhs, t.rhs, t.ok)
+                           for t in rep.steps], (r.N, s)
+            assert (r.delta_n, r.ritz_min) == (rep.delta, rep.ritz_min)
+        assert r.bound_chain_ok == all(rep.ok for rep in reps.values())
+        assert r.lemma_ok == all(rep.lemma_ok for rep in reps.values())
+
+
 def test_lemma_verdict_matches_lemma_bound():
     # above the 64-atom cutoff the double-path chain fails on most records
     # near termination while the lemma holds on every one, so the verdict
@@ -455,13 +515,16 @@ def test_run_near_termination_lets_no_warning_escape():
     # near termination; run() must keep it inside and give the same records.
     # The second spectrum is a 96-atom log-uniform draw on [1e-3, 1e3], whose
     # overflow lands in the chain's sums over s^2 w
+    # The third has a smallest zero near 1e-155, so z_1^-q overflows in the
+    # chain's operands at N = 1, whose verdict must then be false
     spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
     rng = np.random.default_rng([20261017, 96, 3])
     lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=96))
     assert np.unique(lam).size == 96
     drawn = {"eigenvalues": lam, "error": rng.standard_normal(96)}
+    tiny = {"eigenvalues": [1e-160, 1e-150], "error": [1e40, 1e40]}
     for custom, xi, n_max in ((spec, 1.0, 72), (spec, 2.0, 72),
-                              (drawn, 1.0, 96)):
+                              (drawn, 1.0, 96), (tiny, 1.0, 2)):
         config = RunConfig(test="custom", xi=xi, n_max=n_max, custom=custom)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -470,6 +533,8 @@ def test_run_near_termination_lets_no_warning_escape():
             warnings.simplefilter("error")
             got = run(config).to_dict()["records"]
         assert got == want
+        if custom is tiny:
+            assert got[1]["bound_chain_ok"] is False
 
 
 def test_run_built_in_small():

@@ -11,12 +11,15 @@ from its own src/:
   - the diagonal pool of the benchmark: every slot of DiagSeries.SLOTS times
     every one of its POOL members, xi in {1, 2}, run to full dimension, with
     spectra from this tree's perfbench/workloads.diag_spectrum;
-  - three custom spectra where grouping the eigenvalues acts, xi in
-    {1, 2}, run to full dimension: two clustered ones, 12 seeded
+  - four custom spectra, xi in {1, 2}, run to full dimension: three
+    where grouping the eigenvalues acts, two clustered ones, 12 seeded
     eigenvalues each with a twin g * MERGE_REL relative above it (g = 0.5:
     every twin merges; g = 3: only those below 1/3, where the merge
     threshold is absolute), and a floored one, an equal pair whose |e0|^2
-    entries each lie below WEIGHT_FLOOR but sum above it;
+    entries each lie below WEIGHT_FLOOR but sum above it; and an overflow
+    one, eigenvalues 1e-160 and 1e-150 with error 1e40 each, whose
+    smallest zero overflows the chain's z_1^-q at N = 1 when xi = 1 (at
+    xi = 2 its nu is floored away and its table is empty);
   - the matrix-free pool of the benchmark: workloads.dense_case at
     MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
     theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
@@ -48,6 +51,7 @@ import argparse
 import importlib.util
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -88,12 +92,12 @@ def series():
                 out.append((f"m{m}/i{index}/xi{int(xi)}",
                             {"test": "custom", "xi": xi, "n_max": m,
                              "custom": {"eigenvalues": lam, "error": e0}}))
-    return out + grouping_series()
+    return out + custom_series()
 
 
-def grouping_series():
-    """[(key, RunConfig keyword arguments)] of the clustered and floored
-    custom spectra."""
+def custom_series():
+    """[(key, RunConfig keyword arguments)] of the clustered, floored and
+    overflow custom spectra."""
     import numpy as np
     from powercg.measures import MERGE_REL
 
@@ -105,6 +109,8 @@ def grouping_series():
     e = np.sqrt(0.8e-300)
     specs["floored"] = {"eigenvalues": [0.5, 1, 1, 2, 3],
                         "error": [1, e, e, 1, 0.5]}
+    specs["overflow"] = {"eigenvalues": [1e-160, 1e-150],
+                         "error": [1e40, 1e40]}
     return [(f"{key}/xi{int(xi)}",
              {"test": "custom", "xi": xi, "custom": spec,
               "n_max": len(spec["error"])})
@@ -234,12 +240,15 @@ def dump(path):
 
 
 def _rel(a, b):
-    """Relative difference of two float-hex values (None: not finite)."""
+    """Relative difference of two float-hex values (None: not finite); inf
+    when they differ and either one is not finite."""
     if a == b:
         return 0.0
     if a is None or b is None:
         return float("inf")
     a, b = float.fromhex(a), float.fromhex(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return float("inf")
     return abs(b - a) / max(abs(a), abs(b))
 
 
