@@ -12,7 +12,7 @@ import numpy as np
 from powercg.diagnostics import rho
 from powercg.krylov import spectral_iterates
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import bound_chain, delta_n, residual_polynomials
+from powercg.orthopoly import chain_table, delta_n, residual_polynomials
 from powercg.runs import build_custom_case
 
 prob = build_custom_case({"eigenvalues": [0.01, 0.1, 0.5, 1.0, 4.0, 25.0],
@@ -32,11 +32,11 @@ N = 3
 sigma = 1.0
 f = list(spectral_iterates(prob, 1.0, N))[N]
 mu1 = weight_by_power(base, sigma)
-rep = bound_chain(rho(prob, f, sigma), polys[N], mu1, 1.0, sigma)
+t = chain_table([rho(prob, f, sigma)], [polys[N]], mu1, 1.0, sigma)
 print(f"\nbound chain at N={N}, sigma={sigma} "
-      f"(z1={rep.ritz_min:.4f}, delta={rep.delta:.4f}, "
-      f"mass below z1 = {rep.mass_below:.4f}):")
-for step in rep.steps:
-    print(f"  {step.name:22s} {step.lhs:.6e} <= {step.rhs:.6e}  "
-          f"{'ok' if step.ok else 'VIOLATED'}")
-assert rep.ok
+      f"(z1={polys[N].zeros[0]:.4f}, delta={t.delta[0]:.4f}, "
+      f"mass below z1 = {t.mass_below[0]:.4f}):")
+for name, lhs, rhs, ok in t.steps:
+    print(f"  {name:22s} {lhs[0]:.6e} <= {rhs[0]:.6e}  "
+          f"{'ok' if ok[0] else 'VIOLATED'}")
+assert t.ok[0]

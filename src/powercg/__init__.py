@@ -17,9 +17,9 @@ from .measures import (DiscreteSpectralMeasure, mass_below, spectral_measure,
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      JacobiMatrix, lanczos, run_cg, spectral_iterates,
                      theta_iterate)
-from .orthopoly import (ChainReport, ChainStep, ResidualPolynomial,
-                        bound_chain, check_separation, delta_n,
-                        orthogonality_gap, residual_polynomials)
+from .orthopoly import (ChainTable, ResidualPolynomial, chain_table,
+                        check_separation, delta_n, orthogonality_gap,
+                        residual_polynomials)
 from .diagnostics import ConvergenceRecord, np_rate_monitor, rho
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
                    build_test_case, emit_json, read_csv, read_json, run,
@@ -36,8 +36,7 @@ __all__ = [
     "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
     "run_cg", "theta_iterate", "spectral_iterates", "lanczos",
     "ResidualPolynomial", "residual_polynomials", "delta_n",
-    "check_separation", "orthogonality_gap", "bound_chain",
-    "ChainReport", "ChainStep",
+    "check_separation", "orthogonality_gap", "chain_table", "ChainTable",
     "ConvergenceRecord", "rho", "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",
     "build_custom_case", "run", "verify_case", "emit_json", "read_json",

@@ -7,7 +7,7 @@ functional delta_n, the split-integral orthogonality identity, and the tail
 bound chain built on them are verified numerically step by step.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -398,50 +398,49 @@ def orthogonality_gap(p):
     return lhs, rhs, gap
 
 
-@dataclass
-class ChainStep:
-    name: str
-    lhs: float
-    rhs: float
-    ok: bool
+class ChainTable(NamedTuple):
+    """The bound chain at one sigma, one entry per polynomial: steps holds
+    the eight (name, lhs, rhs, ok) arrays, ok whether all eight hold,
+    first_failure the name of the first step that fails (None where none
+    does), lemma_ok the lemma's own verdict (weighted_left_bound at
+    LEMMA_SLACK, with neither the chain's slack nor its absolute epsilon),
+    delta the delta_n values and mass_below the mu_sigma mass below z_1."""
+    steps: list
+    ok: np.ndarray
+    first_failure: list
+    lemma_ok: np.ndarray
+    delta: np.ndarray
+    mass_below: np.ndarray
 
 
-@dataclass
-class ChainReport:
-    steps: list = field(default_factory=list)
-    ok: bool = True
-    first_failure: str = None
-    ritz_min: float = None
-    delta: float = None
-    mass_below: float = None
-    # the lemma's own verdict: weighted_left_bound at LEMMA_SLACK, with
-    # neither the chain's slack nor its absolute epsilon
-    lemma_ok: bool = None
+def chain_table(rhos, polys, mu_sigma, xi, sigma, s_vals=None):
+    """Verify every inequality linking rho_sigma to the mass below the
+    smallest zero for each polynomial of polys (degree >= 1), given its
+    rho_sigma value in rhos; chain_table([rho], [p], mu_sigma, xi, sigma)
+    checks one degree.
 
-    def add(self, name, lhs, rhs, ok):
-        step = ChainStep(name, float(lhs), float(rhs), bool(ok))
-        self.steps.append(step)
-        if not step.ok and self.first_failure is None:
-            self.first_failure = name
-            self.ok = False
-
-
-def _chain_table(rho, polys, deltas, mu_sigma, xi, sigma, s_vals):
-    """The bound chain at one sigma for each polynomial of polys (degree
-    >= 1), given its rho_sigma value, its delta_n and its values on
-    mu_sigma's support (s_vals yields one 1-d array per polynomial): the
-    eight steps as (name, lhs, rhs, ok) arrays over the polynomials, the
-    lemma's verdicts and the masses below each z_1. The three atom sums of
-    a polynomial are 1-d sums over the ascending support, as a separate
-    evaluation makes them; all else is elementwise over the polynomials."""
+    Needs xi >= sigma (the tail-to-left step divides by lambda^{xi-sigma+1}
+    with exponent >= 1). Each polynomial must come from residual_polynomials
+    of the (xi - sigma + 1) power reweighting of mu_sigma, the measure its
+    split integrals are taken against. A scale-aware absolute epsilon keeps
+    the finite-termination case (everything 0 up to roundoff) from tripping
+    the comparisons. s_vals, when given, yields each polynomial's values on
+    mu_sigma's support (as run() indexes them from a common superset); by
+    default each polynomial is evaluated there by the same product, so both
+    give the same bits. The three atom sums of a polynomial are 1-d sums
+    over the ascending support, so each entry is bit for bit the one-degree
+    table of its polynomial; all else is elementwise over the polynomials.
+    """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
     q = xi - sigma + 1.0
     left, right = np.array([_split_of(p) for p in polys]).reshape(-1, 2).T
     z1 = np.array([p.zeros[0] for p in polys])
-    rho = np.asarray(rho, dtype=float)
-    d = np.asarray(deltas, dtype=float)
+    rho = np.asarray(rhos, dtype=float)
+    d = np.array([delta_n(p) for p in polys], dtype=float)
     lam, w = mu_sigma.support, mu_sigma.weights
+    if s_vals is None:
+        s_vals = (p.evaluate(lam) for p in polys)
     atol = 1e-12 * max(mu_sigma.total_mass(), 1e-300)
     integral, above, below = np.empty((3, z1.size))
 
@@ -479,30 +478,9 @@ def _chain_table(rho, polys, deltas, mu_sigma, xi, sigma, s_vals):
         ]
         lemma_ok = left <= lemma_rhs * (1.0 + LEMMA_SLACK)
     # inf <= slack * inf holds: an overflowed operand must fail the step
-    return ([(name, lhs, rhs, ok & np.isfinite(lhs) & np.isfinite(rhs))
-             for name, lhs, rhs, ok in steps], lemma_ok, below)
-
-
-def bound_chain(rho_value, p, mu_sigma, xi, sigma, s_vals=None):
-    """Verify every inequality linking rho to the mass below the smallest
-    zero, reporting the first failure if any: the one-degree case of the
-    table run() takes once per sigma over all degrees (_chain_table).
-
-    Needs xi >= sigma (the tail-to-left step divides by lambda^{xi-sigma+1}
-    with exponent >= 1). p must come from residual_polynomials of the
-    (xi - sigma + 1) power reweighting of mu_sigma, the measure its split
-    integrals are taken against. A scale-aware absolute epsilon keeps the
-    finite-termination case (everything 0 up to roundoff) from tripping the
-    comparisons. s_vals, when given, are p's values on mu_sigma's support
-    (as run() indexes them from a common superset); by default the chain
-    evaluates p itself, by the same product, so both give the same bits.
-    """
-    d = delta_n(p)
-    steps, lemma_ok, below = _chain_table(
-        [rho_value], [p], [d], mu_sigma, xi, sigma,
-        [p.evaluate(mu_sigma.support) if s_vals is None else s_vals])
-    rep = ChainReport(ritz_min=float(p.zeros[0]), delta=d,
-                      mass_below=float(below[0]), lemma_ok=bool(lemma_ok[0]))
-    for name, lhs, rhs, ok in steps:
-        rep.add(name, lhs[0], rhs[0], ok[0])
-    return rep
+    steps = [(name, lhs, rhs, ok & np.isfinite(lhs) & np.isfinite(rhs))
+             for name, lhs, rhs, ok in steps]
+    first = [next((name for name, *_, ok in steps if not ok[i]), None)
+             for i in range(z1.size)]
+    return ChainTable(steps, np.all([ok for *_, ok in steps], axis=0), first,
+                      lemma_ok, d, below)

@@ -23,7 +23,7 @@ from .krylov import ConsistencyError, InverseProblem, spectral_iterates
 from .linop import DiagonalOperator, FourierOperator, KernelComponentError
 from .measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure, spectral_measure,
                        weight_by_power)
-from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, _chain_table,
+from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, chain_table,
                         check_separation, delta_n, orthogonality_gap,
                         residual_polynomials)
 
@@ -47,6 +47,19 @@ TEST_DEFAULTS = {
 
 class VersionError(ValueError):
     pass
+
+
+def _cast(field, value, kind):
+    """kind(value), or ValueError naming field; a str, bytes or bool is
+    refused, and where kind is int so is a value that is not integral."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{field} = {value!r}: {exc}") from None
+    if isinstance(value, (str, bytes, bool)) or (kind is int and out != value):
+        raise ValueError(f"{field} = {value!r}: not "
+                         f"{'an integer' if kind is int else 'numeric'}")
+    return out
 
 
 def _gauss_f(x):
@@ -149,12 +162,9 @@ def build_custom_case(spec):
         lam = lam[order]
         e0 = e0[order]
     elif "dimension" in spec:
-        try:
-            d = int(spec["dimension"])
-            seed = int(spec.get("seed", 0))
-            kappa = float(spec.get("kappa", 1e3))
-        except TypeError as exc:
-            raise ValueError(f"custom spec: {exc}") from None
+        d = _cast("custom spec: 'dimension'", spec["dimension"], int)
+        seed = _cast("custom spec: 'seed'", spec.get("seed", 0), int)
+        kappa = _cast("custom spec: 'kappa'", spec.get("kappa", 1e3), float)
         if not (kappa > 0 and 0.0 < 1.0 / kappa < np.inf):
             raise ValueError(f"custom spec: 'kappa' must be finite and > 0, "
                              f"with 1/kappa finite, got {kappa}")
@@ -184,11 +194,7 @@ class RunConfig:
     custom: dict = None
 
     def _cast(self, name, kind):
-        value = getattr(self, name)
-        try:
-            return kind(value)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"config field {name!r} = {value!r}: {exc}") from None
+        return _cast(f"config field {name!r}", getattr(self, name), kind)
 
     def resolve(self):
         if self.test in TEST_IDS:
@@ -203,6 +209,10 @@ class RunConfig:
         elif self.test == "custom":
             if not self.custom:
                 raise ValueError("custom test needs a custom problem spec")
+            for name in ("n", "L"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"config field {name!r} has no meaning "
+                                     f"for a custom test")
         else:
             raise ValueError(
                 f"unknown test id {self.test!r}, expected {TEST_IDS + ('custom',)}")
@@ -280,16 +290,14 @@ def _add_chain(records, polys, mu, rows, xi):
     always checked), one chain table per sigma over all those degrees, with
     polys[N].values at rows[sigma] as the s values."""
     ps = polys[1:]
-    deltas = [delta_n(p) for p in ps]
     chain_ok = lemma_ok = True
     for s, m in mu.items():
-        steps, lemma, _ = _chain_table(
-            [r.rho[s] for r in records[1:len(polys)]], ps, deltas, m, xi, s,
-            (p.values[rows[s]] for p in ps))
-        chain_ok = chain_ok & np.all([ok for *_, ok in steps], axis=0)
-        lemma_ok = lemma_ok & lemma
-    for r, p, d, ok, lem in zip(records[1:], ps, deltas, chain_ok, lemma_ok):
-        r.delta_n = d
+        t = chain_table([r.rho[s] for r in records[1:len(polys)]], ps, m, xi,
+                        s, (p.values[rows[s]] for p in ps))
+        chain_ok = chain_ok & t.ok
+        lemma_ok = lemma_ok & t.lemma_ok
+    for r, p, d, ok, lem in zip(records[1:], ps, t.delta, chain_ok, lemma_ok):
+        r.delta_n = float(d)
         r.ritz_min = float(p.zeros[0])
         r.ritz_max = float(p.zeros[-1])
         r.bound_chain_ok = bool(ok)
@@ -382,6 +390,8 @@ def read_csv(path):
     """Rows as dicts with parsed floats (nan round-trips; empty stays '')."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path} is empty, expected the header {CSV_HEADER!r}")
     header = [h.strip() for h in lines[0].split(",")]
     rows = []
     for ln in lines[1:]:
@@ -408,10 +418,14 @@ def emit_json(record, path):
 def read_json(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a JSON {type(data).__name__}, not an object")
     ver = data.get("schema_version")
     if ver != SCHEMA_VERSION:
         raise VersionError(
             f"unsupported schema version {ver!r} in {path}, expected {SCHEMA_VERSION}")
+    if "records" not in data or "metadata" not in data:
+        raise ValueError(f"{path} lacks 'records' or 'metadata'")
     records = []
     for obj in data["records"]:
         # the inverse of to_dict: a null is nan unless the field's default
@@ -466,17 +480,11 @@ def verify_case(config):
     zeros_ok = all(p.zeros.min() > 0 for p in polys[1:])
     checks.append(("zeros_positive", zeros_ok,
                    f"{len(polys) - 1} degrees"))
-    sep_ok = True
-    worst = 0.0
-    for i in range(1, len(polys) - 1):
-        ok, v = check_separation(polys[i], polys[i + 1])
-        sep_ok = sep_ok and ok
-        worst = max(worst, v)
+    seps = [check_separation(a, b) for a, b in zip(polys[1:], polys[2:])]
+    sep_ok = all(ok for ok, _ in seps)
+    worst = max([0.0] + [v for _, v in seps])
     checks.append(("zeros_interlace", sep_ok, f"max violation {worst:.3e}"))
-    worst = 0.0
-    for p in polys[1:]:
-        _, _, gp = orthogonality_gap(p)
-        worst = max(worst, gp)
+    worst = max([0.0] + [orthogonality_gap(p)[2] for p in polys[1:]])
     checks.append(("split_orthogonality", worst <= CHAIN_SLACK,
                    f"max rel gap {worst:.3e}"))
     edge_ok = all(p.zeros[0] * delta_n(p) >= 1.0 - EDGE_SLACK

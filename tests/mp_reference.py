@@ -12,9 +12,9 @@ nor arithmetic library with it.
   recurrence plus a dense eigensolve per degree), so tests keep it small.
 - brute_force_iterate / brute_force_objective, for the weighted Krylov
   minimizers: the monomial normal equations solved at many digits.
-- lemma_bound, for the lemma verdict bound_chain reports as lemma_ok on
+- lemma_bound, for the lemma verdict chain_table reports as lemma_ok on
   its weighted_left_bound operands: the same comparison made in double
-  precision from the polynomial's split integrals, outside bound_chain.
+  precision from the polynomial's split integrals, outside chain_table.
 """
 
 import numpy as np

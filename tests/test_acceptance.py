@@ -15,7 +15,7 @@ import pytest
 from powercg.diagnostics import rho
 from powercg.krylov import run_cg, spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import (bound_chain, check_separation,
+from powercg.orthopoly import (chain_table, check_separation,
                                orthogonality_gap, residual_polynomials)
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
 
@@ -219,16 +219,17 @@ def test_5_tail_bounds_hold_on_every_run(acceptance, random_runs, grid_runs, big
                 if lhs > rhs * (1 + 1e-8) + 1e-300:
                     failures.append(
                         f"{name} q={q} N={N}: one-sided {lhs:.3e} > {rhs:.3e}")
-                if q < 1:
-                    continue
-                val = rho_of(sigma, N)
-                if val is None:
-                    continue
-                rep = bound_chain(val, polys[N], mu_s, xi, sigma)
-                checked += 1
-                if not rep.ok:
-                    failures.append(
-                        f"{name} q={q} N={N}: chain fails at {rep.first_failure}")
+            if q < 1:
+                continue
+            # one table over the degrees whose rho is known
+            vals = {N: rho_of(sigma, N) for N in range(1, len(polys))}
+            degrees = [N for N, v in vals.items() if v is not None]
+            t = chain_table([vals[N] for N in degrees],
+                            [polys[N] for N in degrees], mu_s, xi, sigma)
+            checked += len(degrees)
+            failures.extend(f"{name} q={q} N={N}: chain fails at {first}"
+                            for N, first in zip(degrees, t.first_failure)
+                            if first is not None)
 
     for r in random_runs + grid_runs:
         name = f"{r.get('test', 'diag')} xi={r['xi']}"

@@ -99,6 +99,20 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     bad += [({"test": "1a", "n": 256, "n_max": 4, "xi": 400}, "overflows")]
     bad += [(dict(CUSTOM, custom={"dimension": 6, "kappa": kappa}), "kappa")
             for kappa in (0, -1, float("inf"), float("nan"))]
+    # no value is coerced silently: no field takes a string or a bool (a
+    # string of sigmas is not iterated by character), and an integer field
+    # takes no fraction
+    bad += [({"test": "1a", "n": 256, "n_max": 4, field: value}, repr(field))
+            for field, value in (("sigmas", "12"), ("n_max", 4.7),
+                                 ("n_max", True), ("n", 256.5), ("xi", "1"),
+                                 ("xi", True))]
+    bad += [(dict(CUSTOM, custom=spec), repr(field))
+            for spec, field in (({"dimension": 6.7, "seed": 1}, "dimension"),
+                                ({"dimension": 6, "seed": 1.9}, "seed"),
+                                ({"dimension": True}, "dimension"))]
+    # n and L mean nothing for a diagonal spec
+    bad += [(dict(CUSTOM, **{field: value}), repr(field))
+            for field, value in (("n", 5), ("L", "abc"))]
     # a path field of the wrong type fails before the series runs (an int
     # would be taken as a file descriptor to write to)
     bad += [({"test": "custom", "custom": {"dimension": 4}, "n_max": 2,

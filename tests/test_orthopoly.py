@@ -7,7 +7,7 @@ import powercg as pc
 from powercg.measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
 from powercg import orthopoly
-from powercg.orthopoly import (CHAIN_SLACK, ResidualPolynomial, bound_chain,
+from powercg.orthopoly import (CHAIN_SLACK, ResidualPolynomial, chain_table,
                                check_separation, delta_n, orthogonality_gap,
                                residual_polynomials)
 
@@ -444,38 +444,42 @@ def test_lemma_sweep_all_exponents():
                 assert ok, (xi, sigma, N, lhs, rhs)
 
 
-def test_bound_chain_hand_case():
+def test_chain_table_hand_case():
     p = residual_polynomials(NU2, 1)[1]
-    rep = bound_chain(17.0 / 81.0, p, MU0_2, 1.0, 0.0)
-    names = [s.name for s in rep.steps]
+    t = chain_table([17.0 / 81.0], [p], MU0_2, 1.0, 0.0)
+    names = [name for name, *_ in t.steps]
     assert names == ["integral_identity", "split_bound", "tail_bound",
                      "split_orthogonality", "weighted_left_bound",
                      "assembled_bound", "edge_times_delta", "coarse_bound"]
-    assert rep.ok and rep.first_failure is None
-    by = {s.name: s for s in rep.steps}
+    assert t.ok.tolist() == [True] and t.first_failure == [None]
+    by = {name: (lhs[0], rhs[0], ok[0]) for name, lhs, rhs, ok in t.steps}
+    assert all(ok for _, _, ok in by.values())
     # z1 * delta = (9/5)(5/9) = 1 exactly: the edge inequality is tight
-    assert abs(by["edge_times_delta"].lhs - 1.0) < 1e-14
-    assert abs(by["tail_bound"].lhs - 1.0 / 81.0) < 1e-15
-    assert abs(by["tail_bound"].rhs - 100.0 / 729.0) < 1e-14
+    assert abs(by["edge_times_delta"][0] - 1.0) < 1e-14
+    assert abs(by["tail_bound"][0] - 1.0 / 81.0) < 1e-15
+    assert abs(by["tail_bound"][1] - 100.0 / 729.0) < 1e-14
     # mass below z1 = the whole atom at 1, so the assembled factor is
     # 1 + z1^{-2} (q/delta)^2 = 1 + (25/81)(18/5)^2 = 5, and the coarse
     # constant 1 + q^q gives the same 5 because z1*delta = 1 here
-    assert abs(by["split_bound"].rhs - 82.0 / 81.0) < 1e-14
-    assert abs(by["assembled_bound"].rhs - 5.0) < 1e-13
-    assert abs(by["coarse_bound"].rhs - 5.0) < 1e-13
-    assert abs(rep.mass_below - 1.0) < 1e-15
-    assert rep.lemma_ok == lemma_bound(p, MU0_2, 1.0, 0.0)[2]
+    assert abs(by["split_bound"][1] - 82.0 / 81.0) < 1e-14
+    assert abs(by["assembled_bound"][1] - 5.0) < 1e-13
+    assert abs(by["coarse_bound"][1] - 5.0) < 1e-13
+    assert abs(t.mass_below[0] - 1.0) < 1e-15
+    assert t.delta.tolist() == [delta_n(p)]
+    assert t.lemma_ok.tolist() == [lemma_bound(p, MU0_2, 1.0, 0.0)[2]]
 
 
-def test_bound_chain_detects_wrong_rho():
-    rep = bound_chain(0.5, residual_polynomials(NU2, 1)[1], MU0_2, 1.0, 0.0)
-    assert not rep.ok
-    assert rep.first_failure == "integral_identity"
+def test_chain_table_detects_wrong_rho():
+    t = chain_table([0.5], [residual_polynomials(NU2, 1)[1]], MU0_2, 1.0,
+                    0.0)
+    assert t.ok.tolist() == [False]
+    assert t.first_failure == ["integral_identity"]
 
 
-def test_bound_chain_rejects_sigma_above_xi():
-    with pytest.raises(ValueError):
-        bound_chain(0.1, residual_polynomials(NU2, 1)[1], MU0_2, 1.0, 1.5)
+def test_chain_table_rejects_sigma_above_xi():
+    with pytest.raises(ValueError, match="xi >= sigma"):
+        chain_table([0.1], [residual_polynomials(NU2, 1)[1]], MU0_2, 1.0,
+                    1.5)
 
 
 def test_hand_built_polynomial_has_no_split():
@@ -488,10 +492,10 @@ def test_hand_built_polynomial_has_no_split():
     with pytest.raises(ValueError, match="split"):
         lemma_bound(p, MU0_2, 1.0, 0.0)
     with pytest.raises(ValueError, match="split"):
-        bound_chain(0.1, p, MU0_2, 1.0, 0.0)
+        chain_table([0.1], [p], MU0_2, 1.0, 0.0)
 
 
-def test_bound_chain_sweep():
+def test_chain_table_sweep():
     rng = np.random.default_rng(27)
     for _ in range(6):
         m = int(rng.integers(12, 40))
@@ -505,10 +509,10 @@ def test_bound_chain_sweep():
                 if sigma > xi:
                     continue
                 mu_s = weight_by_power(base, sigma)
-                for N in range(1, len(polys)):
-                    rho_val = rho_integral_identity(polys[N], mu_s)
-                    rep = bound_chain(rho_val, polys[N], mu_s, xi, sigma)
-                    assert rep.ok, (xi, sigma, N, rep.first_failure)
+                rhos = [rho_integral_identity(p, mu_s) for p in polys[1:]]
+                t = chain_table(rhos, polys[1:], mu_s, xi, sigma)
+                assert t.ok.all(), (xi, sigma, t.first_failure)
+                assert t.first_failure == [None] * (len(polys) - 1)
 
 
 def test_truncation_when_measure_exhausts():

@@ -18,7 +18,7 @@ from powercg.diagnostics import rho
 from powercg.krylov import ConsistencyError, spectral_iterates
 from powercg.measures import (MERGE_REL, WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
-from powercg.orthopoly import bound_chain, residual_polynomials
+from powercg.orthopoly import chain_table, residual_polynomials
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
                           build_test_case, consistency_tolerance, csv_lines,
@@ -370,9 +370,10 @@ def test_run_holds_at_most_two_iterates(monkeypatch):
 
 def test_chain_on_shared_s_values_matches_its_own_evaluation():
     # run() evaluates s once per degree on the base support and hands each
-    # chain sigma its atoms by index; the report must be the one bound_chain
-    # makes when it evaluates s on mu_sigma itself. The second base carries
-    # a kernel atom, where s is exactly 1, that only mu_0 keeps.
+    # chain sigma its atoms by index; the table must be the one chain_table
+    # makes when it evaluates s on mu_sigma itself, every step as float hex.
+    # The second base carries a kernel atom, where s is exactly 1, that only
+    # mu_0 keeps.
     xi = 2.0
     prob = build_test_case("2a", 256, 40.0)
     lam = prob.operator.eigenvalues()
@@ -384,22 +385,28 @@ def test_chain_on_shared_s_values_matches_its_own_evaluation():
         base = DiscreteSpectralMeasure(lam, w_base)
         mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
         assert (mu[0.0].support[0] == 0.0) == (w_base is not w)
-        for N in range(1, len(polys)):
-            p = polys[N]
-            s_base = p.evaluate(base.support)
-            for s, m in mu.items():
-                rows = np.searchsorted(base.support, m.support)
-                assert np.array_equal(base.support[rows], m.support)
-                if m.support[0] == 0.0:
-                    assert s_base[rows[0]] == 1.0
-                rho_val = rho(prob, f_n[N], s)
-                want = bound_chain(rho_val, p, m, xi, s)
-                got = bound_chain(rho_val, p, m, xi, s,
-                                  s_vals=s_base[rows])
-                assert [t.name for t in got.steps] == [t.name for t in want.steps]
-                for a, b in zip(got.steps, want.steps):
-                    assert (a.lhs, a.rhs, a.ok) == (b.lhs, b.rhs, b.ok), (N, s)
-                assert (got.ok, got.first_failure) == (want.ok, want.first_failure)
+        s_base = [p.evaluate(base.support) for p in polys[1:]]
+        for s, m in mu.items():
+            rows = np.searchsorted(base.support, m.support)
+            assert np.array_equal(base.support[rows], m.support)
+            if m.support[0] == 0.0:
+                assert all(v[rows[0]] == 1.0 for v in s_base)
+            rhos = [rho(prob, f, s) for f in f_n[1:len(polys)]]
+            want = chain_table(rhos, polys[1:], m, xi, s)
+            got = chain_table(rhos, polys[1:], m, xi, s,
+                              s_vals=[v[rows] for v in s_base])
+            assert _table_bits(got) == _table_bits(want), s
+
+
+def _table_bits(t, rows=slice(None)):
+    """Every field of a chain table at rows, floats as hex so that a nan
+    compares too."""
+    def hexes(a):
+        return [float(v).hex() for v in a[rows]]
+    return ([(name, hexes(lhs), hexes(rhs), ok[rows].tolist())
+             for name, lhs, rhs, ok in t.steps],
+            t.ok[rows].tolist(), t.first_failure[rows],
+            t.lemma_ok[rows].tolist(), hexes(t.delta), hexes(t.mass_below))
 
 
 def _pool_spec(m, index):
@@ -419,25 +426,21 @@ def _pool_spec(m, index):
 ], ids=["2b-n256", "pool-16", "pool-72"])
 @pytest.mark.parametrize("xi", [1.0, 2.0])
 def test_run_takes_one_chain_table_per_sigma(monkeypatch, config, xi):
-    # run() evaluates the chain once per sigma over all degrees and never
-    # calls bound_chain; every step of each table (as float hex, so a nan
-    # operand compares too), and the records' delta_n and ritz_min, are bit
-    # for bit what bound_chain gives at each (N, sigma) on its own
-    from powercg import orthopoly, runs
+    # run() evaluates the chain once per sigma over all degrees; each table
+    # it takes (every field, floats as hex) is the one chain_table makes on
+    # its own from the records' rho, and its row N is bit for bit the
+    # one-degree table of polys[N]: the atom sums are 1-d per degree. The
+    # records' verdicts, delta_n and ritz_min are the tables'
+    from powercg import runs
     tables = {}
-    chain_table = runs._chain_table
 
-    def spy(*args):
-        out = chain_table(*args)
-        sigma = args[5]
+    def spy(*args, **kwargs):
+        out = chain_table(*args, **kwargs)
+        sigma = args[4]
         assert sigma not in tables
-        tables[sigma] = out[0]
+        tables[sigma] = out
         return out
-
-    def no_chain(*args, **kwargs):
-        raise AssertionError("run() called bound_chain")
-    monkeypatch.setattr(runs, "_chain_table", spy)
-    monkeypatch.setattr(orthopoly, "bound_chain", no_chain)
+    monkeypatch.setattr(runs, "chain_table", spy)
     config = dataclasses.replace(config, xi=xi).resolve()
     out = run(config)
     monkeypatch.undo()
@@ -446,20 +449,19 @@ def test_run_takes_one_chain_table_per_sigma(monkeypatch, config, xi):
     assert sorted(tables) == sorted(mu)
     polys = residual_polynomials(nu, config.n_max, base.support)
     assert len(polys) > 2
-
-    def bits(name, lhs, rhs, ok):
-        return name, float(lhs).hex(), float(rhs).hex(), bool(ok)
-    for r in out.records[1:len(polys)]:
-        reps = {s: bound_chain(r.rho[s], polys[r.N], m, xi, s)
-                for s, m in mu.items()}
-        for s, rep in reps.items():
-            got = [bits(name, lhs[r.N - 1], rhs[r.N - 1], ok[r.N - 1])
-                   for name, lhs, rhs, ok in tables[s]]
-            assert got == [bits(t.name, t.lhs, t.rhs, t.ok)
-                           for t in rep.steps], (r.N, s)
-            assert (r.delta_n, r.ritz_min) == (rep.delta, rep.ritz_min)
-        assert r.bound_chain_ok == all(rep.ok for rep in reps.values())
-        assert r.lemma_ok == all(rep.lemma_ok for rep in reps.values())
+    recs = out.records[1:len(polys)]
+    for s, m in mu.items():
+        fresh = chain_table([r.rho[s] for r in recs], polys[1:], m, xi, s)
+        assert _table_bits(tables[s]) == _table_bits(fresh), s
+        for i, r in enumerate(recs):
+            one = chain_table([r.rho[s]], [polys[r.N]], m, xi, s)
+            assert (_table_bits(fresh, slice(i, i + 1))
+                    == _table_bits(one)), (r.N, s)
+    for i, r in enumerate(recs):
+        assert r.delta_n == tables[0.0].delta[i]
+        assert r.ritz_min == polys[r.N].zeros[0]
+        assert r.bound_chain_ok == all(t.ok[i] for t in tables.values())
+        assert r.lemma_ok == all(t.lemma_ok[i] for t in tables.values())
 
 
 def test_lemma_verdict_matches_lemma_bound():
@@ -495,18 +497,19 @@ def test_chain_steps_fail_on_non_finite_operands():
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
         polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
-        for r in out.records[1:len(polys)]:
-            for s in (0.0, 1.0, 2.0):
-                if s > xi:
-                    continue
-                rep = bound_chain(r.rho[s], polys[r.N],
-                                  weight_by_power(base, s), xi, s)
-                for step in rep.steps:
-                    if np.isfinite(step.lhs) and np.isfinite(step.rhs):
-                        continue
+        recs = out.records[1:len(polys)]
+        for s in (0.0, 1.0, 2.0):
+            if s > xi:
+                continue
+            t = chain_table([r.rho[s] for r in recs], polys[1:],
+                            weight_by_power(base, s), xi, s)
+            for name, lhs, rhs, ok in t.steps:
+                for i in np.flatnonzero(~(np.isfinite(lhs)
+                                          & np.isfinite(rhs))):
                     non_finite += 1
-                    assert not step.ok, (xi, s, r.N, step.name)
-                    assert not rep.ok and not r.bound_chain_ok
+                    assert not ok[i], (xi, s, recs[i].N, name)
+                    assert not t.ok[i] and not recs[i].bound_chain_ok
+                    assert t.first_failure[i] is not None
     assert non_finite > 0
 
 
@@ -576,6 +579,11 @@ def test_csv_header_and_roundtrip(tmp_path):
     assert np.isnan(rows[0]["delta_n"])
     assert rows[0]["bound_chain_ok"] == ""
     assert rows[1]["bound_chain_ok"] == "true"
+    # an empty file, or one of blank lines, has no header to read
+    for text in ("", "\n\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="header"):
+            read_csv(str(path))
 
 
 def _refuse(constant):
@@ -624,6 +632,18 @@ def test_json_roundtrip_and_version_gate(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(VersionError, match="99"):
         read_json(str(path))
+    # a file that is not a run record is refused with ValueError, not with
+    # whatever a lookup in it would raise
+    data["schema_version"] = SCHEMA_VERSION
+    for doc, match in (([], "list"), (3, "int"),
+                       ({k: data[k] for k in ("schema_version", "metadata")},
+                        "records"),
+                       ({k: data[k] for k in ("schema_version", "records")},
+                        "metadata")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as info:
+            read_json(str(path))
+        assert type(info.value) is ValueError
 
 
 def test_runs_are_deterministic(tmp_path):
