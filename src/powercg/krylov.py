@@ -131,16 +131,8 @@ def _fixed_vector(x, n, name):
 @dataclass
 class IterateHistory:
     iterates: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
     terminated: bool = False
     reason: str = None
-
-    def __len__(self):
-        return len(self.iterates)
-
-    @property
-    def last(self):
-        return self.iterates[-1]
 
 
 @dataclass
@@ -266,13 +258,10 @@ def run_cg(problem, n_max):
             f"n_max {n_max} exceeds dimension {problem.dimension}")
     op = problem.operator
     f = problem.f0.astype(float).copy()
-    R = op.apply(f) - problem.g
-    hist = IterateHistory()
-    hist.iterates.append(f.copy())
-    hist.residuals.append(R.copy())
+    hist = IterateHistory([f.copy()])
     threshold = CG_TOL_REL * float(np.linalg.norm(problem.g))
     crv_tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
-    r = -R
+    r = problem.g - op.apply(f)
     rr = float(np.dot(r, r))
     if np.sqrt(rr) <= threshold:
         hist.terminated = True
@@ -295,7 +284,6 @@ def run_cg(problem, n_max):
         r_new = _orthogonalize(basis[:, :N], r - a * Ap)
         rr_new = float(np.dot(r_new, r_new))
         hist.iterates.append(f.copy())
-        hist.residuals.append(-r_new)
         if np.sqrt(rr_new) <= threshold:
             hist.terminated = True
             hist.reason = f"converged at N={N}"

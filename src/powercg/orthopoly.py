@@ -81,17 +81,26 @@ def _factor_products(lam, zeros, rest=False):
         return (s, _column_products(G[1:])) if rest else s
 
 
+def _rows_in(support, lam):
+    """Indices of lam's entries in the ascending support; None if one lacks."""
+    rows = np.searchsorted(support, lam)
+    if rows.size and (rows[-1] >= support.size
+                      or not np.array_equal(support[rows], lam)):
+        return None
+    return rows
+
+
 class ResidualPolynomial:
     """s(lambda) = prod_k (1 - lambda / zeros_k); s(0) = 1 by construction.
 
     split, when present, holds the (left, right) split integrals against the
-    measure the polynomial is orthogonal to, and values holds s on the
-    support residual_polynomials was given; both are computed where the
-    zeros are made, from one factor matrix. A polynomial built by hand from
-    its zeros has no measure, no split and no values.
+    measure the polynomial is orthogonal to, and values holds s on support,
+    the ascending array residual_polynomials was given; both are computed
+    where the zeros are made, from one factor matrix. A polynomial built by
+    hand from its zeros has no measure, no split and no values.
     """
 
-    def __init__(self, zeros, split=None, values=None):
+    def __init__(self, zeros, split=None, values=None, support=None):
         z = np.asarray(zeros, dtype=float)
         if z.ndim != 1:
             raise ValueError("zeros must be a 1-d array")
@@ -103,6 +112,7 @@ class ResidualPolynomial:
         self.degree = z.size
         self.split = split
         self.values = values
+        self.support = support
 
     def __repr__(self):
         return f"ResidualPolynomial(degree={self.degree})"
@@ -256,8 +266,9 @@ def residual_polynomials(nu, n_max, support=None):
     is the degree. Fewer atoms than requested degrees, or a recurrence that
     breaks down first, truncates the list (the degree-(atom count)
     polynomial already vanishes on the support), so len(polys) - 1 is the
-    degree reached. Each polynomial carries its values on support (values)
-    and, from degree 1 on, its split integrals against nu (split).
+    degree reached. Each polynomial carries support, one array for the
+    whole list, its values there (values) and, from degree 1 on, its split
+    integrals against nu (split).
 
     support is ascending and contains nu's support (ValueError otherwise);
     it defaults to nu's support. On the double path one factor matrix per
@@ -269,18 +280,18 @@ def residual_polynomials(nu, n_max, support=None):
         raise ValueError("measure has an atom at 0")
     support = (nu.support if support is None
                else np.asarray(support, dtype=float))
-    rows = np.searchsorted(support, nu.support)
-    if rows.size and (rows[-1] >= support.size
-                      or not np.array_equal(support[rows], nu.support)):
+    rows = _rows_in(support, nu.support)
+    if rows is None:
         raise ValueError("support does not contain the measure's support")
-    polys = [ResidualPolynomial(np.empty(0), values=np.ones(support.size))]
+    polys = [ResidualPolynomial(np.empty(0), values=np.ones(support.size),
+                                support=support)]
     m = nu.support.size
     if m == 0 or n_max <= 0:
         return polys
     if m <= _MP_MAX_ATOMS:
         for z, split in _mp_zero_table(nu, n_max):
-            polys.append(ResidualPolynomial(z, split,
-                                            _factor_products(support, z)))
+            polys.append(ResidualPolynomial(
+                z, split, _factor_products(support, z), support))
         return polys
     # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
     # started from sqrt(weights); it stops on breakdown, 1e-13 of the
@@ -290,7 +301,7 @@ def residual_polynomials(nu, n_max, support=None):
     for z in _ritz_values(T.dense()):
         s, rest = _factor_products(support, z, rest=True)
         polys.append(ResidualPolynomial(
-            z, _split_integrals(z[0], nu, rest[rows]), s))
+            z, _split_integrals(z[0], nu, rest[rows]), s, support))
     return polys
 
 
@@ -413,7 +424,7 @@ class ChainTable(NamedTuple):
     mass_below: np.ndarray
 
 
-def chain_table(rhos, polys, mu_sigma, xi, sigma, s_vals=None):
+def chain_table(rhos, polys, mu_sigma, xi, sigma):
     """Verify every inequality linking rho_sigma to the mass below the
     smallest zero for each polynomial of polys (degree >= 1), given its
     rho_sigma value in rhos; chain_table([rho], [p], mu_sigma, xi, sigma)
@@ -424,12 +435,13 @@ def chain_table(rhos, polys, mu_sigma, xi, sigma, s_vals=None):
     of the (xi - sigma + 1) power reweighting of mu_sigma, the measure its
     split integrals are taken against. A scale-aware absolute epsilon keeps
     the finite-termination case (everything 0 up to roundoff) from tripping
-    the comparisons. s_vals, when given, yields each polynomial's values on
-    mu_sigma's support (as run() indexes them from a common superset); by
-    default each polynomial is evaluated there by the same product, so both
-    give the same bits. The three atom sums of a polynomial are 1-d sums
-    over the ascending support, so each entry is bit for bit the one-degree
-    table of its polynomial; all else is elementwise over the polynomials.
+    the comparisons. s on mu_sigma's support is looked up, by one
+    searchsorted per table, in the values on polys[0]'s support (which
+    residual_polynomials shares across its list) if that holds every atom,
+    else evaluated by the same column products: the same bits either way.
+    The three atom sums of a polynomial are 1-d sums over the ascending
+    support, so each entry is bit for bit the one-degree table of its
+    polynomial; all else is elementwise over the polynomials.
     """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
@@ -439,10 +451,10 @@ def chain_table(rhos, polys, mu_sigma, xi, sigma, s_vals=None):
     rho = np.asarray(rhos, dtype=float)
     d = np.array([delta_n(p) for p in polys], dtype=float)
     lam, w = mu_sigma.support, mu_sigma.weights
-    if s_vals is None:
-        s_vals = (p.evaluate(lam) for p in polys)
     atol = 1e-12 * max(mu_sigma.total_mass(), 1e-300)
     integral, above, below = np.empty((3, z1.size))
+    support = polys[0].support if len(polys) else None
+    rows = None if support is None else _rows_in(support, lam)
 
     def leq(a, b):
         return a <= b * (1.0 + CHAIN_SLACK) + atol
@@ -456,7 +468,9 @@ def chain_table(rhos, polys, mu_sigma, xi, sigma, s_vals=None):
     # is C pow, as on a scalar; ** on an array may take a SIMD pow that
     # differs from it in the last bit
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (s, k) in enumerate(zip(s_vals, np.searchsorted(lam, z1))):
+        for i, (p, k) in enumerate(zip(polys, np.searchsorted(lam, z1))):
+            s = (p.values[rows] if rows is not None and p.support is support
+                 else p.evaluate(lam))
             s2w = s * s * w
             integral[i] = s2w.sum()
             above[i] = s2w[k:].sum()

@@ -224,8 +224,10 @@ class RunConfig:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.test in TEST_IDS and self.n_max > self.n:
             raise ValueError(f"n_max {self.n_max} exceeds n = {self.n}")
-        self.sigmas = self._cast("sigmas",
-                                 lambda v: tuple(float(s) for s in v))
+        if not isinstance(self.sigmas, (list, tuple, np.ndarray)):
+            raise ValueError(f"'sigmas' must be a list, got {self.sigmas!r}")
+        self.sigmas = tuple(_cast(f"config field 'sigmas' item {i}", s, float)
+                            for i, s in enumerate(self.sigmas))
         if not np.all(np.isfinite(self.sigmas)):
             raise ValueError(f"sigmas must be finite, got {self.sigmas}")
         for name in ("out", "json_out"):
@@ -284,16 +286,15 @@ def _measures(problem, xi, sigmas):
     return base, mu, weight_by_power(base, xi + 1.0)
 
 
-def _add_chain(records, polys, mu, rows, xi):
+def _add_chain(records, polys, mu, xi):
     """Give records[N], N = 1..len(polys) - 1, the node data of polys[N] and
     the chain verdicts for every sigma of mu (never empty: sigma = 0 is
-    always checked), one chain table per sigma over all those degrees, with
-    polys[N].values at rows[sigma] as the s values."""
+    always checked), one chain table per sigma over all those degrees."""
     ps = polys[1:]
     chain_ok = lemma_ok = True
     for s, m in mu.items():
-        t = chain_table([r.rho[s] for r in records[1:len(polys)]], ps, m, xi,
-                        s, (p.values[rows[s]] for p in ps))
+        rhos = [r.rho[s] for r in records[1:len(polys)]]
+        t = chain_table(rhos, ps, m, xi, s)
         chain_ok = chain_ok & t.ok
         lemma_ok = lemma_ok & t.lemma_ok
     for r, p, d, ok, lem in zip(records[1:], ps, t.delta, chain_ok, lemma_ok):
@@ -329,13 +330,12 @@ def run(config):
     rho_of = rho_evaluator(problem, sigmas)
     base, mu, nu = _measures(problem, config.xi,
                              [s for s in sigmas if 0.0 <= s <= config.xi])
-    # weight_by_power only drops atoms, so the lookup is exact and s, which
-    # is evaluated once per degree on base's support, serves every sigma
-    rows = {s: np.searchsorted(base.support, m.support) for s, m in mu.items()}
+    # s is evaluated once per degree on base's support, which holds every
+    # mu_sigma's atoms: weight_by_power only drops atoms
     polys = residual_polynomials(nu, config.n_max, base.support)
     records = [ConvergenceRecord(N=N, rho=r, n_sq_rho1=float(N * N * r[1.0]))
                for N, r in enumerate(map(rho_of, iterates))]
-    _add_chain(records, polys, mu, rows, config.xi)
+    _add_chain(records, polys, mu, config.xi)
 
     op = problem.operator
     metadata = {
@@ -353,11 +353,6 @@ def run(config):
     # lower spectral edge, for rates that depend on kappa
     live = op.eigenvalues()[~problem.kernel_mask]
     metadata["lambda_min"] = float(live.min()) if live.size else None
-    if len(polys) > 1:
-        metadata["delta_first"] = _num(records[1].delta_n)
-        metadata["delta_last"] = _num(records[-1].delta_n)
-        metadata["ritz_min_last"] = _num(records[-1].ritz_min)
-        metadata["ritz_max_last"] = _num(records[-1].ritz_max)
     out = RunRecord(records=records, metadata=metadata)
     if config.out:
         write_csv(out, config.out)
@@ -394,15 +389,13 @@ def read_csv(path):
         raise ValueError(f"{path} is empty, expected the header {CSV_HEADER!r}")
     header = [h.strip() for h in lines[0].split(",")]
     rows = []
-    for ln in lines[1:]:
-        parts = [p.strip() for p in ln.split(",")]
-        row = dict(zip(header, parts))
-        for key in header:
-            if key == "N":
-                row[key] = int(row[key])
-            elif key != "bound_chain_ok":
-                row[key] = float(row[key])
-        rows.append(row)
+    for i, ln in enumerate(lines[1:]):
+        try:
+            rows.append({key: int(v) if key == "N" else
+                         v.strip() if key == "bound_chain_ok" else float(v)
+                         for key, v in zip(header, ln.split(","), strict=True)})
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
     return rows
 
 
@@ -424,19 +417,25 @@ def read_json(path):
     if ver != SCHEMA_VERSION:
         raise VersionError(
             f"unsupported schema version {ver!r} in {path}, expected {SCHEMA_VERSION}")
-    if "records" not in data or "metadata" not in data:
-        raise ValueError(f"{path} lacks 'records' or 'metadata'")
+    if not isinstance(data.get("records"), list) or "metadata" not in data:
+        raise ValueError(f"{path} lacks a 'records' array or 'metadata'")
     records = []
-    for obj in data["records"]:
+    for i, obj in enumerate(data["records"]):
         # the inverse of to_dict: a null is nan unless the field's default
         # is None (a verdict), and a key the file lacks (written before the
-        # field existed) takes the field's default
-        kwargs = {"rho": {float(s): np.nan if v is None else v
-                          for s, v in obj["rho"].items()}}
-        for name, default in _FIELDS:
-            v = obj[name] if name in obj or default is MISSING else default
-            kwargs[name] = np.nan if v is None and default is not None else v
-        records.append(ConvergenceRecord(**kwargs))
+        # field existed) takes the field's default; a record that is not an
+        # object, or lacks rho or a field without a default, is refused
+        try:
+            kwargs = {"rho": {float(s): np.nan if v is None else v
+                              for s, v in obj["rho"].items()}}
+            for name, default in _FIELDS:
+                v = obj[name] if name in obj or default is MISSING else default
+                kwargs[name] = (np.nan if v is None and default is not None
+                                else v)
+            records.append(ConvergenceRecord(**kwargs))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: record {i} is malformed: "
+                             f"{exc!r}") from None
     return RunRecord(records=records, metadata=data["metadata"])
 
 
@@ -477,13 +476,11 @@ def verify_case(config):
     base, _, nu = _measures(problem, config.xi, ())
     k = min(8, max(1, len(nu) - 1))
     polys = residual_polynomials(nu, k, base.support)
-    zeros_ok = all(p.zeros.min() > 0 for p in polys[1:])
-    checks.append(("zeros_positive", zeros_ok,
-                   f"{len(polys) - 1} degrees"))
     seps = [check_separation(a, b) for a, b in zip(polys[1:], polys[2:])]
     sep_ok = all(ok for ok, _ in seps)
     worst = max([0.0] + [v for _, v in seps])
-    checks.append(("zeros_interlace", sep_ok, f"max violation {worst:.3e}"))
+    checks.append(("zeros_interlace", sep_ok, f"{len(polys) - 1} degrees, "
+                   f"max violation {worst:.3e}"))
     worst = max([0.0] + [orthogonality_gap(p)[2] for p in polys[1:]])
     checks.append(("split_orthogonality", worst <= CHAIN_SLACK,
                    f"max rel gap {worst:.3e}"))

@@ -103,7 +103,8 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     # string of sigmas is not iterated by character), and an integer field
     # takes no fraction
     bad += [({"test": "1a", "n": 256, "n_max": 4, field: value}, repr(field))
-            for field, value in (("sigmas", "12"), ("n_max", 4.7),
+            for field, value in (("sigmas", "12"), ("sigmas", [True, "2"]),
+                                 ("sigmas", {"0": 1}), ("n_max", 4.7),
                                  ("n_max", True), ("n", 256.5), ("xi", "1"),
                                  ("xi", True))]
     bad += [(dict(CUSTOM, custom=spec), repr(field))
@@ -207,8 +208,8 @@ def test_verify_ok_prints_all_checks(capsys):
             names = [ln.split()[1].rstrip(":") for ln in lines]
             assert names == ["consistency_gate", "operator_symmetry",
                              "operator_nonnegative", "measure_mass",
-                             "zeros_positive", "zeros_interlace",
-                             "split_orthogonality", "edge_times_delta"], \
+                             "zeros_interlace", "split_orthogonality",
+                             "edge_times_delta"], \
                 (test, xi)
             assert all(ln.startswith("ok") for ln in lines), (test, xi, lines)
 

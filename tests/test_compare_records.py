@@ -82,17 +82,19 @@ def test_structural_differences_are_problems(compare):
 
 
 def test_changed_verify_line_is_reported(compare):
-    old = {"1a/xi1": [["zeros_positive", True, "8 degrees"],
-                      ["zeros_interlace", True, "max violation 0.000e+00"]],
+    old = {"1a/xi1": [["measure_mass", True, "rel gap 0.000e+00"],
+                      ["zeros_interlace", True,
+                       "8 degrees, max violation 0.000e+00"]],
            "2b/xi2": {"error": "ValueError: x"}}
-    new = {"1a/xi1": [["zeros_positive", True, "8 degrees"],
-                      ["zeros_interlace", True, "max violation 1.000e-16"]],
+    new = {"1a/xi1": [["measure_mass", True, "rel gap 0.000e+00"],
+                      ["zeros_interlace", True,
+                       "8 degrees, max violation 1.000e-16"]],
            "2b/xi2": {"error": "ValueError: x"}}
     assert compare.diff_verify(old, old) == []
     lines = compare.diff_verify(old, new)
-    assert lines == ["verify 1a/xi1: ['zeros_interlace', True, 'max violation "
-                     "0.000e+00'] -> ['zeros_interlace', True, 'max violation "
-                     "1.000e-16']"]
+    assert lines == ["verify 1a/xi1: ['zeros_interlace', True, '8 degrees, "
+                     "max violation 0.000e+00'] -> ['zeros_interlace', True, "
+                     "'8 degrees, max violation 1.000e-16']"]
     diff = compare.diff_dumps({}, {})
     diff["problems"] += lines
     assert compare.differs(diff)

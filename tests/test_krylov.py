@@ -145,12 +145,13 @@ def test_solution_and_error_coefficients():
 # run_cg ---------------------------------------------------------------------
 
 def test_cg_hand_first_step():
-    hist = run_cg(two_dim(), 2)
+    prob = two_dim()
+    hist = run_cg(prob, 2)
     assert np.allclose(hist.iterates[0], [0.0, 0.0])
     assert np.allclose(hist.iterates[1], [5.0 / 9.0, 10.0 / 9.0],
                        rtol=0, atol=1e-14)
     assert np.allclose(hist.iterates[2], [1.0, 1.0], rtol=0, atol=1e-12)
-    assert np.allclose(hist.residuals[0], [-1.0, -2.0])
+    assert np.allclose(prob.residual0(), [-1.0, -2.0])
 
 
 def test_cg_finite_termination_and_reason():
@@ -158,7 +159,7 @@ def test_cg_finite_termination_and_reason():
     prob = random_problem(rng, 6)
     hist = run_cg(prob, 6)
     assert hist.terminated and hist.reason.startswith("converged at N=")
-    assert np.linalg.norm(hist.last - prob.known_solution) < 1e-9
+    assert np.linalg.norm(hist.iterates[-1] - prob.known_solution) < 1e-9
 
 
 def test_cg_zero_residual_start():
@@ -166,7 +167,7 @@ def test_cg_zero_residual_start():
     prob = InverseProblem(op, g=np.array([1.0, 2.0]), f0=np.array([1.0, 1.0]))
     hist = run_cg(prob, 2)
     assert hist.terminated and hist.reason == "converged at N=0"
-    assert len(hist) == 1
+    assert len(hist.iterates) == 1
 
 
 def test_cg_breakdown_on_near_null_direction():
@@ -178,8 +179,8 @@ def test_cg_breakdown_on_near_null_direction():
     prob = InverseProblem(op, g=np.array([1e-11, 1.0, 2.0]))
     hist = run_cg(prob, 3)
     assert hist.terminated and hist.reason.startswith("breakdown at N=2")
-    assert len(hist) == 3
-    assert np.allclose(hist.last[1:], [1.0, 1.0], atol=1e-12)
+    assert len(hist.iterates) == 3
+    assert np.allclose(hist.iterates[-1][1:], [1.0, 1.0], atol=1e-12)
 
 
 def test_cg_rejects_n_max_beyond_dimension():
@@ -190,7 +191,7 @@ def test_cg_rejects_n_max_beyond_dimension():
 def test_cg_stops_at_n_max_without_terminating():
     prob = random_problem(np.random.default_rng(11), 10)
     hist = run_cg(prob, 3)
-    assert len(hist) == 4 and len(hist.residuals) == 4
+    assert len(hist.iterates) == 4
     assert not hist.terminated and hist.reason is None
 
 
@@ -330,7 +331,7 @@ def test_theta_one_equals_cg_path():
         dim = int(rng.integers(2, 9))
         prob = random_problem(rng, dim)
         hist = run_cg(prob, dim)
-        for N in range(1, len(hist)):
+        for N in range(1, len(hist.iterates)):
             fN = theta_iterate(prob, 1, N)
             scale = max(np.linalg.norm(hist.iterates[N]), 1e-30)
             assert np.linalg.norm(fN - hist.iterates[N]) <= 1e-10 * scale
@@ -495,7 +496,7 @@ def test_kernel_component_of_f0_is_preserved():
                   list(spectral_iterates(prob, 2.0, N))[N]):
             assert abs(f.mean() - 0.7) < 1e-12
     hist = run_cg(prob, 4)
-    assert abs(hist.last.mean() - 0.7) < 1e-12
+    assert abs(hist.iterates[-1].mean() - 0.7) < 1e-12
 
 
 def test_objective_is_monotone_in_degree():

@@ -8,6 +8,7 @@ cannot survive.
 
 import dataclasses
 import json
+import re
 import warnings
 import weakref
 
@@ -18,7 +19,8 @@ from powercg.diagnostics import rho
 from powercg.krylov import ConsistencyError, spectral_iterates
 from powercg.measures import (MERGE_REL, WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
-from powercg.orthopoly import chain_table, residual_polynomials
+from powercg.orthopoly import (ResidualPolynomial, chain_table,
+                               residual_polynomials)
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
                           build_test_case, consistency_tolerance, csv_lines,
@@ -164,6 +166,11 @@ def test_config_resolve_validation():
     assert cfg.sigmas == (0.0, 1.0, 2.0)
 
 
+# every key of run()'s metadata; none copies a record
+METADATA_KEYS = {"schema_version", "config", "norm_estimate", "dimension",
+                 "notes", "wall_time_s", "lambda_min"}
+
+
 def test_run_record_structure():
     spec = {"dimension": 8, "seed": 5, "kappa": 100.0}
     out = run(RunConfig(test="custom", n_max=8, custom=spec))
@@ -178,10 +185,7 @@ def test_run_record_structure():
         assert 0 < r.ritz_min <= r.ritz_max
         assert r.delta_n >= 1.0 / r.ritz_min - 1e-12
     md = out.metadata
-    assert set(md) == {"schema_version", "config", "norm_estimate",
-                       "dimension", "notes", "wall_time_s", "lambda_min",
-                       "delta_first", "delta_last", "ritz_min_last",
-                       "ritz_max_last"}
+    assert set(md) == METADATA_KEYS
     assert set(md["config"]) == {"test", "n", "L", "xi", "n_max", "sigmas"}
     assert md["schema_version"] == SCHEMA_VERSION
     assert md["dimension"] == 8
@@ -203,7 +207,7 @@ def test_run_with_zero_iterations_records_f0():
         assert set(out.records[0].rho) == set(config.sigmas) | {0.0, 1.0, 2.0}
         for s, v in out.records[0].rho.items():
             assert v == rho(prob, prob.f0, s) > 0, (config.test, s)
-        assert "delta_first" not in out.metadata
+        assert set(out.metadata) == METADATA_KEYS
 
 
 def test_run_with_xi_two_checks_all_chain_sigmas():
@@ -368,34 +372,48 @@ def test_run_holds_at_most_two_iterates(monkeypatch):
     assert max(most) <= 2, most
 
 
-def test_chain_on_shared_s_values_matches_its_own_evaluation():
-    # run() evaluates s once per degree on the base support and hands each
-    # chain sigma its atoms by index; the table must be the one chain_table
-    # makes when it evaluates s on mu_sigma itself, every step as float hex.
-    # The second base carries a kernel atom, where s is exactly 1, that only
-    # mu_0 keeps.
+def test_chain_on_shared_s_values_matches_its_own_evaluation(monkeypatch):
+    # chain_table looks s up in the values the polynomials carry where their
+    # support holds mu_sigma's atoms, and evaluates it elsewhere; both must
+    # give the same table, every field as float hex. On base's support every
+    # sigma is a lookup. The table built on nu's support is looked up too,
+    # except where the second base carries a kernel atom, where s is exactly
+    # 1, that only mu_0 keeps: that forces evaluation. Polynomials rebuilt
+    # from their zeros carry no values and are always evaluated.
+    evaluated = []
+    evaluate = ResidualPolynomial.evaluate
+
+    def spy(self, lam):
+        evaluated.append(self.degree)
+        return evaluate(self, lam)
+    monkeypatch.setattr(ResidualPolynomial, "evaluate", spy)
     xi = 2.0
     prob = build_test_case("2a", 256, 40.0)
     lam = prob.operator.eigenvalues()
     w = np.abs(prob.e0) ** 2
-    polys = residual_polynomials(
-        weight_by_power(DiscreteSpectralMeasure(lam, w), xi + 1.0), 12)
     f_n = list(spectral_iterates(prob, xi, 12))
     for w_base in (w, np.where(lam == 0.0, 0.3, w)):
         base = DiscreteSpectralMeasure(lam, w_base)
-        mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
-        assert (mu[0.0].support[0] == 0.0) == (w_base is not w)
-        s_base = [p.evaluate(base.support) for p in polys[1:]]
-        for s, m in mu.items():
-            rows = np.searchsorted(base.support, m.support)
-            assert np.array_equal(base.support[rows], m.support)
-            if m.support[0] == 0.0:
-                assert all(v[rows[0]] == 1.0 for v in s_base)
-            rhos = [rho(prob, f, s) for f in f_n[1:len(polys)]]
-            want = chain_table(rhos, polys[1:], m, xi, s)
-            got = chain_table(rhos, polys[1:], m, xi, s,
-                              s_vals=[v[rows] for v in s_base])
-            assert _table_bits(got) == _table_bits(want), s
+        nu = weight_by_power(base, xi + 1.0)
+        looked_up = residual_polynomials(nu, 12, base.support)[1:]
+        on_nu = residual_polynomials(nu, 12)[1:]
+        bare = [ResidualPolynomial(p.zeros, p.split) for p in on_nu]
+        assert len(looked_up) == len(on_nu) == 12
+        for s in (0.0, 1.0, 2.0):
+            m = weight_by_power(base, s)
+            kernel = s == 0.0 and w_base is not w
+            assert (m.support[0] == 0.0) == kernel
+            assert np.isin(m.support, nu.support).all() != kernel
+            rhos = [rho(prob, f, s) for f in f_n[1:13]]
+            evaluated.clear()
+            want = _table_bits(chain_table(rhos, looked_up, m, xi, s))
+            assert evaluated == []
+            for polys, n_evaluated in ((on_nu, 12 if kernel else 0),
+                                       (bare, 12)):
+                evaluated.clear()
+                got = _table_bits(chain_table(rhos, polys, m, xi, s))
+                assert len(evaluated) == n_evaluated, (s, kernel)
+                assert got == want, (s, kernel)
 
 
 def _table_bits(t, rows=slice(None)):
@@ -584,6 +602,15 @@ def test_csv_header_and_roundtrip(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="header"):
             read_csv(str(path))
+    # a row whose cell count differs from the header's, or whose cell does
+    # not parse, names the file and the row
+    for text in ("N, rho0\n1\n", "N, rho0\n0, 1.0\n1, 0.5, 7\n",
+                 "N, rho0\n0, x\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: row ")) as info:
+            read_csv(str(path))
+        assert type(info.value) is ValueError
 
 
 def _refuse(constant):
@@ -597,8 +624,8 @@ def test_json_roundtrip_and_version_gate(tmp_path):
 
     path = tmp_path / "series.json"
     # n_max = 3 passes the end of the two-atom zero table, so the last
-    # record's node fields are nan: the metadata copies them as null, and
-    # the file is strict JSON
+    # record's node fields are nan: they are written as null, and the file
+    # is strict JSON
     for custom, n_max in (({"eigenvalues": [1, 1, 2], "error": [1, 1, 1]}, 3),
                           ({"dimension": 5, "seed": 11}, 5)):
         out = run(RunConfig(test="custom", n_max=n_max, xi=2.0,
@@ -644,6 +671,18 @@ def test_json_roundtrip_and_version_gate(tmp_path):
         with pytest.raises(ValueError, match=match) as info:
             read_json(str(path))
         assert type(info.value) is ValueError
+    # so is a malformed record, naming the file and the record's index: one
+    # that is not an object, or lacks rho or a field without a default
+    good = data["records"][0]
+    for obj in ([], "N", 3, {k: v for k, v in good.items() if k != "N"},
+                {k: v for k, v in good.items() if k != "rho"},
+                {k: v for k, v in good.items() if k != "n_sq_rho1"},
+                dict(good, rho=[1.0])):
+        path.write_text(json.dumps(dict(data, records=[good, obj])))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: record 1 ")) as info:
+            read_json(str(path))
+        assert type(info.value) is ValueError, obj
 
 
 def test_runs_are_deterministic(tmp_path):
