@@ -12,7 +12,7 @@ import numpy as np
 from powercg.diagnostics import rho
 from powercg.krylov import spectral_iterates
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import chain_table, delta_n, residual_polynomials
+from powercg.orthopoly import chain_table, residual_polynomials
 from powercg.runs import build_custom_case
 
 prob = build_custom_case({"eigenvalues": [0.01, 0.1, 0.5, 1.0, 4.0, 25.0],
@@ -21,22 +21,24 @@ base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
                                np.abs(prob.e0) ** 2)
 nu = weight_by_power(base, 2.0)  # orthogonality measure for xi = 1
 
-polys = residual_polynomials(nu, 6)
+table = residual_polynomials(nu, 6)
 print("atoms:", np.array2string(base.support, precision=3))
-for N in range(1, 7):
-    z = polys[N].zeros
+for N, (z, d) in enumerate(zip(table.zeros, table.delta), 1):
     print(f"N={N}: zeros {np.array2string(z, precision=4, suppress_small=False)}"
-          f"  delta_N={delta_n(polys[N]):.4f}")
+          f"  delta_N={d:.4f}")
 
+# the chain over every degree at one sigma; row N - 1 is degree N
 N = 3
 sigma = 1.0
-f = list(spectral_iterates(prob, 1.0, N))[N]
+iterates = list(spectral_iterates(prob, 1.0, 6))[1:]
 mu1 = weight_by_power(base, sigma)
-t = chain_table([rho(prob, f, sigma)], [polys[N]], mu1, 1.0, sigma)
+t = chain_table([rho(prob, f, sigma) for f in iterates], table, mu1, 1.0,
+                sigma)
+i = N - 1
 print(f"\nbound chain at N={N}, sigma={sigma} "
-      f"(z1={polys[N].zeros[0]:.4f}, delta={t.delta[0]:.4f}, "
-      f"mass below z1 = {t.mass_below[0]:.4f}):")
+      f"(z1={table.zeros[i][0]:.4f}, delta={table.delta[i]:.4f}, "
+      f"mass below z1 = {t.below[i]:.4f}):")
 for name, lhs, rhs, ok in t.steps:
-    print(f"  {name:22s} {lhs[0]:.6e} <= {rhs[0]:.6e}  "
-          f"{'ok' if ok[0] else 'VIOLATED'}")
-assert t.ok[0]
+    print(f"  {name:22s} {lhs[i]:.6e} <= {rhs[i]:.6e}  "
+          f"{'ok' if ok[i] else 'VIOLATED'}")
+assert t.ok[i]

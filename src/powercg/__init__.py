@@ -12,14 +12,12 @@ bounds.
 from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
                     KernelComponentError, MatrixOperator, SelfAdjointOperator,
                     SpectralAccessError)
-from .measures import (DiscreteSpectralMeasure, mass_below, spectral_measure,
-                       weight_by_power)
+from .measures import DiscreteSpectralMeasure, spectral_measure, weight_by_power
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      JacobiMatrix, lanczos, run_cg, spectral_iterates,
                      theta_iterate)
-from .orthopoly import (ChainTable, ResidualPolynomial, chain_table,
-                        check_separation, delta_n, orthogonality_gap,
-                        residual_polynomials)
+from .orthopoly import (ChainTable, ZeroTable, chain_table, check_separation,
+                        delta_n, orthogonality_gap, residual_polynomials)
 from .diagnostics import ConvergenceRecord, np_rate_monitor, rho
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
                    build_test_case, emit_json, read_csv, read_json, run,
@@ -32,10 +30,9 @@ __all__ = [
     "FourierOperator",
     "DimensionMismatchError", "KernelComponentError", "SpectralAccessError",
     "DiscreteSpectralMeasure", "spectral_measure", "weight_by_power",
-    "mass_below",
     "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
     "run_cg", "theta_iterate", "spectral_iterates", "lanczos",
-    "ResidualPolynomial", "residual_polynomials", "delta_n",
+    "ZeroTable", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "chain_table", "ChainTable",
     "ConvergenceRecord", "rho", "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",

@@ -93,7 +93,7 @@ class MatrixOperator(SelfAdjointOperator):
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix contains non-finite entries")
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
+        if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (m + m.T)
         self.dimension = m.shape[0]

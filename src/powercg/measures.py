@@ -7,7 +7,7 @@ bounds) is an integral against such a measure or a power-reweighted copy.
 
 import numpy as np
 
-# atoms closer than MERGE_REL * max(1, lambda) merge into one
+# atoms closer than MERGE_REL * lambda merge into one
 MERGE_REL = 1e-12
 # weights at or below this are dropped outright
 WEIGHT_FLOOR = 1e-300
@@ -37,11 +37,11 @@ class DiscreteSpectralMeasure:
         # cluster by its distance to the cluster's first atom, so the loop
         # only runs when some consecutive gap is within reach (equal atoms
         # are already one)
-        if np.any(np.diff(lam) <= MERGE_REL * np.maximum(1.0, lam[1:])):
+        if np.any(np.diff(lam) <= MERGE_REL * lam[1:]):
             out_l = [lam[0]]
             out_w = [w[0]]
             for li, wi in zip(lam[1:], w[1:]):
-                if li - out_l[-1] <= MERGE_REL * max(1.0, li):
+                if li - out_l[-1] <= MERGE_REL * li:
                     out_w[-1] += wi
                 else:
                     out_l.append(li)
@@ -113,7 +113,3 @@ def weight_by_power(measure, t):
     out.support, out.weights = lam[keep], w[keep]
     return out
 
-
-def mass_below(measure, t):
-    """Measure of [0, t), the strict lower tail."""
-    return float(measure.weights[measure.support < t].sum())

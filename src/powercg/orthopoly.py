@@ -2,7 +2,8 @@
 
 The degree-N residual polynomial is the measure's N-th orthogonal polynomial
 normalized to 1 at the origin; it is represented by its zeros (all simple,
-strictly positive for a measure supported in (0, inf)). The zero-sum
+strictly positive for a measure supported in (0, inf)), and the first ones
+of a measure are made together as one ZeroTable. The zero-sum
 functional delta_n, the split-integral orthogonality identity, and the tail
 bound chain built on them are verified numerically step by step.
 """
@@ -88,39 +89,6 @@ def _rows_in(support, lam):
                       or not np.array_equal(support[rows], lam)):
         return None
     return rows
-
-
-class ResidualPolynomial:
-    """s(lambda) = prod_k (1 - lambda / zeros_k); s(0) = 1 by construction.
-
-    split, when present, holds the (left, right) split integrals against the
-    measure the polynomial is orthogonal to, and values holds s on support,
-    the ascending array residual_polynomials was given; both are computed
-    where the zeros are made, from one factor matrix. A polynomial built by
-    hand from its zeros has no measure, no split and no values.
-    """
-
-    def __init__(self, zeros, split=None, values=None, support=None):
-        z = np.asarray(zeros, dtype=float)
-        if z.ndim != 1:
-            raise ValueError("zeros must be a 1-d array")
-        if z.size and (np.any(z <= 0) or np.any(np.diff(z) <= 0)):
-            raise ValueError(
-                "zeros must be strictly positive and strictly increasing, "
-                f"got min={z.min() if z.size else None}")
-        self.zeros = z
-        self.degree = z.size
-        self.split = split
-        self.values = values
-        self.support = support
-
-    def __repr__(self):
-        return f"ResidualPolynomial(degree={self.degree})"
-
-    def evaluate(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = _factor_products(np.atleast_1d(lam), self.zeros)
-        return out[0] if lam.ndim == 0 else out
 
 
 def _rkpw(lam, w):
@@ -261,14 +229,30 @@ def _mp_zero_table(measure, n_max):
     return table
 
 
+class ZeroTable(NamedTuple):
+    """The residual polynomials of a measure nu, degrees N = 1..reached at
+    index N - 1, made where their zeros are made. support is the ascending
+    array the values are on, one for the whole table. Per degree: zeros,
+    ascending; values, s on support (one array per degree, never stacked);
+    left and right, the split integrals against nu; delta, delta_n of the
+    zeros; and k, the number of support atoms strictly below the rounded
+    smallest zero."""
+    support: np.ndarray
+    zeros: list
+    values: list
+    left: np.ndarray
+    right: np.ndarray
+    delta: np.ndarray
+    k: np.ndarray
+
+
 def residual_polynomials(nu, n_max, support=None):
-    """First residual polynomials of nu: degrees 0..n_max, so the list index
-    is the degree. Fewer atoms than requested degrees, or a recurrence that
-    breaks down first, truncates the list (the degree-(atom count)
-    polynomial already vanishes on the support), so len(polys) - 1 is the
-    degree reached. Each polynomial carries support, one array for the
-    whole list, its values there (values) and, from degree 1 on, its split
-    integrals against nu (split).
+    """The ZeroTable of nu's first residual polynomials, degrees 1..n_max.
+    Fewer atoms than requested degrees, or a recurrence that breaks down
+    first, truncates the table (the degree-(atom count) polynomial already
+    vanishes on the support), so len(table.zeros) is the degree reached.
+    Every degree's zeros must be strictly positive and strictly increasing
+    (ValueError otherwise).
 
     support is ascending and contains nu's support (ValueError otherwise);
     it defaults to nu's support. On the double path one factor matrix per
@@ -283,51 +267,57 @@ def residual_polynomials(nu, n_max, support=None):
     rows = _rows_in(support, nu.support)
     if rows is None:
         raise ValueError("support does not contain the measure's support")
-    polys = [ResidualPolynomial(np.empty(0), values=np.ones(support.size),
-                                support=support)]
     m = nu.support.size
     if m == 0 or n_max <= 0:
-        return polys
-    if m <= _MP_MAX_ATOMS:
-        for z, split in _mp_zero_table(nu, n_max):
-            polys.append(ResidualPolynomial(
-                z, split, _factor_products(support, z), support))
-        return polys
-    # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
-    # started from sqrt(weights); it stops on breakdown, 1e-13 of the
-    # largest atom
-    T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
-                      min(n_max, m))
-    for z in _ritz_values(T.dense()):
-        s, rest = _factor_products(support, z, rest=True)
-        polys.append(ResidualPolynomial(
-            z, _split_integrals(z[0], nu, rest[rows]), s, support))
-    return polys
+        found = []
+    elif m <= _MP_MAX_ATOMS:
+        found = _mp_zero_table(nu, n_max)
+    else:
+        # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
+        # started from sqrt(weights); it stops on breakdown, 1e-13 of the
+        # largest atom
+        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
+                          min(n_max, m))
+        found = [(z, None) for z in _ritz_values(T.dense())]
+    zeros, values, split = [], [], []
+    for z, lr in found:
+        if np.any(z <= 0) or np.any(np.diff(z) <= 0):
+            raise ValueError(
+                f"degree-{z.size} zeros must be strictly positive and "
+                f"strictly increasing, got min={z.min()}")
+        if lr is None:
+            s, rest = _factor_products(support, z, rest=True)
+            lr = _split_integrals(z[0], nu, rest[rows])
+        else:
+            s = _factor_products(support, z)
+        zeros.append(z)
+        values.append(s)
+        split.append(lr)
+    left, right = np.array(split, dtype=float).reshape(-1, 2).T
+    return ZeroTable(support, zeros, values, left, right,
+                     np.array([delta_n(z) for z in zeros], dtype=float),
+                     np.searchsorted(support, [z[0] for z in zeros]))
 
 
-def delta_n(p):
-    """1/z_1 + 2 * sum_{k >= 2} 1/z_k over the polynomial's zeros."""
-    if p.degree == 0:
-        raise ValueError("delta_n undefined for the degree-0 polynomial")
-    inv = 1.0 / p.zeros
+def delta_n(zeros):
+    """1/z_1 + 2 * sum_{k >= 2} 1/z_k over the ascending array zeros."""
+    inv = 1.0 / zeros
     return float(inv[0] + 2.0 * inv[1:].sum())
 
 
-def check_separation(p_n, p_n1):
-    """Strict interlacing of consecutive zero sets.
+def check_separation(zn, zn1):
+    """Strict interlacing of the zero arrays of degrees N and N + 1.
 
     Verifies z^{(N+1)}_k < z^{(N)}_k < z^{(N+1)}_{k+1} for all k, with
     relative slack SEPARATION_SLACK. Returns (ok, max_violation) where the
     violation is the largest signed relative overshoot (negative values
     mean margin).
     """
-    if p_n1.degree != p_n.degree + 1:
+    if zn1.size != zn.size + 1:
         raise ValueError(
-            f"need degrees N and N+1, got {p_n.degree} and {p_n1.degree}")
-    if p_n.degree == 0:
+            f"need degrees N and N+1, got {zn.size} and {zn1.size}")
+    if zn.size == 0:
         return True, 0.0
-    zn = p_n.zeros
-    zn1 = p_n1.zeros
     lower = (zn1[:-1] - zn) / zn
     upper = (zn - zn1[1:]) / zn
     worst = float(max(lower.max(), upper.max()))
@@ -376,7 +366,7 @@ def _split_integrals(z1, nu, rest):
     k >= 2 on nu's atoms. Atoms at z1 contribute zero."""
     lam = nu.support
     w = nu.weights
-    at = np.abs(lam - z1) <= 1e-12 * max(1.0, z1)
+    at = np.abs(lam - z1) <= 1e-12 * z1
     frac = np.abs(1.0 - lam / z1)
     left = (lam < z1) & ~at
     right = (lam > z1) & ~at
@@ -389,72 +379,59 @@ def _split_integrals(z1, nu, rest):
     return lhs, rhs
 
 
-def _split_of(p):
-    if p.split is None:
-        raise ValueError(
-            "split integrals need a polynomial of degree >= 1 from "
-            "residual_polynomials")
-    return p.split
-
-
-def orthogonality_gap(p):
-    """(left integral, right integral, relative gap) of the split identity
-    against the measure p is orthogonal to.
-
-    For an exactly orthogonal polynomial the two sides agree; the gap is
-    |l - r| / max(l, r, tiny).
-    """
-    lhs, rhs = _split_of(p)
-    gap = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-    return lhs, rhs, gap
+def orthogonality_gap(left, right):
+    """Relative gap |l - r| / max(l, r, tiny) of the split identity, per
+    entry of the split-integral arrays left and right; an exactly orthogonal
+    polynomial's two sides agree."""
+    return np.abs(left - right) / np.maximum(np.maximum(left, right), 1e-300)
 
 
 class ChainTable(NamedTuple):
-    """The bound chain at one sigma, one entry per polynomial: steps holds
-    the eight (name, lhs, rhs, ok) arrays, ok whether all eight hold,
-    first_failure the name of the first step that fails (None where none
-    does), lemma_ok the lemma's own verdict (weighted_left_bound at
-    LEMMA_SLACK, with neither the chain's slack nor its absolute epsilon),
-    delta the delta_n values and mass_below the mu_sigma mass below z_1."""
+    """The bound chain at one sigma, one entry per degree of a zero table:
+    steps holds the eight (name, lhs, rhs, ok) arrays, ok whether all eight
+    hold, first_failure the name of the first step that fails (None where
+    none does), lemma_ok the lemma's own verdict (weighted_left_bound at
+    LEMMA_SLACK, with neither the chain's slack nor its absolute epsilon)
+    and below the mu_sigma mass below z_1."""
     steps: list
     ok: np.ndarray
     first_failure: list
     lemma_ok: np.ndarray
-    delta: np.ndarray
-    mass_below: np.ndarray
+    below: np.ndarray
 
 
-def chain_table(rhos, polys, mu_sigma, xi, sigma):
+def chain_table(rhos, table, mu_sigma, xi, sigma):
     """Verify every inequality linking rho_sigma to the mass below the
-    smallest zero for each polynomial of polys (degree >= 1), given its
-    rho_sigma value in rhos; chain_table([rho], [p], mu_sigma, xi, sigma)
-    checks one degree.
+    smallest zero for each degree of the ZeroTable table, given its
+    rho_sigma value in rhos (one per degree).
 
     Needs xi >= sigma (the tail-to-left step divides by lambda^{xi-sigma+1}
-    with exponent >= 1). Each polynomial must come from residual_polynomials
-    of the (xi - sigma + 1) power reweighting of mu_sigma, the measure its
-    split integrals are taken against. A scale-aware absolute epsilon keeps
+    with exponent >= 1). The table must come from residual_polynomials of
+    the (xi - sigma + 1) power reweighting of mu_sigma, the measure its
+    split integrals are taken against, on a support holding every atom of
+    mu_sigma (ValueError otherwise). A scale-aware absolute epsilon keeps
     the finite-termination case (everything 0 up to roundoff) from tripping
-    the comparisons. s on mu_sigma's support is looked up, by one
-    searchsorted per table, in the values on polys[0]'s support (which
-    residual_polynomials shares across its list) if that holds every atom,
-    else evaluated by the same column products: the same bits either way.
-    The three atom sums of a polynomial are 1-d sums over the ascending
-    support, so each entry is bit for bit the one-degree table of its
-    polynomial; all else is elementwise over the polynomials.
+    the comparisons. s on mu_sigma's atoms and the count of them below z_1
+    are read from the table's values and k through one searchsorted. The
+    three atom sums of a degree are 1-d sums over the ascending support, so
+    each entry is bit for bit the table of that degree alone; all else is
+    elementwise over the degrees.
     """
     if xi < sigma:
         raise ValueError(f"requires xi >= sigma, got xi={xi}, sigma={sigma}")
-    q = xi - sigma + 1.0
-    left, right = np.array([_split_of(p) for p in polys]).reshape(-1, 2).T
-    z1 = np.array([p.zeros[0] for p in polys])
-    rho = np.asarray(rhos, dtype=float)
-    d = np.array([delta_n(p) for p in polys], dtype=float)
     lam, w = mu_sigma.support, mu_sigma.weights
+    rows = _rows_in(table.support, lam)
+    if rows is None:
+        raise ValueError("mu_sigma has an atom outside the table's support")
+    q = xi - sigma + 1.0
+    left, right, d = table.left, table.right, table.delta
+    z1 = np.array([z[0] for z in table.zeros], dtype=float)
+    rho = np.asarray(rhos, dtype=float)
+    if rho.shape != z1.shape:
+        raise ValueError(f"need one rho per degree, got {rho.size} for "
+                         f"{z1.size} degrees")
     atol = 1e-12 * max(mu_sigma.total_mass(), 1e-300)
     integral, above, below = np.empty((3, z1.size))
-    support = polys[0].support if len(polys) else None
-    rows = None if support is None else _rows_in(support, lam)
 
     def leq(a, b):
         return a <= b * (1.0 + CHAIN_SLACK) + atol
@@ -468,9 +445,9 @@ def chain_table(rhos, polys, mu_sigma, xi, sigma):
     # is C pow, as on a scalar; ** on an array may take a SIMD pow that
     # differs from it in the last bit
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (p, k) in enumerate(zip(polys, np.searchsorted(lam, z1))):
-            s = (p.values[rows] if rows is not None and p.support is support
-                 else p.evaluate(lam))
+        for i, (s, k) in enumerate(zip(table.values,
+                                       np.searchsorted(rows, table.k))):
+            s = s[rows]
             s2w = s * s * w
             integral[i] = s2w.sum()
             above[i] = s2w[k:].sum()
@@ -497,4 +474,4 @@ def chain_table(rhos, polys, mu_sigma, xi, sigma):
     first = [next((name for name, *_, ok in steps if not ok[i]), None)
              for i in range(z1.size)]
     return ChainTable(steps, np.all([ok for *_, ok in steps], axis=0), first,
-                      lemma_ok, d, below)
+                      lemma_ok, below)

@@ -24,7 +24,7 @@ from .linop import DiagonalOperator, FourierOperator, KernelComponentError
 from .measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure, spectral_measure,
                        weight_by_power)
 from .orthopoly import (CHAIN_SLACK, EDGE_SLACK, chain_table,
-                        check_separation, delta_n, orthogonality_gap,
+                        check_separation, orthogonality_gap,
                         residual_polynomials)
 
 SCHEMA_VERSION = 1
@@ -286,21 +286,23 @@ def _measures(problem, xi, sigmas):
     return base, mu, weight_by_power(base, xi + 1.0)
 
 
-def _add_chain(records, polys, mu, xi):
-    """Give records[N], N = 1..len(polys) - 1, the node data of polys[N] and
-    the chain verdicts for every sigma of mu (never empty: sigma = 0 is
-    always checked), one chain table per sigma over all those degrees."""
-    ps = polys[1:]
+def _add_chain(records, table, mu, xi):
+    """Give records[N], N = 1..len(table.zeros), the node data of the
+    table's degree N and the chain verdicts for every sigma of mu (never
+    empty: sigma = 0 is always checked), one chain table per sigma over all
+    those degrees."""
+    reached = len(table.zeros)
     chain_ok = lemma_ok = True
     for s, m in mu.items():
-        rhos = [r.rho[s] for r in records[1:len(polys)]]
-        t = chain_table(rhos, ps, m, xi, s)
+        rhos = [r.rho[s] for r in records[1:reached + 1]]
+        t = chain_table(rhos, table, m, xi, s)
         chain_ok = chain_ok & t.ok
         lemma_ok = lemma_ok & t.lemma_ok
-    for r, p, d, ok, lem in zip(records[1:], ps, t.delta, chain_ok, lemma_ok):
+    for r, z, d, ok, lem in zip(records[1:], table.zeros, table.delta,
+                                chain_ok, lemma_ok):
         r.delta_n = float(d)
-        r.ritz_min = float(p.zeros[0])
-        r.ritz_max = float(p.zeros[-1])
+        r.ritz_min = float(z[0])
+        r.ritz_max = float(z[-1])
         r.bound_chain_ok = bool(ok)
         r.lemma_ok = bool(lem)
 
@@ -332,10 +334,10 @@ def run(config):
                              [s for s in sigmas if 0.0 <= s <= config.xi])
     # s is evaluated once per degree on base's support, which holds every
     # mu_sigma's atoms: weight_by_power only drops atoms
-    polys = residual_polynomials(nu, config.n_max, base.support)
+    table = residual_polynomials(nu, config.n_max, base.support)
     records = [ConvergenceRecord(N=N, rho=r, n_sq_rho1=float(N * N * r[1.0]))
                for N, r in enumerate(map(rho_of, iterates))]
-    _add_chain(records, polys, mu, config.xi)
+    _add_chain(records, table, mu, config.xi)
 
     op = problem.operator
     metadata = {
@@ -475,16 +477,17 @@ def verify_case(config):
                    f"rel gap {mass_gap:.3e}"))
     base, _, nu = _measures(problem, config.xi, ())
     k = min(8, max(1, len(nu) - 1))
-    polys = residual_polynomials(nu, k, base.support)
-    seps = [check_separation(a, b) for a, b in zip(polys[1:], polys[2:])]
+    table = residual_polynomials(nu, k, base.support)
+    seps = [check_separation(a, b)
+            for a, b in zip(table.zeros, table.zeros[1:])]
     sep_ok = all(ok for ok, _ in seps)
     worst = max([0.0] + [v for _, v in seps])
-    checks.append(("zeros_interlace", sep_ok, f"{len(polys) - 1} degrees, "
+    checks.append(("zeros_interlace", sep_ok, f"{len(table.zeros)} degrees, "
                    f"max violation {worst:.3e}"))
-    worst = max([0.0] + [orthogonality_gap(p)[2] for p in polys[1:]])
+    worst = max([0.0] + orthogonality_gap(table.left, table.right).tolist())
     checks.append(("split_orthogonality", worst <= CHAIN_SLACK,
                    f"max rel gap {worst:.3e}"))
-    edge_ok = all(p.zeros[0] * delta_n(p) >= 1.0 - EDGE_SLACK
-                  for p in polys[1:])
+    edge_ok = all(z[0] * d >= 1.0 - EDGE_SLACK
+                  for z, d in zip(table.zeros, table.delta))
     checks.append(("edge_times_delta", edge_ok, "z1 * delta >= 1"))
     return checks

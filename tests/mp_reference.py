@@ -14,15 +14,16 @@ nor arithmetic library with it.
   minimizers: the monomial normal equations solved at many digits.
 - lemma_bound, for the lemma verdict chain_table reports as lemma_ok on
   its weighted_left_bound operands: the same comparison made in double
-  precision from the polynomial's split integrals, outside chain_table.
+  precision from the zero table's split integrals and delta_n, outside
+  chain_table, with the mass below z_1 from mass_below, a strict tail sum
+  of its own.
 """
 
 import numpy as np
 from mpmath import mp
 
 from powercg.linop import SpectralAccessError
-from powercg.measures import mass_below
-from powercg.orthopoly import LEMMA_SLACK, delta_n
+from powercg.orthopoly import LEMMA_SLACK
 
 
 def reference_zero_table(measure, n_max):
@@ -211,23 +212,24 @@ def brute_force_objective(problem, theta, x, dps=50):
         return float(total)
 
 
-def lemma_bound(p, mu_sigma, xi, sigma):
-    """Weighted left integral against the mass-below bound.
+def mass_below(measure, t):
+    """Measure of [0, t), the strict lower tail."""
+    return float(measure.weights[measure.support < t].sum())
+
+
+def lemma_bound(table, N, mu_sigma, xi, sigma):
+    """Weighted left integral against the mass-below bound at degree N of
+    the zero table.
 
     lhs = integral over [0, z1) of s^2 * z1/(z1 - lambda) d nu, with nu the
-    measure p is orthogonal to (lambda^q mu_sigma),
+    measure the table is orthogonal to (lambda^q mu_sigma),
     rhs = mu_sigma([0, z1)) * (q / delta_n)^q with q = xi - sigma + 1 >= 0.
     Returns (lhs, rhs, satisfied with slack 1 + LEMMA_SLACK).
     """
     q = xi - sigma + 1.0
     if q < 0:
         raise ValueError(f"requires xi - sigma + 1 >= 0, got {q}")
-    if p.split is None:
-        raise ValueError(
-            "split integrals need a polynomial of degree >= 1 from "
-            "residual_polynomials")
-    lhs, _ = p.split
-    below = mass_below(mu_sigma, p.zeros[0])
-    d = delta_n(p)
-    rhs = below * (q / d) ** q
+    lhs = table.left[N - 1]
+    below = mass_below(mu_sigma, table.zeros[N - 1][0])
+    rhs = below * (q / table.delta[N - 1]) ** q
     return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)

@@ -15,8 +15,9 @@ import pytest
 from powercg.diagnostics import rho
 from powercg.krylov import run_cg, spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
-from powercg.orthopoly import (chain_table, check_separation,
-                               orthogonality_gap, residual_polynomials)
+from powercg.orthopoly import (_factor_products, chain_table,
+                               check_separation, orthogonality_gap,
+                               residual_polynomials)
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
 
 from mp_reference import (brute_force_iterate, brute_force_objective,
@@ -38,17 +39,16 @@ def _poly_table(problem, xi, n_max):
     base = DiscreteSpectralMeasure(problem.operator.eigenvalues(),
                                    np.abs(problem.e0) ** 2)
     nu = weight_by_power(base, xi + 1.0)
-    polys = residual_polynomials(nu, min(n_max, len(nu)))
-    return base, polys
+    return base, residual_polynomials(nu, min(n_max, len(nu)))
 
 
 def _series(problem, xi, n_max):
     iterates = list(spectral_iterates(problem, xi, n_max))
-    base, polys = _poly_table(problem, xi, n_max)
+    base, table = _poly_table(problem, xi, n_max)
     rho_tab = {s: [rho(problem, f, s) for f in iterates]
                for s in (0.0, 1.0, 2.0)}
     return dict(problem=problem, xi=xi, iterates=iterates, base=base,
-                polys=polys, rho=rho_tab)
+                table=table, rho=rho_tab)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def big_runs():
 
 
 @pytest.fixture(scope="module")
-def big_polys():
+def big_tables():
     out = {}
     for test, L in BIG_BOXES.items():
         prob = build_test_case(test, n=2048, L=L)
@@ -155,9 +155,9 @@ def test_3_rho_equals_node_polynomial_integral(random_runs, grid_runs, acceptanc
         mu = {s: weight_by_power(r["base"], s) for s in (0.0, 1.0, 2.0)}
         for s in (0.0, 1.0, 2.0):
             floor = 1e-12 * r["rho"][s][0]
-            for N in range(1, len(r["polys"])):
+            for N, z in enumerate(r["table"].zeros, 1):
                 direct = r["rho"][s][N]
-                sval = r["polys"][N].evaluate(mu[s].support)
+                sval = _factor_products(mu[s].support, z)
                 integral = float(np.sum(sval * sval * mu[s].weights))
                 rel = abs(direct - integral) / max(direct, integral, floor)
                 worst = max(worst, rel)
@@ -170,27 +170,27 @@ def test_3_rho_equals_node_polynomial_integral(random_runs, grid_runs, acceptanc
 
 
 def test_4_zero_structure_and_split_orthogonality(acceptance, random_runs, grid_runs,
-                                                  big_polys):
+                                                  big_tables):
     failures = []
     worst_gap = 0.0
-    tables = [(r.get("test", "diag"), r["polys"])
+    tables = [(r.get("test", "diag"), r["table"])
               for r in random_runs + grid_runs]
-    tables += [(test, polys) for test, (_, _, polys) in big_polys.items()]
-    for name, polys in tables:
-        for k in range(1, len(polys)):
-            z = polys[k].zeros
+    tables += [(test, table) for test, (_, _, table) in big_tables.items()]
+    for name, table in tables:
+        zeros = table.zeros
+        gaps = orthogonality_gap(table.left, table.right)
+        for k, (z, gap) in enumerate(zip(zeros, gaps), 1):
             if not (z[0] > 0 and np.all(np.diff(z) > 0)):
                 failures.append(f"{name} N={k}: zeros not positive simple")
-            _, _, gap = orthogonality_gap(polys[k])
             worst_gap = max(worst_gap, gap)
             if gap > 1e-8:
                 failures.append(f"{name} N={k}: split gap {gap:.3e}")
-        for k in range(1, len(polys) - 1):
-            ok, v = check_separation(polys[k], polys[k + 1])
+        for k in range(1, len(zeros)):
+            ok, v = check_separation(zeros[k - 1], zeros[k])
             if not ok:
                 failures.append(f"{name} N={k}: interlacing off by {v:.3e}")
-            lo_prev, lo = polys[k].zeros[0], polys[k + 1].zeros[0]
-            hi_prev, hi = polys[k].zeros[-1], polys[k + 1].zeros[-1]
+            lo_prev, lo = zeros[k - 1][0], zeros[k][0]
+            hi_prev, hi = zeros[k - 1][-1], zeros[k][-1]
             if lo > lo_prev * (1 + 1e-10):
                 failures.append(f"{name} N={k}: smallest zero increased")
             if hi < hi_prev * (1 - 1e-10):
@@ -200,44 +200,46 @@ def test_4_zero_structure_and_split_orthogonality(acceptance, random_runs, grid_
 
 
 def test_5_tail_bounds_hold_on_every_run(acceptance, random_runs, grid_runs, big_runs,
-                                         big_polys):
+                                         big_tables):
     # exponents q = xi - sigma + 1 in {0.5, 1, 2, 3}; the chain needs
     # q >= 1 (xi >= sigma), q = 0.5 exercises the one-sided estimate only
     failures = []
     checked = 0
 
-    def sweep(name, problem, xi, base, polys, rho_of):
+    def sweep(name, problem, xi, base, table, rho_of):
         nonlocal checked
+        reached = len(table.zeros)
         for q in (0.5, 1.0, 2.0, 3.0):
             sigma = xi + 1.0 - q
             if sigma < 0 and (not len(base) or base.support[0] <= 0):
                 continue
             mu_s = weight_by_power(base, sigma)
-            for N in range(1, len(polys)):
-                lhs, rhs, _ = lemma_bound(polys[N], mu_s, xi, sigma)
+            for N in range(1, reached + 1):
+                lhs, rhs, _ = lemma_bound(table, N, mu_s, xi, sigma)
                 checked += 1
                 if lhs > rhs * (1 + 1e-8) + 1e-300:
                     failures.append(
                         f"{name} q={q} N={N}: one-sided {lhs:.3e} > {rhs:.3e}")
             if q < 1:
                 continue
-            # one table over the degrees whose rho is known
-            vals = {N: rho_of(sigma, N) for N in range(1, len(polys))}
-            degrees = [N for N, v in vals.items() if v is not None]
-            t = chain_table([vals[N] for N in degrees],
-                            [polys[N] for N in degrees], mu_s, xi, sigma)
-            checked += len(degrees)
+            # one table over every degree, read where rho is known (nan
+            # elsewhere); each degree's entry is its own
+            vals = [rho_of(sigma, N) for N in range(1, reached + 1)]
+            t = chain_table([np.nan if v is None else v for v in vals],
+                            table, mu_s, xi, sigma)
+            checked += sum(v is not None for v in vals)
             failures.extend(f"{name} q={q} N={N}: chain fails at {first}"
-                            for N, first in zip(degrees, t.first_failure)
-                            if first is not None)
+                            for N, (v, first)
+                            in enumerate(zip(vals, t.first_failure), 1)
+                            if v is not None and first is not None)
 
     for r in random_runs + grid_runs:
         name = f"{r.get('test', 'diag')} xi={r['xi']}"
-        sweep(name, r["problem"], r["xi"], r["base"], r["polys"],
+        sweep(name, r["problem"], r["xi"], r["base"], r["table"],
               lambda s, N, r=r: rho(r["problem"], r["iterates"][N], s))
-    for test, (prob, base, polys) in big_polys.items():
+    for test, (prob, base, table) in big_tables.items():
         recs = big_runs[test].records
-        sweep(f"{test} n=2048", prob, 1.0, base, polys,
+        sweep(f"{test} n=2048", prob, 1.0, base, table,
               lambda s, N, recs=recs: recs[N].rho.get(s))
     _report(acceptance, 5, "tail bound chain", failures,
             f"{checked} bound evaluations within slack 1 + 1e-8")

@@ -293,11 +293,11 @@ def test_ritz_values_match_polynomial_zeros():
     R0 = prob.residual0()
     T, V, _ = lanczos(prob.operator, R0, 8)
     nu = weight_by_power(spectral_measure(prob.operator, R0), 0.0)
-    polys = residual_polynomials(nu, 8)
+    zeros = residual_polynomials(nu, 8).zeros
     for N in range(1, 9):
         ritz = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
                                         eigvals_only=True))
-        assert np.allclose(polys[N].zeros, ritz, rtol=1e-8, atol=0)
+        assert np.allclose(zeros[N - 1], ritz, rtol=1e-8, atol=0)
 
 
 # theta_iterate --------------------------------------------------------------

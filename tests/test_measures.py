@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.measures import (DiscreteSpectralMeasure, mass_below,
-                              spectral_measure, weight_by_power)
+from powercg.measures import (DiscreteSpectralMeasure, spectral_measure,
+                              weight_by_power)
+
+from mp_reference import mass_below
 
 
 def test_spectral_measure_hand():

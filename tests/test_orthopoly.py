@@ -7,15 +7,17 @@ import powercg as pc
 from powercg.measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
 from powercg import orthopoly
-from powercg.orthopoly import (CHAIN_SLACK, ResidualPolynomial, chain_table,
+from powercg.orthopoly import (CHAIN_SLACK, _factor_products, chain_table,
                                check_separation, delta_n, orthogonality_gap,
                                residual_polynomials)
 
 from mp_reference import lemma_bound, reference_zero_table
 
-def rho_integral_identity(p, mu_sigma):
-    """integral of s^2 d mu_sigma as a plain atom sum."""
-    s = p.evaluate(mu_sigma.support)
+
+def rho_integral_identity(zeros, mu_sigma):
+    """integral of s^2 d mu_sigma as a plain atom sum, s the residual
+    polynomial with the given zeros."""
+    s = _factor_products(mu_sigma.support, zeros)
     return float(np.sum(s * s * mu_sigma.weights))
 
 
@@ -25,30 +27,42 @@ MU0_2 = DiscreteSpectralMeasure(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
 
 
 def test_first_zero_hand():
-    # s1 orthogonal to constants in nu: z = (1*1 + 2*4) / (1 + 4) = 9/5
-    polys = residual_polynomials(NU2, 1)
-    assert len(polys) == 2
-    assert polys[0].zeros.size == 0
-    assert abs(polys[1].zeros[0] - 9.0 / 5.0) < 1e-14
+    # s1 orthogonal to constants in nu: z = (1*1 + 2*4) / (1 + 4) = 9/5,
+    # with the atom at 1 below it (k counts the support atoms below z1)
+    t = residual_polynomials(NU2, 1)
+    assert len(t.zeros) == 1 and t.zeros[0].size == 1
+    assert abs(t.zeros[0][0] - 9.0 / 5.0) < 1e-14
+    assert t.k.tolist() == [np.searchsorted(t.support, t.zeros[0][0])] == [1]
+    assert np.array_equal(t.support, NU2.support)
+    # a table of no degree
+    t = residual_polynomials(NU2, 0)
+    assert t.zeros == t.values == [] and t.left.size == t.k.size == 0
 
 
 def test_degree_zero_polynomial_is_one():
-    p0 = residual_polynomials(NU2, 0)[0]
     x = np.array([0.0, 1.0, 17.3])
-    assert np.array_equal(p0.evaluate(x), [1.0, 1.0, 1.0])
+    assert np.array_equal(_factor_products(x, np.empty(0)), [1.0, 1.0, 1.0])
 
 
 def test_evaluate_at_zero_is_one():
-    p = ResidualPolynomial(np.array([2.0, 5.0]))
-    assert p.evaluate(np.array([0.0]))[0] == 1.0
-    assert abs(p.evaluate(np.array([1.0]))[0] - 0.5 * 0.8) < 1e-15
+    zeros = np.array([2.0, 5.0])
+    assert _factor_products(np.array([0.0]), zeros)[0] == 1.0
+    assert abs(_factor_products(np.array([1.0]), zeros)[0] - 0.5 * 0.8) < 1e-15
 
 
-def test_zeros_validation():
-    with pytest.raises(ValueError):
-        ResidualPolynomial(np.array([-1.0, 2.0]))
-    with pytest.raises(ValueError):
-        ResidualPolynomial(np.array([2.0, 1.0]))  # not increasing
+def test_zeros_validation(monkeypatch):
+    # the one builder refuses zeros that are not strictly positive or not
+    # strictly increasing, on either zero path (8 atoms: decimal, 72:
+    # double), before it uses them
+    for bad in ([-1.0, 2.0], [2.0, 1.0], [0.0, 2.0], [2.0, 2.0]):
+        z = np.array(bad)
+        monkeypatch.setattr(orthopoly, "_mp_zero_table",
+                            lambda nu, n_max: [(z, (1.0, 1.0))])
+        monkeypatch.setattr(orthopoly, "_ritz_values", lambda T: [z])
+        for m in (8, 72):
+            with pytest.raises(ValueError, match="strictly positive and "
+                                                 "strictly increasing"):
+                residual_polynomials(_pool_like(m, 0), 2)
 
 
 def test_sympy_hankel_oracle():
@@ -67,7 +81,7 @@ def test_sympy_hankel_oracle():
         roots = sorted(float(r) for r in sympy.Poly(poly, x).nroots(n=30))
         nu = DiscreteSpectralMeasure(np.array(lam, float),
                                      np.array(wts, float))
-        got = residual_polynomials(nu, deg)[deg].zeros
+        got = residual_polynomials(nu, deg).zeros[deg - 1]
         assert np.allclose(got, roots, rtol=1e-10), (got, roots)
 
 
@@ -159,14 +173,14 @@ def test_double_path_zeros_match_scipy_eigh_tridiagonal():
               config.n_max), (_pool_measure(96, 0, 1.0), 96)]
     for nu, n_max in cases:
         assert len(nu) > orthopoly._MP_MAX_ATOMS
-        polys = residual_polynomials(nu, n_max)
+        table = residual_polynomials(nu, n_max)
         T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
                           n_max)
-        assert len(polys) == T.order + 1
+        assert len(table.zeros) == T.order
         for N in range(1, T.order + 1):
             want = eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
                                     eigvals_only=True)
-            got = polys[N].zeros
+            got = table.zeros[N - 1]
             assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), N
 
 
@@ -177,11 +191,11 @@ def test_newton_accepts_a_zero_at_the_recurrences_rounding_floor():
     # about three digits; the 10^-(dps-6) floor accepts it
     table = orthopoly._mp_zero_table(_pool_measure(72, 4, 1.0), 72)
     assert len(table) == 72
-    polys = [ResidualPolynomial(z, split) for z, split in table]
-    for N, p in enumerate(polys, 1):
-        assert orthogonality_gap(p)[2] <= CHAIN_SLACK, N
+    left, right = np.array([split for _, split in table]).T
+    gap = orthogonality_gap(left, right)
+    assert np.all(gap <= CHAIN_SLACK), np.flatnonzero(gap > CHAIN_SLACK) + 1
     for N in range(1, 72):
-        assert check_separation(polys[N - 1], polys[N])[0], N
+        assert check_separation(table[N - 1][0], table[N][0])[0], N
 
 
 def test_mp_zero_table_ignores_the_callers_decimal_context():
@@ -212,11 +226,15 @@ def test_zeros_inside_support_hull():
         w = rng.uniform(0.1, 2.0, m)
         nu = DiscreteSpectralMeasure(lam, w)
         deg = int(rng.integers(1, min(m, 9)))
-        p = residual_polynomials(nu, deg)[deg]
-        assert p.zeros.size == deg
-        assert np.all(np.diff(p.zeros) > 0)
-        assert p.zeros[0] > nu.support[0] - 1e-12 * nu.support[0]
-        assert p.zeros[-1] < nu.support[-1] + 1e-12 * nu.support[-1]
+        t = residual_polynomials(nu, deg)
+        z = t.zeros[deg - 1]
+        assert z.size == deg
+        # the decimal path's k, as the double path's, counts the support
+        # atoms below the rounded z1
+        assert t.k[deg - 1] == np.searchsorted(nu.support, z[0])
+        assert np.all(np.diff(z) > 0)
+        assert z[0] > nu.support[0] - 1e-12 * nu.support[0]
+        assert z[-1] < nu.support[-1] + 1e-12 * nu.support[-1]
 
 
 def test_separation_and_monotone_zero_sequences():
@@ -226,27 +244,29 @@ def test_separation_and_monotone_zero_sequences():
         lam = np.sort(rng.uniform(0.01, 50.0, m))
         w = rng.uniform(0.1, 2.0, m)
         nu = DiscreteSpectralMeasure(lam, w)
-        polys = residual_polynomials(nu, min(m - 1, 10))
-        for N in range(1, len(polys) - 1):
-            ok, viol = check_separation(polys[N], polys[N + 1])
+        zeros = residual_polynomials(nu, min(m - 1, 10)).zeros
+        for N in range(1, len(zeros)):
+            ok, viol = check_separation(zeros[N - 1], zeros[N])
             assert ok, (N, viol)
-        z1 = [p.zeros[0] for p in polys[1:]]
-        zm = [p.zeros[-1] for p in polys[1:]]
+        z1 = [z[0] for z in zeros]
+        zm = [z[-1] for z in zeros]
         assert all(z1[i + 1] <= z1[i] * (1 + 1e-10) for i in range(len(z1) - 1))
         assert all(zm[i + 1] >= zm[i] * (1 - 1e-10) for i in range(len(zm) - 1))
 
 
 def test_separation_vacuous_for_degree_zero():
-    polys = residual_polynomials(NU2, 1)
-    ok, viol = check_separation(polys[0], polys[1])
+    t = residual_polynomials(NU2, 1)
+    ok, viol = check_separation(np.empty(0), t.zeros[0])
     assert ok and viol == 0.0
+    with pytest.raises(ValueError, match="degrees N and N"):
+        check_separation(t.zeros[0], t.zeros[0])
 
 
 def test_delta_hand():
-    polys = residual_polynomials(NU2, 1)
-    assert abs(delta_n(polys[1]) - 5.0 / 9.0) < 1e-15
-    p = ResidualPolynomial(np.array([2.0, 4.0, 8.0]))
-    assert abs(delta_n(p) - (0.5 + 2 * (0.25 + 0.125))) < 1e-15
+    t = residual_polynomials(NU2, 1)
+    assert abs(t.delta[0] - 5.0 / 9.0) < 1e-15
+    assert abs(delta_n(np.array([2.0, 4.0, 8.0]))
+               - (0.5 + 2 * (0.25 + 0.125))) < 1e-15
 
 
 def test_edge_zero_times_delta_at_least_one():
@@ -256,17 +276,17 @@ def test_edge_zero_times_delta_at_least_one():
         lam = np.sort(rng.uniform(0.01, 100.0, m))
         nu = DiscreteSpectralMeasure(lam, rng.uniform(0.1, 2.0, m))
         deg = int(rng.integers(1, min(m, 8)))
-        p = residual_polynomials(nu, deg)[deg]
-        assert p.zeros[0] * delta_n(p) >= 1.0 - 1e-12
+        t = residual_polynomials(nu, deg)
+        assert t.zeros[-1][0] * t.delta[-1] >= 1.0 - 1e-12
+        assert t.delta[-1] == delta_n(t.zeros[-1])
 
 
 def test_orthogonality_gap_hand():
     # both split integrals equal 4/9 for the two-atom case at N = 1
-    polys = residual_polynomials(NU2, 1)
-    lhs, rhs, gap = orthogonality_gap(polys[1])
-    assert abs(lhs - 4.0 / 9.0) < 1e-14
-    assert abs(rhs - 4.0 / 9.0) < 1e-14
-    assert gap < 1e-14
+    t = residual_polynomials(NU2, 1)
+    assert abs(t.left[0] - 4.0 / 9.0) < 1e-14
+    assert abs(t.right[0] - 4.0 / 9.0) < 1e-14
+    assert orthogonality_gap(t.left, t.right)[0] < 1e-14
 
 
 def test_orthogonality_gap_sweep():
@@ -275,10 +295,10 @@ def test_orthogonality_gap_sweep():
         m = int(rng.integers(8, 40))
         lam = np.sort(rng.uniform(0.01, 200.0, m))
         nu = DiscreteSpectralMeasure(lam, rng.uniform(0.01, 1.0, m))
-        polys = residual_polynomials(nu, min(m - 1, 12))
-        for N in range(1, len(polys)):
-            _, _, gap = orthogonality_gap(polys[N])
-            assert gap <= 1e-8, (N, gap)
+        t = residual_polynomials(nu, min(m - 1, 12))
+        gap = orthogonality_gap(t.left, t.right)
+        assert gap.size == min(m - 1, 12)
+        assert np.all(gap <= 1e-8), gap
 
 
 def test_split_integrals_against_mpmath():
@@ -291,10 +311,10 @@ def test_split_integrals_against_mpmath():
         lam = np.sort(rng.uniform(0.5, 300.0, m))
         w = rng.uniform(0.1, 1.0, m)
         nu = DiscreteSpectralMeasure(lam, w)
-        p = residual_polynomials(nu, 6)[6]
-        lhs, rhs, _ = orthogonality_gap(p)
+        t = residual_polynomials(nu, 6)
+        lhs, rhs = t.left[5], t.right[5]
         with mp.workdps(60):
-            z = [mp.mpf(float(t)) for t in p.zeros]
+            z = [mp.mpf(float(v)) for v in t.zeros[5]]
             left = mp.mpf(0)
             right = mp.mpf(0)
             for li, wi in zip(lam, w):
@@ -327,8 +347,7 @@ def test_product_evaluation_out_of_range_rule():
     # where it is not
     from mpmath import mp
     zeros = np.sort(np.exp(np.linspace(np.log(1e-4), np.log(1.0), 60)))
-    p = ResidualPolynomial(zeros)
-    got = p.evaluate(np.array([1e3]))[0]
+    got = _factor_products(np.array([1e3]), zeros)[0]
     want = float(_mp_product(zeros, 1e3))
     rel = abs(got - want) / abs(want)
     assert rel < 1e-12, (got, want, rel)
@@ -336,7 +355,7 @@ def test_product_evaluation_out_of_range_rule():
     # at 1e5 every factor is negative and the true magnitude is ~1e420,
     # beyond float64 range: the rescaled product yields +inf (even factor
     # count)
-    big = p.evaluate(np.array([1e5]))[0]
+    big = _factor_products(np.array([1e5]), zeros)[0]
     with mp.workdps(80):
         logmag = mp.fsum(mp.log(abs(1 - mp.mpf(1e5) / mp.mpf(float(z))), 10)
                          for z in zeros)
@@ -352,14 +371,14 @@ def test_product_evaluation_out_of_range_rule():
     with np.errstate(over="ignore"):
         G = 1.0 - lam[None, :] / zeros[:, None]
         assert np.prod(G, axis=0)[0] == -np.inf
-    got = ResidualPolynomial(zeros).evaluate(lam)[0]
+    got = _factor_products(lam, zeros)[0]
     want = _mp_product(zeros, 2.0)
     assert float(want) == pytest.approx(-1.4252e293, rel=1e-4)
     assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (got, want)
 
     # an exactly-zero factor gives exactly 0 whatever the other factors do
     zeros = np.array([1e-300, 1e-299, 1.0])
-    assert ResidualPolynomial(zeros).evaluate(np.array([1.0]))[0] == 0.0
+    assert _factor_products(np.array([1.0]), zeros)[0] == 0.0
 
 
 def test_values_and_split_share_one_factor_matrix():
@@ -377,27 +396,29 @@ def test_values_and_split_share_one_factor_matrix():
     assert support.size == 300 and len(nu) == 298
     assert support[1] ** 2 * base.weights[1] <= WEIGHT_FLOOR
     assert nu.support[0] == support[2]
-    polys = residual_polynomials(nu, 60, support)
-    assert len(polys) == 61
+    t = residual_polynomials(nu, 60, support)
+    assert t.support is support and len(t.zeros) == 60
     for N in range(1, 61):
-        p = polys[N]
-        assert np.array_equal(p.values, p.evaluate(support)), N
-        assert p.values[0] == 1.0
-        z = p.zeros
+        values, z = t.values[N - 1], t.zeros[N - 1]
+        assert np.array_equal(values, _factor_products(support, z)), N
+        assert values[0] == 1.0
+        # the support atoms below the rounded z1, as one searchsorted
+        assert t.k[N - 1] == np.searchsorted(support, z[0]), N
+        assert t.k[N - 1] == np.sum(support < z[0]), N
         # the layout does not change the rounding: at every degree a
         # sequential product along each atom's row (zeros that have
         # captured an atom give a factor of exactly 0)
         rows = 1.0 - support[:, None] / z[None, :]
         want = np.prod(rows, axis=1)
         assert np.all(np.isfinite(want)), N
-        assert np.array_equal(p.values, want), N
+        assert np.array_equal(values, want), N
         rest = np.ones(len(nu))
         for zk in z[1:]:
             rest *= 1.0 - nu.support / zk
         term = nu.weights * np.abs(1.0 - nu.support / z[0]) * rest ** 2
         left = term[nu.support < z[0]].sum()
         right = term[nu.support > z[0]].sum()
-        lhs, rhs = p.split
+        lhs, rhs = t.left[N - 1], t.right[N - 1]
         assert abs(lhs - left) <= 1e-13 * left, N
         assert abs(rhs - right) <= 1e-13 * right, N
     for bad in (support[:-1], np.delete(support, 150)):
@@ -406,25 +427,25 @@ def test_values_and_split_share_one_factor_matrix():
 
 
 def test_rho_integral_identity_is_weighted_sum():
-    polys = residual_polynomials(NU2, 1)
+    t = residual_polynomials(NU2, 1)
     # sum over mu0 atoms of s1(lambda)^2: (4/9)^2 + (1/9)^2 = 17/81
-    val = rho_integral_identity(polys[1], MU0_2)
+    val = rho_integral_identity(t.zeros[0], MU0_2)
     assert abs(val - 17.0 / 81.0) < 1e-15
 
 
 def test_lemma_hand_numbers():
     # xi=1, sigma=0, q=2: mass below 9/5 is 1, (q/delta)^q = (18/5)^2
-    polys = residual_polynomials(NU2, 1)
-    lhs, rhs, ok = lemma_bound(polys[1], MU0_2, 1.0, 0.0)
+    t = residual_polynomials(NU2, 1)
+    lhs, rhs, ok = lemma_bound(t, 1, MU0_2, 1.0, 0.0)
     assert abs(lhs - 4.0 / 9.0) < 1e-14
     assert abs(rhs - 12.96) < 1e-12
     assert ok
 
 
 def test_lemma_rejects_negative_exponent():
-    polys = residual_polynomials(NU2, 1)
+    t = residual_polynomials(NU2, 1)
     with pytest.raises(ValueError):
-        lemma_bound(polys[1], MU0_2, 1.0, 2.5)  # q = -0.5
+        lemma_bound(t, 1, MU0_2, 1.0, 2.5)  # q = -0.5
 
 
 def test_lemma_sweep_all_exponents():
@@ -438,15 +459,15 @@ def test_lemma_sweep_all_exponents():
             assert q in (0.5, 1.0, 2.0, 3.0)
             nu = weight_by_power(base, xi + 1.0)
             mu_s = weight_by_power(base, sigma)
-            polys = residual_polynomials(nu, 8)
-            for N in range(1, len(polys)):
-                lhs, rhs, ok = lemma_bound(polys[N], mu_s, xi, sigma)
+            t = residual_polynomials(nu, 8)
+            for N in range(1, len(t.zeros) + 1):
+                lhs, rhs, ok = lemma_bound(t, N, mu_s, xi, sigma)
                 assert ok, (xi, sigma, N, lhs, rhs)
 
 
 def test_chain_table_hand_case():
-    p = residual_polynomials(NU2, 1)[1]
-    t = chain_table([17.0 / 81.0], [p], MU0_2, 1.0, 0.0)
+    table = residual_polynomials(NU2, 1)
+    t = chain_table([17.0 / 81.0], table, MU0_2, 1.0, 0.0)
     names = [name for name, *_ in t.steps]
     assert names == ["integral_identity", "split_bound", "tail_bound",
                      "split_orthogonality", "weighted_left_bound",
@@ -464,35 +485,34 @@ def test_chain_table_hand_case():
     assert abs(by["split_bound"][1] - 82.0 / 81.0) < 1e-14
     assert abs(by["assembled_bound"][1] - 5.0) < 1e-13
     assert abs(by["coarse_bound"][1] - 5.0) < 1e-13
-    assert abs(t.mass_below[0] - 1.0) < 1e-15
-    assert t.delta.tolist() == [delta_n(p)]
-    assert t.lemma_ok.tolist() == [lemma_bound(p, MU0_2, 1.0, 0.0)[2]]
+    assert abs(t.below[0] - 1.0) < 1e-15
+    assert t.lemma_ok.tolist() == [lemma_bound(table, 1, MU0_2, 1.0, 0.0)[2]]
 
 
 def test_chain_table_detects_wrong_rho():
-    t = chain_table([0.5], [residual_polynomials(NU2, 1)[1]], MU0_2, 1.0,
-                    0.0)
+    t = chain_table([0.5], residual_polynomials(NU2, 1), MU0_2, 1.0, 0.0)
     assert t.ok.tolist() == [False]
     assert t.first_failure == ["integral_identity"]
 
 
 def test_chain_table_rejects_sigma_above_xi():
     with pytest.raises(ValueError, match="xi >= sigma"):
-        chain_table([0.1], [residual_polynomials(NU2, 1)[1]], MU0_2, 1.0,
-                    1.5)
+        chain_table([0.1], residual_polynomials(NU2, 1), MU0_2, 1.0, 1.5)
 
 
-def test_hand_built_polynomial_has_no_split():
-    # split integrals are made with the zeros by residual_polynomials; a
-    # polynomial built from zeros alone has no measure to integrate against
-    p = ResidualPolynomial(np.array([2.0, 5.0]))
-    assert p.split is None
-    with pytest.raises(ValueError, match="split"):
-        orthogonality_gap(p)
-    with pytest.raises(ValueError, match="split"):
-        lemma_bound(p, MU0_2, 1.0, 0.0)
-    with pytest.raises(ValueError, match="split"):
-        chain_table([0.1], [p], MU0_2, 1.0, 0.0)
+def test_chain_table_refuses_an_atom_outside_the_support():
+    # s on mu_sigma's atoms is read from the table's values, so every atom
+    # must be in the table's support: an atom between two of its atoms, or
+    # above them all, is refused. So is a rho count that is not one per
+    # degree
+    table = residual_polynomials(NU2, 2)
+    for extra in (1.5, 3.0):
+        wide = DiscreteSpectralMeasure(np.array([1.0, 2.0, extra]),
+                                       np.ones(3))
+        with pytest.raises(ValueError, match="outside the table's support"):
+            chain_table([0.1, 0.1], table, wide, 1.0, 0.0)
+    with pytest.raises(ValueError, match="one rho per degree"):
+        chain_table([0.1], table, MU0_2, 1.0, 0.0)
 
 
 def test_chain_table_sweep():
@@ -504,20 +524,21 @@ def test_chain_table_sweep():
         base = DiscreteSpectralMeasure(lam, e0w)
         for xi in (1.0, 2.0):
             nu = weight_by_power(base, xi + 1.0)
-            polys = residual_polynomials(nu, 10)
+            table = residual_polynomials(nu, 10)
             for sigma in (0.0, 1.0, 2.0):
                 if sigma > xi:
                     continue
                 mu_s = weight_by_power(base, sigma)
-                rhos = [rho_integral_identity(p, mu_s) for p in polys[1:]]
-                t = chain_table(rhos, polys[1:], mu_s, xi, sigma)
+                rhos = [rho_integral_identity(z, mu_s) for z in table.zeros]
+                t = chain_table(rhos, table, mu_s, xi, sigma)
                 assert t.ok.all(), (xi, sigma, t.first_failure)
-                assert t.first_failure == [None] * (len(polys) - 1)
+                assert t.first_failure == [None] * len(table.zeros)
 
 
 def test_truncation_when_measure_exhausts():
-    polys = residual_polynomials(NU2, 5)
-    assert len(polys) == 3  # degrees 0, 1, 2 on a two-atom measure
+    t = residual_polynomials(NU2, 5)
+    assert len(t.zeros) == 2  # degrees 1, 2 on a two-atom measure
+    assert [len(f) for f in t[1:]] == [2] * 6
 
 
 def test_atom_at_zero_rejected():

@@ -19,7 +19,7 @@ from powercg.diagnostics import rho
 from powercg.krylov import ConsistencyError, spectral_iterates
 from powercg.measures import (MERGE_REL, WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
-from powercg.orthopoly import (ResidualPolynomial, chain_table,
+from powercg.orthopoly import (_factor_products, chain_table,
                                residual_polynomials)
 from powercg.runs import (CSV_HEADER, RunConfig, SCHEMA_VERSION, TEST_DEFAULTS,
                           TEST_IDS, VersionError, build_custom_case,
@@ -372,21 +372,14 @@ def test_run_holds_at_most_two_iterates(monkeypatch):
     assert max(most) <= 2, most
 
 
-def test_chain_on_shared_s_values_matches_its_own_evaluation(monkeypatch):
-    # chain_table looks s up in the values the polynomials carry where their
-    # support holds mu_sigma's atoms, and evaluates it elsewhere; both must
-    # give the same table, every field as float hex. On base's support every
-    # sigma is a lookup. The table built on nu's support is looked up too,
-    # except where the second base carries a kernel atom, where s is exactly
-    # 1, that only mu_0 keeps: that forces evaluation. Polynomials rebuilt
-    # from their zeros carry no values and are always evaluated.
-    evaluated = []
-    evaluate = ResidualPolynomial.evaluate
-
-    def spy(self, lam):
-        evaluated.append(self.degree)
-        return evaluate(self, lam)
-    monkeypatch.setattr(ResidualPolynomial, "evaluate", spy)
+def test_chain_on_shared_s_values_matches_its_own_evaluation():
+    # chain_table looks s up in the values the table carries, by one
+    # searchsorted on the table's support: the looked-up values are bit for
+    # bit s evaluated on mu_sigma's atoms by the column products, and the
+    # chain is the same, every field as float hex, on base's support and on
+    # nu's. Where the second base carries a kernel atom, where s is exactly
+    # 1, that only mu_0 keeps, nu's support lacks it and chain_table
+    # refuses the table
     xi = 2.0
     prob = build_test_case("2a", 256, 40.0)
     lam = prob.operator.eigenvalues()
@@ -395,25 +388,26 @@ def test_chain_on_shared_s_values_matches_its_own_evaluation(monkeypatch):
     for w_base in (w, np.where(lam == 0.0, 0.3, w)):
         base = DiscreteSpectralMeasure(lam, w_base)
         nu = weight_by_power(base, xi + 1.0)
-        looked_up = residual_polynomials(nu, 12, base.support)[1:]
-        on_nu = residual_polynomials(nu, 12)[1:]
-        bare = [ResidualPolynomial(p.zeros, p.split) for p in on_nu]
-        assert len(looked_up) == len(on_nu) == 12
+        looked_up = residual_polynomials(nu, 12, base.support)
+        on_nu = residual_polynomials(nu, 12)
+        assert len(looked_up.zeros) == len(on_nu.zeros) == 12
         for s in (0.0, 1.0, 2.0):
             m = weight_by_power(base, s)
             kernel = s == 0.0 and w_base is not w
             assert (m.support[0] == 0.0) == kernel
             assert np.isin(m.support, nu.support).all() != kernel
+            rows = np.searchsorted(base.support, m.support)
+            for z, values in zip(looked_up.zeros, looked_up.values):
+                assert np.array_equal(values[rows],
+                                      _factor_products(m.support, z)), s
             rhos = [rho(prob, f, s) for f in f_n[1:13]]
-            evaluated.clear()
             want = _table_bits(chain_table(rhos, looked_up, m, xi, s))
-            assert evaluated == []
-            for polys, n_evaluated in ((on_nu, 12 if kernel else 0),
-                                       (bare, 12)):
-                evaluated.clear()
-                got = _table_bits(chain_table(rhos, polys, m, xi, s))
-                assert len(evaluated) == n_evaluated, (s, kernel)
-                assert got == want, (s, kernel)
+            if kernel:
+                with pytest.raises(ValueError, match="outside the table"):
+                    chain_table(rhos, on_nu, m, xi, s)
+            else:
+                got = _table_bits(chain_table(rhos, on_nu, m, xi, s))
+                assert got == want, s
 
 
 def _table_bits(t, rows=slice(None)):
@@ -424,7 +418,13 @@ def _table_bits(t, rows=slice(None)):
     return ([(name, hexes(lhs), hexes(rhs), ok[rows].tolist())
              for name, lhs, rhs, ok in t.steps],
             t.ok[rows].tolist(), t.first_failure[rows],
-            t.lemma_ok[rows].tolist(), hexes(t.delta), hexes(t.mass_below))
+            t.lemma_ok[rows].tolist(), hexes(t.below))
+
+
+def _degree(table, i):
+    """The zero table of table's degree i + 1 alone."""
+    return table._replace(**{f: getattr(table, f)[i:i + 1]
+                             for f in table._fields if f != "support"})
 
 
 def _pool_spec(m, index):
@@ -446,9 +446,10 @@ def _pool_spec(m, index):
 def test_run_takes_one_chain_table_per_sigma(monkeypatch, config, xi):
     # run() evaluates the chain once per sigma over all degrees; each table
     # it takes (every field, floats as hex) is the one chain_table makes on
-    # its own from the records' rho, and its row N is bit for bit the
-    # one-degree table of polys[N]: the atom sums are 1-d per degree. The
-    # records' verdicts, delta_n and ritz_min are the tables'
+    # its own from the records' rho, and its row N is bit for bit the chain
+    # on degree N of the zero table alone: the atom sums are 1-d per degree.
+    # The records' verdicts are the chain tables', and their delta_n and
+    # ritz_min the zero table's
     from powercg import runs
     tables = {}
 
@@ -465,21 +466,67 @@ def test_run_takes_one_chain_table_per_sigma(monkeypatch, config, xi):
     base, mu, nu = runs._measures(runs._build_problem(config), xi,
                                   [s for s in (0.0, 1.0, 2.0) if s <= xi])
     assert sorted(tables) == sorted(mu)
-    polys = residual_polynomials(nu, config.n_max, base.support)
-    assert len(polys) > 2
-    recs = out.records[1:len(polys)]
+    table = residual_polynomials(nu, config.n_max, base.support)
+    assert len(table.zeros) > 1
+    recs = out.records[1:len(table.zeros) + 1]
     for s, m in mu.items():
-        fresh = chain_table([r.rho[s] for r in recs], polys[1:], m, xi, s)
+        fresh = chain_table([r.rho[s] for r in recs], table, m, xi, s)
         assert _table_bits(tables[s]) == _table_bits(fresh), s
         for i, r in enumerate(recs):
-            one = chain_table([r.rho[s]], [polys[r.N]], m, xi, s)
+            one = chain_table([r.rho[s]], _degree(table, i), m, xi, s)
             assert (_table_bits(fresh, slice(i, i + 1))
                     == _table_bits(one)), (r.N, s)
     for i, r in enumerate(recs):
-        assert r.delta_n == tables[0.0].delta[i]
-        assert r.ritz_min == polys[r.N].zeros[0]
+        assert r.delta_n == table.delta[i]
+        assert r.ritz_min == table.zeros[i][0]
         assert r.bound_chain_ok == all(t.ok[i] for t in tables.values())
         assert r.lemma_ok == all(t.lemma_ok[i] for t in tables.values())
+
+
+def _scaled_bits(r, c, ce):
+    """Float hex of every value of record r, with the eigenvalues scaled by
+    c and e0 by ce: rho_sigma and n_sq_rho1 by c^sigma ce^2, the zeros by
+    c and delta_n by 1/c (all exact for powers of two)."""
+    return ({s: float(v * c ** s * ce ** 2).hex() for s, v in r.rho.items()},
+            float(r.n_sq_rho1 * c * ce ** 2).hex(),
+            float(r.ritz_min * c).hex(), float(r.ritz_max * c).hex(),
+            float(r.delta_n / c).hex())
+
+
+def test_run_records_are_exact_under_a_change_of_units():
+    # A -> cA and e0 -> ce e0 scale every record exactly and move no
+    # verdict, and a permutation of the eigenvalues changes nothing: with
+    # powers of two the records must be bit-equal to the scaled originals.
+    # So every threshold on atoms and zeros must be relative: an absolute
+    # floor would merge the distinct atoms of lam * 2^-40 (in [1e-15,
+    # 1e-9]). Above the 64-atom cutoff the double path's chain fails from
+    # some degree on, and the first false verdict can sit at the chain's
+    # slack, where pow's last bit decides it: the verdicts of a record
+    # false unscaled are exempt, its values are not
+    sigmas = (0.0, 0.5, 1.0, 2.0)
+
+    def records(lam, e0, xi):
+        custom = {"eigenvalues": lam, "error": e0}
+        return run(RunConfig(test="custom", xi=xi, n_max=lam.size,
+                             sigmas=sigmas, custom=custom)).records
+
+    for m, index in ((8, 0), (16, 3), (72, 0)):
+        spec = _pool_spec(m, index)
+        lam, e0 = spec["eigenvalues"], spec["error"]
+        perm = np.random.default_rng(m).permutation(m)
+        units = [(lam * 2.0 ** k, e0, 2.0 ** k, 1.0) for k in (40, -40)]
+        units += [(lam, e0 * 2.0 ** k, 1.0, 2.0 ** k) for k in (20, -20)]
+        units.append((lam[perm], e0[perm], 1.0, 1.0))
+        for xi in (1.0, 2.0):
+            ref = records(lam, e0, xi)
+            for lam_c, e0_c, c, ce in units:
+                for a, b in zip(ref, records(lam_c, e0_c, xi), strict=True):
+                    where = (m, xi, c, ce, a.N)
+                    assert _scaled_bits(b, 1.0, 1.0) == _scaled_bits(
+                        a, c, ce), where
+                    verdicts = (a.bound_chain_ok, a.lemma_ok)
+                    if m <= 64 or False not in verdicts:
+                        assert (b.bound_chain_ok, b.lemma_ok) == verdicts, where
 
 
 def test_lemma_verdict_matches_lemma_bound():
@@ -493,12 +540,12 @@ def test_lemma_verdict_matches_lemma_bound():
     mu = {s: weight_by_power(base, s) for s in (0.0, 1.0, 2.0)}
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
-        polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+        table = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
         for r in out.records[1:]:
-            if r.N >= len(polys):
+            if r.N > len(table.zeros):
                 assert r.lemma_ok is None
                 continue
-            want = all(lemma_bound(polys[r.N], m, xi, s)[2]
+            want = all(lemma_bound(table, r.N, m, xi, s)[2]
                        for s, m in mu.items() if s <= xi)
             assert r.lemma_ok == want, (xi, r.N)
 
@@ -514,12 +561,12 @@ def test_chain_steps_fail_on_non_finite_operands():
     non_finite = 0
     for xi in (1.0, 2.0):
         out = run(RunConfig(test="custom", xi=xi, n_max=72, custom=spec))
-        polys = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
-        recs = out.records[1:len(polys)]
+        table = residual_polynomials(weight_by_power(base, xi + 1.0), 72)
+        recs = out.records[1:len(table.zeros) + 1]
         for s in (0.0, 1.0, 2.0):
             if s > xi:
                 continue
-            t = chain_table([r.rho[s] for r in recs], polys[1:],
+            t = chain_table([r.rho[s] for r in recs], table,
                             weight_by_power(base, s), xi, s)
             for name, lhs, rhs, ok in t.steps:
                 for i in np.flatnonzero(~(np.isfinite(lhs)
@@ -536,8 +583,9 @@ def test_run_near_termination_lets_no_warning_escape():
     # near termination; run() must keep it inside and give the same records.
     # The second spectrum is a 96-atom log-uniform draw on [1e-3, 1e3], whose
     # overflow lands in the chain's sums over s^2 w
-    # The third has a smallest zero near 1e-155, so z_1^-q overflows in the
-    # chain's operands at N = 1, whose verdict must then be false
+    # The third keeps its atoms 1e-160 and 1e-150 apart: N = 1 holds, and at
+    # N = 2 the smallest zero is 1e-160, so z_1^-q overflows in the chain's
+    # operands, which must then fail their steps and the verdict
     spec = {"dimension": 72, "seed": 1, "kappa": 1e6}
     rng = np.random.default_rng([20261017, 96, 3])
     lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=96))
@@ -554,8 +602,20 @@ def test_run_near_termination_lets_no_warning_escape():
             warnings.simplefilter("error")
             got = run(config).to_dict()["records"]
         assert got == want
-        if custom is tiny:
-            assert got[1]["bound_chain_ok"] is False
+    # the last config is the tiny spectrum's
+    assert [r["bound_chain_ok"] for r in got] == [None, True, False]
+    from powercg import runs
+    base, mu, nu = runs._measures(runs._build_problem(config), 1.0, (0.0,))
+    table = residual_polynomials(nu, 2, base.support)
+    assert table.zeros[1][0] == 1e-160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = chain_table([r["rho"]["0.0"] for r in got[1:]], table, mu[0.0],
+                        1.0, 0.0)
+    steps = {name: (rhs[1], ok[1]) for name, _, rhs, ok in t.steps}
+    for name in ("tail_bound", "assembled_bound"):
+        assert not np.isfinite(steps[name][0]) and not steps[name][1], name
+    assert not t.ok[1]
 
 
 def test_run_built_in_small():

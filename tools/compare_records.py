@@ -11,15 +11,18 @@ from its own src/:
   - the diagonal pool of the benchmark: every slot of DiagSeries.SLOTS times
     every one of its POOL members, xi in {1, 2}, run to full dimension, with
     spectra from this tree's perfbench/workloads.diag_spectrum;
-  - four custom spectra, xi in {1, 2}, run to full dimension: three
+  - six custom spectra, xi in {1, 2}, run to full dimension: three
     where grouping the eigenvalues acts, two clustered ones, 12 seeded
     eigenvalues each with a twin g * MERGE_REL relative above it (g = 0.5:
-    every twin merges; g = 3: only those below 1/3, where the merge
-    threshold is absolute), and a floored one, an equal pair whose |e0|^2
-    entries each lie below WEIGHT_FLOOR but sum above it; and an overflow
-    one, eigenvalues 1e-160 and 1e-150 with error 1e40 each, whose
-    smallest zero overflows the chain's z_1^-q at N = 1 when xi = 1 (at
-    xi = 2 its nu is floored away and its table is empty);
+    every twin merges; g = 3: none does), and a floored one, an equal pair
+    whose |e0|^2 entries each lie below WEIGHT_FLOOR but sum above it; an
+    overflow one, eigenvalues 1e-160 and 1e-150 with error 1e40 each,
+    whose smallest zero overflows the chain's z_1^-q at N = 2 when xi = 1
+    (at xi = 2 its nu is floored away and its table is empty); and two
+    scaled ones, the pool members (16, 3) and (72, 0), on either side of
+    the 64-atom cutoff, with their eigenvalues times 2^-40 (atoms in about
+    [1e-15, 1e-9]), whose records are the unscaled ones' scaled exactly
+    only while every threshold on atoms and zeros is relative;
   - the matrix-free pool of the benchmark: workloads.dense_case at
     MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
     theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
@@ -96,8 +99,8 @@ def series():
 
 
 def custom_series():
-    """[(key, RunConfig keyword arguments)] of the clustered, floored and
-    overflow custom spectra."""
+    """[(key, RunConfig keyword arguments)] of the clustered, floored,
+    overflow and scaled custom spectra."""
     import numpy as np
     from powercg.measures import MERGE_REL
 
@@ -111,6 +114,10 @@ def custom_series():
                         "error": [1, e, e, 1, 0.5]}
     specs["overflow"] = {"eigenvalues": [1e-160, 1e-150],
                          "error": [1e40, 1e40]}
+    for m, index in ((16, 3), (72, 0)):
+        lam, e0 = _workloads().diag_spectrum(m, index)
+        specs[f"scaled/m{m}/i{index}"] = {"eigenvalues": lam * 2.0 ** -40,
+                                          "error": e0}
     return [(f"{key}/xi{int(xi)}",
              {"test": "custom", "xi": xi, "custom": spec,
               "n_max": len(spec["error"])})
