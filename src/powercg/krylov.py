@@ -9,6 +9,7 @@ needs spectral access.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,12 @@ class _Lanczos:
         self.betas = []
         self.residual = None
         self.breakdown = False
+        # the nested Cholesky factor T = L L^T (L lower bidiagonal: diagonal
+        # chol_diag, subdiagonal chol_sub) that cholesky() grows, and one
+        # _ProjectedQR per integer theta >= 2
+        self.chol_diag = []
+        self.chol_sub = []
+        self.factors = {}
 
     @property
     def steps(self):
@@ -224,6 +231,24 @@ class _Lanczos:
             v = v - a * q
             self.residual = _orthogonalize(V[:, :k + 1], v)
             self.alphas.append(a)
+
+    def cholesky(self, rows):
+        """Grow the Cholesky factor to min(rows, steps) rows; False when a
+        pivot on the way is not positive. Row i reads alpha_i and beta_(i-1)
+        only, so the factor is nested like the recurrence."""
+        d, m = self.chol_diag, self.chol_sub
+        while len(d) < min(rows, self.steps):
+            i = len(d)
+            pivot = self.alphas[i]
+            if i:
+                sub = self.betas[i - 1] / d[i - 1]
+                pivot = pivot - sub * sub
+            if not pivot > 0.0:
+                return False
+            if i:
+                m.append(sub)
+            d.append(math.sqrt(pivot))
+        return True
 
     def leading(self, k):
         """JacobiMatrix and basis of the first min(k, steps) steps."""
@@ -304,6 +329,128 @@ def _tridiag_powers(T, s_max):
     return out
 
 
+def _power_column(alphas, betas, j, s):
+    """T^s e_j for the tridiagonal T of (alphas, betas), cut at its order,
+    as (first row, entries): rows j - s .. j + s, each entry summed in the
+    same order whatever the order of T."""
+    k = len(alphas)
+    lo, x = j, [1.0]
+    for _ in range(s):
+        hi = lo + len(x) - 1
+        y = []
+        for i in range(max(lo - 1, 0), min(hi + 1, k - 1) + 1):
+            t = 0.0
+            if i - 1 >= lo:
+                t += betas[i - 1] * x[i - 1 - lo]
+            if lo <= i <= hi:
+                t += alphas[i] * x[i - lo]
+            if i + 1 <= hi:
+                t += betas[i] * x[i + 1 - lo]
+            y.append(t)
+        lo, x = max(lo - 1, 0), y
+    return lo, x
+
+
+class _ProjectedQR:
+    """Givens QR of the projected problem of one integer theta >= 2, grown
+    one column per degree from a _Lanczos state's recurrence (Paige &
+    Saunders' MINRES update, SIAM J. Numer. Anal. 12, 1975, for any s).
+
+    With s = theta // 2 the factored matrix is B = W (T^s)[:, :N] and the
+    right-hand side -||R0|| W T^(s-1) e1, with W = I for even theta and
+    W = L^T for odd theta (T = L L^T, the state's nested Cholesky). Column
+    j of B has rows j - s - (theta odd) .. j + s, and its s rotations pair
+    row j with rows j + 1 .. j + s, so R has 2s + (theta odd) rows above
+    its diagonal and a later column's rotations touch later rows only: R's
+    leading N x N block and the rotated right-hand side's first N entries
+    are the same bits however far the factorization has grown.
+    """
+
+    def __init__(self, theta):
+        self.s = theta // 2
+        self.odd = theta % 2 == 1
+        self.width = 2 * self.s + self.odd
+        # column j: R's rows j - width .. j; rotations: column j's s (c, sn)
+        self.R = []
+        self.rotations = []
+        self.rhs = None
+
+    def _column(self, st, j, s):
+        """W T^s e_j on the state st as (first row, entries), None when the
+        Cholesky factor it needs meets a pivot that is not positive."""
+        lo, x = _power_column(st.alphas, st.betas, j, s)
+        if not self.odd:
+            return lo, x
+        hi = lo + len(x) - 1
+        if not st.cholesky(hi + 1):
+            return None
+        d, m = st.chol_diag, st.chol_sub
+        # (L^T x)_i = d_i x_i + m_i x_(i+1), rows lo - 1 .. hi
+        z = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo] for i in range(lo, hi)]
+        z.append(d[hi] * x[-1])
+        if lo:
+            return lo - 1, [m[lo - 1] * x[0]] + z
+        return lo, z
+
+    def grow(self, st, n):
+        """Factor columns up to n of the state st's recurrence; False when a
+        column cannot be made."""
+        s, w = self.s, self.width
+        if self.rhs is None:
+            col = self._column(st, 0, s - 1)
+            if col is None:
+                return False
+            nR0 = float(np.linalg.norm(st.start))
+            self.rhs = [-nR0 * v for v in col[1]]
+        rhs = self.rhs
+        while len(self.R) < n:
+            j = len(self.R)
+            col = self._column(st, j, s)
+            if col is None:
+                return False
+            lo, x = col
+            # rows base .. j + s of column j, rows below 0 kept as zeros
+            base = j - w
+            v = [0.0] * (w + s + 1)
+            v[lo - base:lo - base + len(x)] = x
+            for i in range(max(base, 0), j):
+                p = i - base
+                for q, (c, sn) in enumerate(self.rotations[i], p + 1):
+                    a, b = v[p], v[q]
+                    v[p] = c * a + sn * b
+                    v[q] = c * b - sn * a
+            rhs.extend([0.0] * (j + s + 1 - len(rhs)))
+            rots = []
+            for q in range(w + 1, w + s + 1):
+                a, b = v[w], v[q]
+                r = math.hypot(a, b)
+                c, sn = (a / r, b / r) if r > 0.0 else (1.0, 0.0)
+                v[w], v[q] = r, 0.0
+                rots.append((c, sn))
+                a, b = rhs[j], rhs[j + q - w]
+                rhs[j] = c * a + sn * b
+                rhs[j + q - w] = c * b - sn * a
+            self.rotations.append(rots)
+            self.R.append(v[:w + 1])
+        return True
+
+    def solve(self, n, rows):
+        """y with R[:n, :n] y = rhs[:n] by back substitution, or None when
+        a diagonal entry of R is at or below lstsq's rcond=None cut,
+        eps * rows * max |r_jj|, for a B with `rows` rows."""
+        w = self.width
+        diag = [self.R[j][w] for j in range(n)]
+        if not min(diag) > np.finfo(float).eps * rows * max(diag):
+            return None
+        y = self.rhs[:n]
+        for j in range(n - 1, -1, -1):
+            col = self.R[j]
+            y[j] = yj = y[j] / col[w]
+            for i in range(max(j - w, 0), j):
+                y[i] -= col[i - j + w] * yj
+        return np.array(y)
+
+
 def theta_iterate(problem, theta, N):
     """Degree-N minimizer of the A^{theta/2}-weighted error, matrix-free for
     integer theta >= 1, spectral for the rest.
@@ -313,11 +460,24 @@ def theta_iterate(problem, theta, N):
     recurrence from R0 and extends it on demand; its leading steps are the
     same numbers whatever was asked before, so a series N = 1..K costs
     K + theta Lanczos applies plus one apply for R0, instead of a rebuild
-    per N. The projected problem is solved in a square-rooted form
-    (rectangular least squares; the normal equations would square the
-    condition number). Early Lanczos
-    breakdown saturates the Krylov space; the iterate returned is then the
-    minimizer of the saturated space, which equals the requested one.
+    per N. Early Lanczos breakdown saturates the Krylov space; the iterate
+    returned is then the minimizer of the saturated space, which equals the
+    requested one.
+
+    theta = 1 solves the CG tridiagonal system. For theta >= 2 the
+    projected problem is solved in a square-rooted form (least squares on
+    B = W (T^s)[:, :N], s = theta // 2; the normal equations would square
+    the condition number), and the recurrence also stores one Givens QR of
+    B per theta, grown one column per new degree (Paige & Saunders, SIAM
+    J. Numer. Anal. 12, 1975, carried from MINRES's s = 1 to every s): a
+    degree back-substitutes the leading N x N block of R, so a theta
+    series costs one factorization as it costs one basis. Later columns
+    rotate later rows only, so the leading block is the same bits however
+    far the factorization has grown, and the iterate does not depend on
+    the calls made before. The dense route (T's powers, its Cholesky
+    factor, np.linalg.lstsq) runs instead when the odd weighting meets a
+    Cholesky pivot that is not positive, or when a diagonal entry of R is
+    at or below lstsq's own rcond=None cut, eps * rows * max |r_jj|.
     """
     # theta = 0 must take the spectral route too: the tridiagonal branches
     # index powers of T from theta >= 1
@@ -349,27 +509,39 @@ def theta_iterate(problem, theta, N):
     T_jac, V = state.leading(m)
     k = T_jac.order
     Nc = min(N, k)
-    T = T_jac.dense()
     if theta == 1:
         # projected system T_N y = -||R0|| e1, the CG tridiagonal
+        T = T_jac.dense()
         rhs = np.zeros(Nc)
         rhs[0] = -nR0
         y = np.linalg.solve(T[:Nc, :Nc], rhs)
-    else:
-        # ||A^{theta/2} e|| with s = theta // 2: coordinates of A^s V_N and
-        # A^{s-1} R0 in the long basis. Odd theta = 2s+1 weighs them with
-        # c^T T c, and T = L L^T is positive definite on the Krylov space
-        # (A >= 0 and R0 in ran A keep the Ritz values positive)
-        s = theta // 2
-        P = _tridiag_powers(T, s)
-        B = P[s][:, :Nc]
-        a = P[s - 1][:, 0]
-        if theta % 2:
-            Lc = _chol_psd(T)
-            B = Lc.T @ B
-            a = Lc.T @ a
-        y, *_ = np.linalg.lstsq(B, -nR0 * a, rcond=None)
+        return problem.f0 + V[:, :Nc] @ y
+    qr = state.factors.get(theta)
+    if qr is None:
+        qr = state.factors[theta] = _ProjectedQR(theta)
+    y = qr.solve(Nc, k) if qr.grow(state, Nc) else None
+    if y is None:
+        y = _dense_projected(T_jac.dense(), theta, Nc, nR0)
     return problem.f0 + V[:, :Nc] @ y
+
+
+def _dense_projected(T, theta, Nc, nR0):
+    """The projected least-squares solution from dense powers of T.
+
+    ||A^{theta/2} e|| with s = theta // 2: coordinates of A^s V_N and
+    A^{s-1} R0 in the long basis. Odd theta = 2s+1 weighs them with
+    c^T T c, and T = L L^T is positive definite on the Krylov space
+    (A >= 0 and R0 in ran A keep the Ritz values positive)."""
+    s = theta // 2
+    P = _tridiag_powers(T, s)
+    B = P[s][:, :Nc]
+    a = P[s - 1][:, 0]
+    if theta % 2:
+        Lc = _chol_psd(T)
+        B = Lc.T @ B
+        a = Lc.T @ a
+    y, *_ = np.linalg.lstsq(B, -nR0 * a, rcond=None)
+    return y
 
 
 def _chol_psd(T):

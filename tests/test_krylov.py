@@ -234,12 +234,16 @@ def test_lanczos_validation():
         lanczos(op, np.ones(2), 3)
 
 
-def dense_problem(seed, dim=24):
+def dense_problem(seed, dim=24, distinct=None):
     """Seeded A = Q diag(lam) Q^T with one kernel direction, lam log-uniform
-    on [1e-4, 1], solution in the range."""
+    on [1e-4, 1], solution in the range. With distinct, lam cycles through
+    its first `distinct` draws, so the Krylov space from R0 has that
+    dimension and Lanczos breaks down there."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = np.exp(rng.uniform(np.log(1e-4), 0.0, dim))
+    if distinct:
+        lam = lam[np.arange(dim) % distinct]
     lam[0] = 0.0
     coeff = rng.standard_normal(dim)
     coeff[0] = 0.0
@@ -353,19 +357,33 @@ def test_theta_iterate_matrix_free_path():
 
 
 def test_theta_iterate_is_history_free():
-    # one problem keeps one Lanczos recurrence for every call: the order of
-    # the calls must not show in any iterate
+    # one problem keeps one Lanczos recurrence, and one factorization per
+    # theta, for every call: the order of the calls must not show in any
+    # iterate
+    thetas = (1, 2, 3, 4, 5)
     want = {(theta, N): theta_iterate(dense_problem(47), theta, N)
-            for theta in (1, 2, 3) for N in range(1, 21)}
+            for theta in thetas for N in range(1, 21)}
     orders = [[(2, N) for N in range(1, 21)],
               [(3, N) for N in range(20, 0, -1)],
               [(theta, N) for N in (7, 20, 1, 13, 4, 18, 9)
-               for theta in (3, 1, 2)]]
+               for theta in (3, 1, 5, 2, 4)]]
     for calls in orders:
         prob = dense_problem(47)
         for theta, N in calls:
             assert np.array_equal(theta_iterate(prob, theta, N),
                                   want[theta, N]), (theta, N)
+    # run to full dimension past a breakdown at 3: every degree from 3 on
+    # returns the saturated minimizer, whatever came before
+    full = {(theta, N): theta_iterate(dense_problem(47, distinct=3), theta, N)
+            for theta in thetas for N in range(1, 25)}
+    prob = dense_problem(47, distinct=3)
+    for theta in thetas:
+        for N in range(24, 0, -1):
+            assert np.array_equal(theta_iterate(prob, theta, N),
+                                  full[theta, N]), (theta, N)
+        for N in range(4, 25):
+            assert np.array_equal(full[theta, N], full[theta, 3])
+    assert prob._lanczos.breakdown and prob._lanczos.steps == 3
 
 
 def test_theta_series_extends_one_lanczos_basis():
@@ -387,12 +405,76 @@ def test_theta_series_extends_one_lanczos_basis():
     assert op.applies == (K + 2) + 1
 
 
+def test_theta_series_factors_once(monkeypatch):
+    # a theta >= 2 series extends one stored QR of the projected matrix, one
+    # column per new degree, and never falls back to the dense lstsq route
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    prob = dense_problem(59)
+    K = 15
+    for theta in (2, 3):
+        for N in range(1, K + 1):
+            theta_iterate(prob, theta, N)
+            assert len(prob._lanczos.factors[theta].R) == N
+        theta_iterate(prob, theta, K - 3)
+        assert len(prob._lanczos.factors[theta].R) == K
+
+
+def _dense_route(prob, theta, N):
+    """The projected solve from dense powers of a fresh Lanczos T, its
+    Cholesky factor and np.linalg.lstsq."""
+    R0 = prob.residual0()
+    T, V, _ = lanczos(prob.operator, R0, min(N + theta, prob.dimension))
+    T = T.dense()
+    Nc = min(N, T.shape[0])
+    s = theta // 2
+    P = [np.eye(T.shape[0])]
+    for _ in range(s):
+        P.append(P[-1] @ T)
+    B, a = P[s][:, :Nc], P[s - 1][:, 0]
+    if theta % 2:
+        L = _chol_psd(T)
+        B, a = L.T @ B, L.T @ a
+    y, *_ = np.linalg.lstsq(B, -np.linalg.norm(R0) * a, rcond=None)
+    return prob.f0 + V[:, :Nc] @ y
+
+
+def test_theta_iterate_falls_back_to_the_dense_route(monkeypatch):
+    # at full dimension the last Ritz value sits on the kernel: at theta = 3
+    # a Cholesky pivot of T is not positive, and at theta = 4 a diagonal
+    # entry of R falls below lstsq's rcond cut; both calls take the dense
+    # route, bit for bit, whatever was asked before
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    dim = 10
+    want = {theta: _dense_route(dense_problem(44, dim), theta, dim)
+            for theta in (3, 4)}
+    for series in (False, True):
+        prob = dense_problem(44, dim)
+        for theta in (3, 4):
+            if series:
+                for N in range(1, dim):
+                    theta_iterate(prob, theta, N)
+            calls.clear()
+            assert np.array_equal(theta_iterate(prob, theta, dim),
+                                  want[theta]), (series, theta)
+            assert calls == [(dim, dim)]
+    factors = prob._lanczos.factors
+    assert len(factors[3].R) < dim and len(factors[4].R) == dim
+
+
 def test_theta_iterate_against_brute_force():
     rng = np.random.default_rng(19)
     for _ in range(6):
         dim = int(rng.integers(2, 9))
         prob = random_problem(rng, dim, lo=0.1, hi=10.0)
-        for theta in (1.0, 2.0):
+        for theta in (1.0, 2.0, 3.0, 4.0, 5.0):
             for N in range(1, dim + 1):
                 got = brute_force_objective(
                     prob, theta, theta_iterate(prob, theta, N))

@@ -26,7 +26,9 @@ from its own src/:
   - the matrix-free pool of the benchmark: workloads.dense_case at
     MatrixFree.N for every one of its POOL members, run_cg (theta = 1) and
     theta_iterate (theta >= 2) for every MatrixFree.THETAS at each
-    N <= MatrixFree.N_MAX, one problem per member;
+    N <= MatrixFree.N_MAX, one problem per member; member 0 also runs
+    theta_iterate at theta in {4, 5} on its shared problem, which covers
+    s = 2 and the odd weighting beyond the benchmark's thetas;
   - spectral theta_iterate on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
     at N = 0..12, one problem for both thetas.
 These matrix-free and theta_iterate records carry rho only, at the
@@ -65,6 +67,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILTINS = ("1a", "2a", "1b", "2b")
 XIS = (1.0, 2.0)
 SPECTRAL_THETAS = (0.5, 1.5)
+# theta series that the matrix-free pool member 0 adds to MatrixFree.THETAS
+EXTRA_THETAS = (4, 5)
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -147,7 +151,8 @@ def record_row(r):
 
 def matrix_free_series(wl, index):
     """[(key, thunk giving rho rows)] for one member of the benchmark's
-    matrix-free pool; the thetas share one problem, as in the benchmark."""
+    matrix-free pool, with EXTRA_THETAS on member 0; the thetas share one
+    problem, as in the benchmark."""
     from powercg.diagnostics import rho_evaluator
     from powercg.krylov import InverseProblem, run_cg, theta_iterate
     from powercg.linop import MatrixOperator
@@ -165,8 +170,9 @@ def matrix_free_series(wl, index):
             iterates = [problem.f0] + [theta_iterate(problem, theta, N)
                                        for N in range(1, mf.N_MAX + 1)]
         return [rho_row(N, rho_of(f)) for N, f in enumerate(iterates)]
+    thetas = mf.THETAS + (EXTRA_THETAS if index == 0 else ())
     return [(f"mf/{mf.unit_key(index, theta)}", lambda t=theta: rows(t))
-            for theta in mf.THETAS]
+            for theta in thetas]
 
 
 def spectral_theta_series(wl):
