@@ -233,9 +233,15 @@ class _Lanczos:
             self.alphas.append(a)
 
     def cholesky(self, rows):
-        """Grow the Cholesky factor to min(rows, steps) rows; False when a
-        pivot on the way is not positive. Row i reads alpha_i and beta_(i-1)
-        only, so the factor is nested like the recurrence."""
+        """Grow the Cholesky factor T = L L^T of the first min(rows, steps)
+        steps and return the order of its positive-definite prefix there.
+
+        The factor stops for good at the first pivot at or below self.tol,
+        the curvature run_cg stops at (its first-step test pAp <= tol pp is
+        this pivot): past it roundoff has leaked a kernel direction into the
+        recurrence. Row i reads alpha_i and beta_(i-1) only, so the factor
+        is nested like the recurrence and the prefix does not depend on the
+        calls made before."""
         d, m = self.chol_diag, self.chol_sub
         while len(d) < min(rows, self.steps):
             i = len(d)
@@ -243,12 +249,12 @@ class _Lanczos:
             if i:
                 sub = self.betas[i - 1] / d[i - 1]
                 pivot = pivot - sub * sub
-            if not pivot > 0.0:
-                return False
+            if not pivot > self.tol:
+                break
             if i:
                 m.append(sub)
             d.append(math.sqrt(pivot))
-        return True
+        return min(rows, len(d))
 
     def leading(self, k):
         """JacobiMatrix and basis of the first min(k, steps) steps."""
@@ -320,20 +326,10 @@ def run_cg(problem, n_max):
     return hist
 
 
-def _tridiag_powers(T, s_max):
-    """T^0 .. T^{s_max} as dense matrices."""
-    n = T.shape[0]
-    out = [np.eye(n)]
-    for _ in range(s_max):
-        out.append(out[-1] @ T)
-    return out
-
-
-def _power_column(alphas, betas, j, s):
-    """T^s e_j for the tridiagonal T of (alphas, betas), cut at its order,
-    as (first row, entries): rows j - s .. j + s, each entry summed in the
-    same order whatever the order of T."""
-    k = len(alphas)
+def _power_column(alphas, betas, k, j, s):
+    """T^s e_j for the tridiagonal T of the first k (alphas, betas), as
+    (first row, entries): rows j - s .. j + s cut at k, each entry summed in
+    the same order whatever k is."""
     lo, x = j, [1.0]
     for _ in range(s):
         hi = lo + len(x) - 1
@@ -358,12 +354,14 @@ class _ProjectedQR:
 
     With s = theta // 2 the factored matrix is B = W (T^s)[:, :N] and the
     right-hand side -||R0|| W T^(s-1) e1, with W = I for even theta and
-    W = L^T for odd theta (T = L L^T, the state's nested Cholesky). Column
-    j of B has rows j - s - (theta odd) .. j + s, and its s rotations pair
-    row j with rows j + 1 .. j + s, so R has 2s + (theta odd) rows above
-    its diagonal and a later column's rotations touch later rows only: R's
-    leading N x N block and the rotated right-hand side's first N entries
-    are the same bits however far the factorization has grown.
+    W = L^T for odd theta (T = L L^T, the state's nested Cholesky), T cut
+    at the state's positive-definite prefix. There B has full column rank,
+    so the QR is exact. Column j of B has rows j - s - (theta odd) .. j + s,
+    and its s rotations pair row j with rows j + 1 .. j + s, so R has
+    2s + (theta odd) rows above its diagonal and a later column's rotations
+    touch later rows only: R's leading N x N block and the rotated
+    right-hand side's first N entries are the same bits however far the
+    factorization has grown.
     """
 
     def __init__(self, theta):
@@ -375,15 +373,13 @@ class _ProjectedQR:
         self.rotations = []
         self.rhs = None
 
-    def _column(self, st, j, s):
-        """W T^s e_j on the state st as (first row, entries), None when the
-        Cholesky factor it needs meets a pivot that is not positive."""
-        lo, x = _power_column(st.alphas, st.betas, j, s)
+    def _column(self, st, k, j, s):
+        """W T^s e_j on the first k steps of the state st, k at most its
+        Cholesky factor's order, as (first row, entries)."""
+        lo, x = _power_column(st.alphas, st.betas, k, j, s)
         if not self.odd:
             return lo, x
         hi = lo + len(x) - 1
-        if not st.cholesky(hi + 1):
-            return None
         d, m = st.chol_diag, st.chol_sub
         # (L^T x)_i = d_i x_i + m_i x_(i+1), rows lo - 1 .. hi
         z = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo] for i in range(lo, hi)]
@@ -392,23 +388,17 @@ class _ProjectedQR:
             return lo - 1, [m[lo - 1] * x[0]] + z
         return lo, z
 
-    def grow(self, st, n):
-        """Factor columns up to n of the state st's recurrence; False when a
-        column cannot be made."""
+    def grow(self, st, k, n):
+        """Factor columns up to n <= k of the first k steps of the state
+        st's recurrence."""
         s, w = self.s, self.width
         if self.rhs is None:
-            col = self._column(st, 0, s - 1)
-            if col is None:
-                return False
             nR0 = float(np.linalg.norm(st.start))
-            self.rhs = [-nR0 * v for v in col[1]]
+            self.rhs = [-nR0 * v for v in self._column(st, k, 0, s - 1)[1]]
         rhs = self.rhs
         while len(self.R) < n:
             j = len(self.R)
-            col = self._column(st, j, s)
-            if col is None:
-                return False
-            lo, x = col
+            lo, x = self._column(st, k, j, s)
             # rows base .. j + s of column j, rows below 0 kept as zeros
             base = j - w
             v = [0.0] * (w + s + 1)
@@ -432,16 +422,10 @@ class _ProjectedQR:
                 rhs[j + q - w] = c * b - sn * a
             self.rotations.append(rots)
             self.R.append(v[:w + 1])
-        return True
 
-    def solve(self, n, rows):
-        """y with R[:n, :n] y = rhs[:n] by back substitution, or None when
-        a diagonal entry of R is at or below lstsq's rcond=None cut,
-        eps * rows * max |r_jj|, for a B with `rows` rows."""
+    def solve(self, n):
+        """y with R[:n, :n] y = rhs[:n], by back substitution."""
         w = self.width
-        diag = [self.R[j][w] for j in range(n)]
-        if not min(diag) > np.finfo(float).eps * rows * max(diag):
-            return None
         y = self.rhs[:n]
         for j in range(n - 1, -1, -1):
             col = self.R[j]
@@ -464,20 +448,27 @@ def theta_iterate(problem, theta, N):
     returned is then the minimizer of the saturated space, which equals the
     requested one.
 
+    Only the positive-definite prefix of the recurrence is read: its first
+    k steps, k the order of the Cholesky factor of T before a pivot at or
+    below BREAKDOWN_REL ||A|| (see _Lanczos.cholesky). In exact arithmetic
+    A >= 0 and R0 in ran A keep T positive definite; past that pivot
+    roundoff has leaked a kernel direction into the recurrence, and run_cg
+    stops at the same curvature. A degree past the prefix returns the
+    minimizer of its k-dimensional space, as after a Lanczos breakdown, and
+    k = 0 returns f0. The price: a Krylov space whose Ritz values span more
+    than about 13 decades loses the degrees past the cut.
+
     theta = 1 solves the CG tridiagonal system. For theta >= 2 the
     projected problem is solved in a square-rooted form (least squares on
     B = W (T^s)[:, :N], s = theta // 2; the normal equations would square
-    the condition number), and the recurrence also stores one Givens QR of
-    B per theta, grown one column per new degree (Paige & Saunders, SIAM
-    J. Numer. Anal. 12, 1975, carried from MINRES's s = 1 to every s): a
-    degree back-substitutes the leading N x N block of R, so a theta
+    the condition number) by one Givens QR of B per theta that the
+    recurrence stores, grown one column per new degree (Paige & Saunders,
+    SIAM J. Numer. Anal. 12, 1975, carried from MINRES's s = 1 to every
+    s): a degree back-substitutes the leading N x N block of R, so a theta
     series costs one factorization as it costs one basis. Later columns
     rotate later rows only, so the leading block is the same bits however
     far the factorization has grown, and the iterate does not depend on
-    the calls made before. The dense route (T's powers, its Cholesky
-    factor, np.linalg.lstsq) runs instead when the odd weighting meets a
-    Cholesky pivot that is not positive, or when a diagonal entry of R is
-    at or below lstsq's own rcond=None cut, eps * rows * max |r_jj|.
+    the calls made before.
     """
     # theta = 0 must take the spectral route too: the tridiagonal branches
     # index powers of T from theta >= 1
@@ -503,55 +494,23 @@ def theta_iterate(problem, theta, N):
     theta = int(theta)
     if state is None:
         state = problem._lanczos = _Lanczos(op, R0)
-    nR0 = float(np.linalg.norm(state.start))
     m = min(N + theta, problem.dimension)
     state.extend(m)
-    T_jac, V = state.leading(m)
-    k = T_jac.order
+    k = state.cholesky(m)
     Nc = min(N, k)
+    if Nc == 0:
+        return problem.f0.copy()
+    T, V = state.leading(Nc)
     if theta == 1:
         # projected system T_N y = -||R0|| e1, the CG tridiagonal
-        T = T_jac.dense()
         rhs = np.zeros(Nc)
-        rhs[0] = -nR0
-        y = np.linalg.solve(T[:Nc, :Nc], rhs)
-        return problem.f0 + V[:, :Nc] @ y
+        rhs[0] = -float(np.linalg.norm(state.start))
+        return problem.f0 + V @ np.linalg.solve(T.dense(), rhs)
     qr = state.factors.get(theta)
     if qr is None:
         qr = state.factors[theta] = _ProjectedQR(theta)
-    y = qr.solve(Nc, k) if qr.grow(state, Nc) else None
-    if y is None:
-        y = _dense_projected(T_jac.dense(), theta, Nc, nR0)
-    return problem.f0 + V[:, :Nc] @ y
-
-
-def _dense_projected(T, theta, Nc, nR0):
-    """The projected least-squares solution from dense powers of T.
-
-    ||A^{theta/2} e|| with s = theta // 2: coordinates of A^s V_N and
-    A^{s-1} R0 in the long basis. Odd theta = 2s+1 weighs them with
-    c^T T c, and T = L L^T is positive definite on the Krylov space
-    (A >= 0 and R0 in ran A keep the Ritz values positive)."""
-    s = theta // 2
-    P = _tridiag_powers(T, s)
-    B = P[s][:, :Nc]
-    a = P[s - 1][:, 0]
-    if theta % 2:
-        Lc = _chol_psd(T)
-        B = Lc.T @ B
-        a = Lc.T @ a
-    y, *_ = np.linalg.lstsq(B, -nR0 * a, rcond=None)
-    return y
-
-
-def _chol_psd(T):
-    try:
-        return np.linalg.cholesky(T)
-    except np.linalg.LinAlgError:
-        # roundoff pushed a tiny Ritz value below zero; fall back to the
-        # symmetric square root with negatives clipped
-        vals, vecs = np.linalg.eigh(T)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    qr.grow(state, k, Nc)
+    return problem.f0 + V @ qr.solve(Nc)
 
 
 def _weighted_residual_values(lam, w, n_max):

@@ -8,14 +8,16 @@ Everything beyond hand reach is checked against the extended-precision
 monomial oracle brute_force_iterate / brute_force_objective.
 """
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
 from powercg.krylov import (ConsistencyError, InverseProblem, JacobiMatrix,
-                            _chol_psd, lanczos, run_cg, spectral_iterates,
-                            theta_iterate)
+                            lanczos, run_cg, spectral_iterates, theta_iterate)
 from powercg.runs import build_test_case
 
 from mp_reference import brute_force_iterate, brute_force_objective
@@ -195,16 +197,6 @@ def test_cg_stops_at_n_max_without_terminating():
     assert not hist.terminated and hist.reason is None
 
 
-def test_chol_psd_falls_back_on_a_singular_matrix():
-    # Cholesky needs a positive pivot; the symmetric square root takes
-    # over and still factors the matrix
-    T = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(T)
-    L = _chol_psd(T)
-    assert np.allclose(L @ L.T, T, rtol=0, atol=1e-15)
-
-
 # lanczos --------------------------------------------------------------------
 
 def test_lanczos_basis_and_projection():
@@ -330,15 +322,18 @@ def test_theta_zero_hand_value():
 
 
 def test_theta_one_equals_cg_path():
+    # a dense problem with a kernel run to full dimension too: past CG's
+    # termination every degree repeats CG's last iterate
     rng = np.random.default_rng(13)
-    for _ in range(5):
-        dim = int(rng.integers(2, 9))
-        prob = random_problem(rng, dim)
+    probs = [random_problem(rng, int(rng.integers(2, 9))) for _ in range(5)]
+    for prob in probs + [dense_problem(44, 10)]:
+        dim = prob.dimension
         hist = run_cg(prob, dim)
-        for N in range(1, len(hist.iterates)):
+        for N in range(1, dim + 1):
             fN = theta_iterate(prob, 1, N)
-            scale = max(np.linalg.norm(hist.iterates[N]), 1e-30)
-            assert np.linalg.norm(fN - hist.iterates[N]) <= 1e-10 * scale
+            want = hist.iterates[min(N, len(hist.iterates) - 1)]
+            scale = max(np.linalg.norm(want), 1e-30)
+            assert np.linalg.norm(fN - want) <= 1e-10 * scale, (dim, N)
 
 
 def test_theta_iterate_matrix_free_path():
@@ -384,6 +379,18 @@ def test_theta_iterate_is_history_free():
         for N in range(4, 25):
             assert np.array_equal(full[theta, N], full[theta, 3])
     assert prob._lanczos.breakdown and prob._lanczos.steps == 3
+    # full dimension past the positive-definite prefix at 9: the cut is the
+    # same whichever theta grew the Cholesky factor first, even theta too
+    full = {(theta, N): theta_iterate(dense_problem(44, 10), theta, N)
+            for theta in thetas for N in range(1, 11)}
+    orders = [[(theta, N) for theta in (2, 4, 1, 3, 5) for N in range(1, 11)],
+              [(theta, N) for N in range(10, 0, -1) for theta in (4, 2, 5, 1, 3)]]
+    for calls in orders:
+        prob = dense_problem(44, 10)
+        for theta, N in calls:
+            assert np.array_equal(theta_iterate(prob, theta, N),
+                                  full[theta, N]), (theta, N)
+        assert len(prob._lanczos.chol_diag) == 9
 
 
 def test_theta_series_extends_one_lanczos_basis():
@@ -407,7 +414,7 @@ def test_theta_series_extends_one_lanczos_basis():
 
 def test_theta_series_factors_once(monkeypatch):
     # a theta >= 2 series extends one stored QR of the projected matrix, one
-    # column per new degree, and never falls back to the dense lstsq route
+    # column per new degree, and makes no dense least-squares solve
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq called")
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
@@ -421,52 +428,43 @@ def test_theta_series_factors_once(monkeypatch):
         assert len(prob._lanczos.factors[theta].R) == K
 
 
-def _dense_route(prob, theta, N):
-    """The projected solve from dense powers of a fresh Lanczos T, its
-    Cholesky factor and np.linalg.lstsq."""
-    R0 = prob.residual0()
-    T, V, _ = lanczos(prob.operator, R0, min(N + theta, prob.dimension))
-    T = T.dense()
-    Nc = min(N, T.shape[0])
-    s = theta // 2
-    P = [np.eye(T.shape[0])]
-    for _ in range(s):
-        P.append(P[-1] @ T)
-    B, a = P[s][:, :Nc], P[s - 1][:, 0]
-    if theta % 2:
-        L = _chol_psd(T)
-        B, a = L.T @ B, L.T @ a
-    y, *_ = np.linalg.lstsq(B, -np.linalg.norm(R0) * a, rcond=None)
-    return prob.f0 + V[:, :Nc] @ y
+def _benchmark_dense_case(n, kernel, index):
+    """perfbench/workloads.dense_case as an InverseProblem with its known
+    solution."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    M, sol = wl.dense_case(n, kernel, index)
+    return InverseProblem(MatrixOperator(M), g=M @ sol, known_solution=sol)
 
 
-def test_theta_iterate_falls_back_to_the_dense_route(monkeypatch):
-    # at full dimension the last Ritz value sits on the kernel: at theta = 3
-    # a Cholesky pivot of T is not positive, and at theta = 4 a diagonal
-    # entry of R falls below lstsq's rcond cut; both calls take the dense
-    # route, bit for bit, whatever was asked before
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    dim = 10
-    want = {theta: _dense_route(dense_problem(44, dim), theta, dim)
-            for theta in (3, 4)}
-    for series in (False, True):
-        prob = dense_problem(44, dim)
-        for theta in (3, 4):
-            if series:
-                for N in range(1, dim):
-                    theta_iterate(prob, theta, N)
-            calls.clear()
-            assert np.array_equal(theta_iterate(prob, theta, dim),
-                                  want[theta]), (series, theta)
-            assert calls == [(dim, dim)]
-    factors = prob._lanczos.factors
-    assert len(factors[3].R) < dim and len(factors[4].R) == dim
+def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
+    # at full dimension roundoff leaks a kernel direction into the last
+    # Lanczos steps, and a Cholesky pivot of T falls to BREAKDOWN_REL ||A||:
+    # every integer theta reads T only up to there, so degree dim repeats
+    # degree dim - 1 bit for bit and still solves A f = g, with the stored
+    # QR alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    probs = [dense_problem(44, 10), dense_problem(41, 40),
+             dense_problem(48, 16), _benchmark_dense_case(40, 3, 0)]
+    for prob in probs:
+        M, g, dim = prob.operator.matrix, prob.g, prob.dimension
+        for theta in (1, 2, 3, 4, 5):
+            f = theta_iterate(prob, theta, dim)
+            assert np.array_equal(f, theta_iterate(prob, theta, dim - 1)), (
+                dim, theta)
+            assert (np.linalg.norm(M @ f - g)
+                    <= 1e-10 * np.linalg.norm(g)), (dim, theta)
+        assert len(prob._lanczos.chol_diag) < prob._lanczos.steps
+    # the benchmark's case keeps its iterates in ran A, on its solution
+    sol = probs[-1].known_solution
+    for theta in (1, 2, 3, 4, 5):
+        f = theta_iterate(probs[-1], theta, 40)
+        assert np.linalg.norm(f - sol) <= 1e-8 * np.linalg.norm(sol), theta
 
 
 def test_theta_iterate_against_brute_force():
@@ -565,6 +563,14 @@ def test_theta_iterate_at_solution_returns_f0():
     op = DiagonalOperator(np.array([1.0, 2.0]))
     prob = InverseProblem(op, g=np.array([1.0, 2.0]), f0=np.array([1.0, 1.0]))
     assert np.array_equal(theta_iterate(prob, 2, 1), prob.f0)
+    # R0 all but in the kernel: the first Cholesky pivot is at the breakdown
+    # tolerance, the positive-definite prefix is empty, and every degree
+    # returns f0
+    prob = InverseProblem(MatrixOperator(np.diag([0.0, 1.0])),
+                          g=np.array([1.0, 1e-14]))
+    for theta in (1, 2, 3, 4, 5):
+        for N in (1, 2):
+            assert np.array_equal(theta_iterate(prob, theta, N), prob.f0)
 
 
 def test_kernel_component_of_f0_is_preserved():

@@ -29,6 +29,10 @@ from its own src/:
     N <= MatrixFree.N_MAX, one problem per member; member 0 also runs
     theta_iterate at theta in {4, 5} on its shared problem, which covers
     s = 2 and the odd weighting beyond the benchmark's thetas;
+  - theta_iterate at theta in {1, ..., 5} on workloads.dense_case(40,
+    MatrixFree.KERNEL, 0) at N = 0..40, one problem for every theta: run
+    to full dimension, past the positive-definite prefix of its Lanczos
+    recurrence (37 steps), where roundoff leaks a kernel direction in;
   - spectral theta_iterate on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
     at N = 0..12, one problem for both thetas.
 These matrix-free and theta_iterate records carry rho only, at the
@@ -69,6 +73,9 @@ XIS = (1.0, 2.0)
 SPECTRAL_THETAS = (0.5, 1.5)
 # theta series that the matrix-free pool member 0 adds to MatrixFree.THETAS
 EXTRA_THETAS = (4, 5)
+# the full-dimension matrix-free series: its order and thetas
+FULL_N = 40
+FULL_THETAS = (1, 2, 3, 4, 5)
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -175,6 +182,27 @@ def matrix_free_series(wl, index):
             for theta in thetas]
 
 
+def full_dimension_series(wl):
+    """[(key, thunk giving rho rows)] of theta_iterate run to full
+    dimension on the matrix-free pool member 0 at n = FULL_N, past the
+    positive-definite prefix of its Lanczos recurrence: theta in FULL_THETAS
+    at N = 0..FULL_N, one problem for every theta."""
+    from powercg.diagnostics import rho_evaluator
+    from powercg.krylov import InverseProblem, theta_iterate
+    from powercg.linop import MatrixOperator
+
+    matrix, solution = wl.dense_case(FULL_N, wl.MatrixFree.KERNEL, 0)
+    problem = InverseProblem(MatrixOperator(matrix), matrix @ solution,
+                             known_solution=solution)
+    rho_of = rho_evaluator(problem, wl.SIGMAS)
+
+    def rows(theta):
+        return [rho_row(N, rho_of(theta_iterate(problem, theta, N)))
+                for N in range(FULL_N + 1)]
+    return [(f"full/n{FULL_N}/theta{theta}", lambda t=theta: rows(t))
+            for theta in FULL_THETAS]
+
+
 def spectral_theta_series(wl):
     """[(key, thunk giving rho rows)] of the spectral theta_iterate route:
     2a at n = 256, L = 40, every theta of SPECTRAL_THETAS at N = 0..12."""
@@ -241,7 +269,7 @@ def dump(path):
     for index in range(wl.MatrixFree.POOL):
         for key, job in matrix_free_series(wl, index):
             record(out, key, job)
-    for key, job in spectral_theta_series(wl):
+    for key, job in full_dimension_series(wl) + spectral_theta_series(wl):
         record(out, key, job)
     for key, kwargs in builtin_series():
         record(checks, key, lambda: [
