@@ -14,8 +14,7 @@ from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
                     SpectralAccessError)
 from .measures import DiscreteSpectralMeasure, spectral_measure, weight_by_power
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
-                     JacobiMatrix, lanczos, run_cg, spectral_iterates,
-                     theta_iterate)
+                     run_cg, spectral_iterates, theta_iterate)
 from .orthopoly import (ChainTable, ZeroTable, chain_table, check_separation,
                         delta_n, orthogonality_gap, residual_polynomials)
 from .diagnostics import ConvergenceRecord, np_rate_monitor, rho
@@ -30,8 +29,8 @@ __all__ = [
     "FourierOperator",
     "DimensionMismatchError", "KernelComponentError", "SpectralAccessError",
     "DiscreteSpectralMeasure", "spectral_measure", "weight_by_power",
-    "InverseProblem", "IterateHistory", "JacobiMatrix", "ConsistencyError",
-    "run_cg", "theta_iterate", "spectral_iterates", "lanczos",
+    "InverseProblem", "IterateHistory", "ConsistencyError",
+    "run_cg", "theta_iterate", "spectral_iterates",
     "ZeroTable", "residual_polynomials", "delta_n",
     "check_separation", "orthogonality_gap", "chain_table", "ChainTable",
     "ConvergenceRecord", "rho", "np_rate_monitor",

@@ -136,28 +136,6 @@ class IterateHistory:
     reason: str = None
 
 
-@dataclass
-class JacobiMatrix:
-    alphas: np.ndarray
-    betas: np.ndarray
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        self.betas = np.asarray(self.betas, dtype=float)
-        if self.betas.size and self.betas.min() <= 0:
-            raise ValueError(f"off-diagonal must be positive, min = {self.betas.min()}")
-
-    @property
-    def order(self):
-        return self.alphas.size
-
-    def dense(self):
-        T = np.diag(self.alphas)
-        if self.betas.size:
-            T += np.diag(self.betas, 1) + np.diag(self.betas, -1)
-        return T
-
-
 def _orthogonalize(B, v):
     """v minus its projection on the orthonormal columns of B, in two passes
     of classical Gram-Schmidt."""
@@ -170,10 +148,11 @@ class _Lanczos:
     """Resumable symmetric Lanczos recurrence from b with two-pass full
     reorthogonalization.
 
-    Holds the column-major basis, the alpha/beta lists, the unnormalized
-    residual of the last step and the breakdown flag; extend(n) continues
-    to n steps. The k-step factorization is the leading block of every
-    longer one, bit for bit, however the basis grew."""
+    Holds ||b||, the column-major basis, the alpha/beta lists (the Jacobi
+    matrix T, in this form only), the unnormalized residual of the last
+    step and the breakdown flag; extend(n) continues to n steps. The
+    k-step factorization is the leading block of every longer one, bit for
+    bit, however the basis grew."""
 
     def __init__(self, op, b):
         b = np.asarray(b, dtype=float)
@@ -181,7 +160,7 @@ class _Lanczos:
         if nb == 0:
             raise ValueError("lanczos start vector is zero")
         self.op = op
-        self.start = b.copy()
+        self.norm = float(nb)
         self.tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
         self.V = np.empty((op.dimension, 1), order="F")
         self.V[:, 0] = b / nb
@@ -256,23 +235,17 @@ class _Lanczos:
             d.append(math.sqrt(pivot))
         return min(rows, len(d))
 
-    def leading(self, k):
-        """JacobiMatrix and basis of the first min(k, steps) steps."""
-        k = min(k, self.steps)
-        return (JacobiMatrix(np.array(self.alphas[:k]),
-                             np.array(self.betas[:max(k - 1, 0)])),
-                self.V[:, :k])
-
-
-def lanczos(op, b, n_steps):
-    """n_steps of the symmetric Lanczos recurrence from b, with two-pass full
-    reorthogonalization. Returns (JacobiMatrix, V, breakdown) where V's
-    columns are the orthonormal Krylov basis; breakdown is set when an
-    invariant subspace is hit early (the tridiagonal is then truncated)."""
-    state = _Lanczos(op, b)
-    state.extend(n_steps)
-    T, V = state.leading(n_steps)
-    return T, V, state.breakdown
+    def cg_solve(self, n):
+        """y with T y = -||b|| e1 on the first n steps, n at most the
+        Cholesky factor's order: a forward sweep on L, a back sweep on L^T."""
+        d, m = self.chol_diag, self.chol_sub
+        y = [-self.norm / d[0]]
+        for i in range(1, n):
+            y.append(-m[i - 1] * y[-1] / d[i])
+        y[-1] /= d[n - 1]
+        for i in range(n - 2, -1, -1):
+            y[i] = (y[i] - m[i] * y[i + 1]) / d[i]
+        return np.array(y)
 
 
 def run_cg(problem, n_max):
@@ -393,8 +366,7 @@ class _ProjectedQR:
         st's recurrence."""
         s, w = self.s, self.width
         if self.rhs is None:
-            nR0 = float(np.linalg.norm(st.start))
-            self.rhs = [-nR0 * v for v in self._column(st, k, 0, s - 1)[1]]
+            self.rhs = [-st.norm * v for v in self._column(st, k, 0, s - 1)[1]]
         rhs = self.rhs
         while len(self.R) < n:
             j = len(self.R)
@@ -458,21 +430,23 @@ def theta_iterate(problem, theta, N):
     k = 0 returns f0. The price: a Krylov space whose Ritz values span more
     than about 13 decades loses the degrees past the cut.
 
-    theta = 1 solves the CG tridiagonal system. For theta >= 2 the
-    projected problem is solved in a square-rooted form (least squares on
-    B = W (T^s)[:, :N], s = theta // 2; the normal equations would square
-    the condition number) by one Givens QR of B per theta that the
-    recurrence stores, grown one column per new degree (Paige & Saunders,
-    SIAM J. Numer. Anal. 12, 1975, carried from MINRES's s = 1 to every
-    s): a degree back-substitutes the leading N x N block of R, so a theta
-    series costs one factorization as it costs one basis. Later columns
-    rotate later rows only, so the leading block is the same bits however
-    far the factorization has grown, and the iterate does not depend on
-    the calls made before.
+    theta = 1 solves the CG tridiagonal system T y = -||R0|| e1 by a
+    forward sweep on L and a back sweep on L^T, with the factor T = L L^T
+    that the prefix test grew. For theta >= 2 the projected problem is
+    solved in a square-rooted form (least squares on B = W (T^s)[:, :N],
+    s = theta // 2; the normal equations would square the condition
+    number) by one Givens QR of B per theta that the recurrence stores,
+    grown one column per new degree (Paige & Saunders, SIAM J. Numer.
+    Anal. 12, 1975, carried from MINRES's s = 1 to every s): a degree
+    back-substitutes the leading N x N block of R, so a theta series costs
+    one factorization as it costs one basis. Later columns rotate later
+    rows only, so the leading block is the same bits however far the
+    factorization has grown, and the iterate does not depend on the calls
+    made before.
     """
     # theta = 0 must take the spectral route too: the tridiagonal branches
     # index powers of T from theta >= 1
-    spectral_route = theta < 1 or float(theta) != int(theta)
+    spectral_route = not (theta >= 1 and float(theta).is_integer())
     if spectral_route:
         # checks theta, spectral access and N, N = 0 included
         values = _spectral_ladder(problem, theta, N)
@@ -500,17 +474,15 @@ def theta_iterate(problem, theta, N):
     Nc = min(N, k)
     if Nc == 0:
         return problem.f0.copy()
-    T, V = state.leading(Nc)
     if theta == 1:
-        # projected system T_N y = -||R0|| e1, the CG tridiagonal
-        rhs = np.zeros(Nc)
-        rhs[0] = -float(np.linalg.norm(state.start))
-        return problem.f0 + V @ np.linalg.solve(T.dense(), rhs)
-    qr = state.factors.get(theta)
-    if qr is None:
-        qr = state.factors[theta] = _ProjectedQR(theta)
-    qr.grow(state, k, Nc)
-    return problem.f0 + V @ qr.solve(Nc)
+        y = state.cg_solve(Nc)
+    else:
+        qr = state.factors.get(theta)
+        if qr is None:
+            qr = state.factors[theta] = _ProjectedQR(theta)
+        qr.grow(state, k, Nc)
+        y = qr.solve(Nc)
+    return problem.f0 + state.V[:, :Nc] @ y
 
 
 def _weighted_residual_values(lam, w, n_max):
@@ -552,8 +524,8 @@ def _spectral_ladder(problem, theta, n_max):
     the weights lambda^theta |e0|^2 (checked for overflow) on the problem's
     atoms. Returns a lazy iterator of the optimal residual polynomial at
     the atoms for N = 1..n_max."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     op = problem.operator
     if not op.spectral:
         raise SpectralAccessError(

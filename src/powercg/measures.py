@@ -81,7 +81,11 @@ def spectral_measure(op, x):
 
 def _power_weights(lam, t, w):
     """lam^t * w, raising one ValueError that names the exponent and the
-    eigenvalue (largest for t > 0, smallest for t < 0) where it overflows."""
+    eigenvalue (largest for t > 0, smallest for t < 0) where it overflows,
+    or the exponent alone where it is not finite."""
+    if not np.isfinite(t):
+        raise ValueError(f"lambda^t weighting needs a finite exponent, "
+                         f"got t = {t}")
     with np.errstate(over="raise"):
         try:
             return lam ** t * w

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .krylov import JacobiMatrix, lanczos
+from .krylov import _Lanczos
 from .linop import DiagonalOperator
 
 # the normal double range; a product outside it is recomputed rescaled
@@ -158,11 +158,14 @@ def _newton_polish(x, alphas, beta2, tol, floor_tol):
     return x if abs(step) <= floor_tol * abs(x) else None
 
 
-def _ritz_values(T):
-    """Eigenvalues, ascending, of every leading N x N block of the dense
-    Jacobi matrix T, N = 1..order. LAPACK's dsyevd leaves a block that is
-    already tridiagonal unchanged (every Householder tau is 0) and hands it
-    to dsterf, the root-free QR of the tridiagonal eigenvalue drivers."""
+def _ritz_values(alphas, betas):
+    """Eigenvalues, ascending, of every leading N x N block of the Jacobi
+    matrix with diagonal alphas and off-diagonal betas (one fewer), N =
+    1..len(alphas), from the one dense tridiagonal built here. LAPACK's
+    dsyevd leaves a block that is already tridiagonal unchanged (every
+    Householder tau is 0) and hands it to dsterf, the root-free QR of the
+    tridiagonal eigenvalue drivers."""
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     return [np.linalg.eigvalsh(T[:N, :N]) for N in range(1, len(T) + 1)]
 
 
@@ -206,9 +209,8 @@ def _mp_zero_table(measure, n_max):
         alphas, beta2 = _rkpw(lamd, wd)
         reached = next((k for k in range(1, n_max) if beta2[k] <= tol * tol),
                        n_max)
-        diag = np.array([float(a) for a in alphas[:reached]])
-        off = np.sqrt([float(b) for b in beta2[1:reached]])
-        starts = _ritz_values(JacobiMatrix(diag, off).dense())
+        starts = _ritz_values([float(a) for a in alphas[:reached]],
+                              np.sqrt([float(b) for b in beta2[1:reached]]))
         newton_tol = Decimal(10) ** (-(dps - 3))
         floor_tol = Decimal(10) ** (-(dps - 6))
         table = []
@@ -276,9 +278,13 @@ def residual_polynomials(nu, n_max, support=None):
         # Lanczos on the measure (atoms, weights) is Lanczos on diag(atoms)
         # started from sqrt(weights); it stops on breakdown, 1e-13 of the
         # largest atom
-        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
-                          min(n_max, m))
-        found = [(z, None) for z in _ritz_values(T.dense())]
+        state = _Lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights))
+        state.extend(min(n_max, m))
+        # only the coefficients are read: the basis, atoms x steps, is freed
+        # before any other work
+        alphas, betas = state.alphas, state.betas
+        del state
+        found = [(z, None) for z in _ritz_values(alphas, betas)]
     zeros, values, split = [], [], []
     for z, lr in found:
         if np.any(z <= 0) or np.any(np.diff(z) <= 0):

@@ -41,28 +41,43 @@ def test_changed_value_and_flipped_verdict(compare):
                                         **{"2.0": (0.25 + 2.0 ** -54).hex()}))
     # a delta_n that turns nan (written 'nan' as float hex) differs by inf
     finite = dict(_row(1), delta_n=(1.5).hex())
+    # a rho at the roundoff floor that doubles moves by 0.5 relative, and by
+    # 1e-8 relative to the floor 1e-12 rho(N = 0) of the benchmark's gate
+    start = compare.rho_row(0, {0.0: 1.0})
     old = {"1a/xi1": [_row(0), _row(1), _row(2)],
            "2a/xi1": [_row(0), _row(1)],
            "m2/i0/xi1": [finite],
-           "mf/p0/theta2": [mf_row]}
+           "mf/p0/theta2": [mf_row],
+           "full/n40/theta1": [start, compare.rho_row(1, {0.0: 1e-20})]}
     new = {"1a/xi1": [_row(0), _row(1, rho1=0.5 + 2.0 ** -53), _row(2)],
            "2a/xi1": [_row(0), _row(1, lemma=False)],
            "m2/i0/xi1": [dict(finite, delta_n=float("nan").hex())],
-           "mf/p0/theta2": [moved]}
+           "mf/p0/theta2": [moved],
+           "full/n40/theta1": [start, compare.rho_row(1, {0.0: 2e-20})]}
     diff = compare.diff_dumps(old, new)
-    assert diff["counts"] == {"rho_sigma": 2, "n_sq_rho1": 1, "delta_n": 1,
+    assert diff["counts"] == {"rho_sigma": 3, "n_sq_rho1": 1, "delta_n": 1,
                               "ritz_min": 0, "ritz_max": 0,
                               "bound_chain_ok": 0, "lemma_ok": 1}
     one_ulp = 2.0 ** -53 / (0.5 + 2.0 ** -53)
-    assert diff["max_rel"] == {"rho_sigma": one_ulp, "n_sq_rho1": one_ulp,
+    assert diff["max_rel"] == {"rho_sigma": 0.5, "n_sq_rho1": one_ulp,
                                "delta_n": float("inf"), "ritz_min": 0.0,
                                "ritz_max": 0.0}
+    # per series: its records whose values differ and the floored rho move;
+    # a verdict flip alone moves no value
+    assert diff["series"] == {
+        "1a/xi1": (1, one_ulp), "m2/i0/xi1": (1, 0.0),
+        "mf/p0/theta2": (1, 2.0 ** -54 / (0.25 + 2.0 ** -54)),
+        "full/n40/theta1": (1, 1e-20 / 1e-12)}
     assert diff["flips"] == [("2a/xi1", 1, "lemma_ok", True, False)]
     assert diff["problems"] == []
     assert compare.differs(diff)
-    text = compare.report(diff, "x", 4, 7)
+    text = compare.report(diff, "x", 5, 9)
     assert "flip 2a/xi1 N=1 lemma_ok: True -> False" in text
-    assert f"rho_sigma       2 differing records, max rel {one_ulp:.3g}" in text
+    assert "rho_sigma       3 differing records, max rel 0.5\n" in text
+    assert ("  full/n40/theta1: 1 differing records, rho_sigma floored max "
+            "rel 1e-08\n") in text
+    assert (f"  1a/xi1: 1 differing records, rho_sigma floored max rel "
+            f"{one_ulp:.3g}\n") in text
     assert "delta_n         1 differing records, max rel inf\n" in text
     assert "ritz_min        0 differing records, max rel 0\n" in text
     assert "lemma_ok        1 differing records\n" in text

@@ -37,6 +37,14 @@ def test_rho_hand_values():
     # one atom: A = 4, g = 2, e0 = -1/2, so rho_-1 = 4^-1 * 1/4
     one = InverseProblem(DiagonalOperator(np.array([4.0])), g=np.array([2.0]))
     assert rho(one, np.zeros(1), -1) == 0.0625
+    # a non-finite exponent is refused, not returned as inf or nan
+    three = InverseProblem(DiagonalOperator(np.array([1.0, 2.0, 3.0])),
+                           g=np.array([1.0, 2.0, 3.0]))
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite exponent"):
+            rho(three, np.zeros(3), sigma)
+        with pytest.raises(ValueError, match="finite exponent"):
+            rho_evaluator(three, (0.0, sigma))
 
 
 def test_rho_two_is_recomputed_residual():

@@ -16,8 +16,8 @@ import pytest
 
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
-from powercg.krylov import (ConsistencyError, InverseProblem, JacobiMatrix,
-                            lanczos, run_cg, spectral_iterates, theta_iterate)
+from powercg.krylov import (ConsistencyError, InverseProblem, _Lanczos,
+                            run_cg, spectral_iterates, theta_iterate)
 from powercg.runs import build_test_case
 
 from mp_reference import brute_force_iterate, brute_force_objective
@@ -199,23 +199,33 @@ def test_cg_stops_at_n_max_without_terminating():
 
 # lanczos --------------------------------------------------------------------
 
+def lanczos(op, b, n_steps):
+    """A _Lanczos recurrence from b, extended to n_steps, and the basis of
+    the steps it made."""
+    state = _Lanczos(op, b)
+    state.extend(n_steps)
+    return state, state.V[:, :state.steps]
+
+
 def test_lanczos_basis_and_projection():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((8, 8))
     M = M @ M.T + 8 * np.eye(8)
     op = MatrixOperator(M)
     b = rng.standard_normal(8)
-    T, V, brk = lanczos(op, b, 6)
-    assert not brk
+    st, V = lanczos(op, b, 6)
+    assert not st.breakdown
+    T = np.diag(st.alphas) + np.diag(st.betas, 1) + np.diag(st.betas, -1)
     assert np.allclose(V.T @ V, np.eye(6), atol=1e-12)
-    assert np.allclose(V.T @ (M @ V), T.dense(), atol=1e-10 * np.linalg.norm(M))
+    assert np.allclose(V.T @ (M @ V), T, atol=1e-10 * np.linalg.norm(M))
     assert np.allclose(V[:, 0], b / np.linalg.norm(b))
+    assert st.norm == np.linalg.norm(b)
 
 
 def test_lanczos_breakdown_flag():
     op = DiagonalOperator(np.array([1.0, 1.0, 2.0]))
-    T, V, brk = lanczos(op, np.array([1.0, 1.0, 1.0]), 3)
-    assert brk and T.order == 2 and V.shape == (3, 2)
+    st, V = lanczos(op, np.array([1.0, 1.0, 1.0]), 3)
+    assert st.breakdown and st.steps == 2 and V.shape == (3, 2)
 
 
 def test_lanczos_validation():
@@ -244,9 +254,9 @@ def dense_problem(seed, dim=24, distinct=None):
 
 
 def assert_same_lanczos(short, long, k):
-    (T, V, _), (TL, VL, _) = short, long
-    assert np.array_equal(T.alphas, TL.alphas[:k])
-    assert np.array_equal(T.betas, TL.betas[:k - 1])
+    (st, V), (stL, VL) = short, long
+    assert st.alphas == stL.alphas[:k]
+    assert st.betas == stL.betas[:k - 1]
     assert np.array_equal(V, VL[:, :k])
 
 
@@ -264,16 +274,11 @@ def test_lanczos_prefix_is_bit_equal():
     op = DiagonalOperator(np.array([1.0, 1.0, 2.0]))
     start = np.array([1.0, 1.0, 1.0])
     full = lanczos(op, start, 3)
-    assert full[2]
+    assert full[0].breakdown
     for k in (1, 2):
         short = lanczos(op, start, k)
-        assert not short[2]
+        assert not short[0].breakdown
         assert_same_lanczos(short, full, k)
-
-
-def test_jacobi_matrix_validates_offdiagonal():
-    with pytest.raises(ValueError, match="positive"):
-        JacobiMatrix(np.ones(3), np.array([1.0, -0.5]))
 
 
 def test_ritz_values_match_polynomial_zeros():
@@ -287,11 +292,11 @@ def test_ritz_values_match_polynomial_zeros():
     rng = np.random.default_rng(5)
     prob = random_problem(rng, 8)
     R0 = prob.residual0()
-    T, V, _ = lanczos(prob.operator, R0, 8)
+    st, _ = lanczos(prob.operator, R0, 8)
     nu = weight_by_power(spectral_measure(prob.operator, R0), 0.0)
     zeros = residual_polynomials(nu, 8).zeros
     for N in range(1, 9):
-        ritz = np.sort(eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
+        ritz = np.sort(eigh_tridiagonal(st.alphas[:N], st.betas[:N - 1],
                                         eigvals_only=True))
         assert np.allclose(zeros[N - 1], ritz, rtol=1e-8, atol=0)
 
@@ -414,12 +419,19 @@ def test_theta_series_extends_one_lanczos_basis():
 
 def test_theta_series_factors_once(monkeypatch):
     # a theta >= 2 series extends one stored QR of the projected matrix, one
-    # column per new degree, and makes no dense least-squares solve
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.lstsq called")
-    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    # column per new degree, and makes no dense least-squares solve; theta =
+    # 1 sweeps the stored Cholesky factor and makes no dense solve either
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        return call
+    for name in ("lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
     prob = dense_problem(59)
     K = 15
+    for N in range(1, K + 1):
+        theta_iterate(prob, 1, N)
+        assert len(prob._lanczos.chol_diag) == N + 1
     for theta in (2, 3):
         for N in range(1, K + 1):
             theta_iterate(prob, theta, N)
@@ -557,6 +569,16 @@ def test_theta_iterate_validation():
         spectral_iterates(mat, 1.0, 1)
     with pytest.raises(ValueError, match=">= 0"):
         spectral_iterates(prob, -0.5, 1)
+    # a non-finite theta is refused on either route, not rounded or
+    # carried into the weights
+    three = InverseProblem(DiagonalOperator(np.array([1.0, 2.0, 3.0])),
+                           g=np.array([1.0, 2.0, 3.0]))
+    for p in (three, mat):
+        for theta in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                theta_iterate(p, theta, 1)
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                spectral_iterates(p, theta, 1)
 
 
 def test_theta_iterate_at_solution_returns_f0():

@@ -68,6 +68,9 @@ def test_weight_by_power_hand():
     assert np.array_equal(nu.weights, [1.0, 16.0])
     same = weight_by_power(m, 0.0)
     assert np.array_equal(same.weights, m.weights)
+    for t in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite exponent"):
+            weight_by_power(m, t)
 
 
 def test_weight_by_power_kills_zero_atom_for_positive_power():

@@ -58,7 +58,8 @@ def test_zeros_validation(monkeypatch):
         z = np.array(bad)
         monkeypatch.setattr(orthopoly, "_mp_zero_table",
                             lambda nu, n_max: [(z, (1.0, 1.0))])
-        monkeypatch.setattr(orthopoly, "_ritz_values", lambda T: [z])
+        monkeypatch.setattr(orthopoly, "_ritz_values",
+                            lambda alphas, betas: [z])
         for m in (8, 72):
             with pytest.raises(ValueError, match="strictly positive and "
                                                  "strictly increasing"):
@@ -164,7 +165,7 @@ def test_double_path_zeros_match_scipy_eigh_tridiagonal():
     # degree. 2b at its default size (4096 atoms) and pool member (96, 0)
     # are both above the extended-precision cutoff
     from scipy.linalg import eigh_tridiagonal
-    from powercg.krylov import lanczos
+    from powercg.krylov import _Lanczos
     from powercg.linop import DiagonalOperator
     from powercg.runs import RunConfig, build_test_case
 
@@ -174,11 +175,11 @@ def test_double_path_zeros_match_scipy_eigh_tridiagonal():
     for nu, n_max in cases:
         assert len(nu) > orthopoly._MP_MAX_ATOMS
         table = residual_polynomials(nu, n_max)
-        T, _, _ = lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights),
-                          n_max)
-        assert len(table.zeros) == T.order
-        for N in range(1, T.order + 1):
-            want = eigh_tridiagonal(T.alphas[:N], T.betas[:N - 1],
+        st = _Lanczos(DiagonalOperator(nu.support), np.sqrt(nu.weights))
+        st.extend(n_max)
+        assert len(table.zeros) == st.steps
+        for N in range(1, st.steps + 1):
+            want = eigh_tridiagonal(st.alphas[:N], st.betas[:N - 1],
                                     eigvals_only=True)
             got = table.zeros[N - 1]
             assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), N

@@ -48,12 +48,16 @@ Per field the report gives the number of records that differ: rho_sigma
 (any sigma), n_sq_rho1, delta_n, ritz_min and ritz_max compared as float
 hex, each with its largest relative difference |new - old| / max(|old|,
 |new|) (inf where one side is not finite), and the bound_chain_ok and
-lemma_ok verdicts. It lists every verdict flip, every series that is
-missing, raised, or has a different number of records on one side, every
-verify check line that differs, and every emitted file that differs, with
-its first differing line. Exit status: 0 when nothing differs,
-1 on any difference, 2 when REV cannot be checked out or a tree cannot be
-run.
+lemma_ok verdicts. For each series whose values differ it gives the
+number of its records that do and its largest rho_sigma difference
+relative to max(|old|, |new|, RHO_FLOOR |old rho_sigma at N = 0|), the
+floor of the benchmark's rho gate, so that a move among rho values at
+the roundoff floor reads as the gate sees it. It lists every verdict
+flip, every series that is missing, raised, or has a different number
+of records on one side, every verify check line that differs, and every
+emitted file that differs, with its first differing line. Exit status: 0
+when nothing differs, 1 on any difference, 2 when REV cannot be checked
+out or a tree cannot be run.
 """
 
 import argparse
@@ -78,6 +82,9 @@ FULL_N = 40
 FULL_THETAS = (1, 2, 3, 4, 5)
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
+# perfbench/workloads.RHO_FLOOR: the benchmark's rho gate compares relative
+# to max(|a|, |b|, RHO_FLOOR |rho at N = 0|)
+RHO_FLOOR = 1e-12
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -280,9 +287,10 @@ def dump(path):
                    "verify": checks, "files": files}, fh)
 
 
-def _rel(a, b):
-    """Relative difference of two float-hex values (None: not finite); inf
-    when they differ and either one is not finite."""
+def _rel(a, b, floor=0.0):
+    """Relative difference of two float-hex values (None: not finite),
+    relative to max(|a|, |b|, floor); inf when they differ and either one
+    is not finite."""
     if a == b:
         return 0.0
     if a is None or b is None:
@@ -290,23 +298,38 @@ def _rel(a, b):
     a, b = float.fromhex(a), float.fromhex(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         return float("inf")
-    return abs(b - a) / max(abs(a), abs(b))
+    return abs(b - a) / max(abs(a), abs(b), floor)
 
 
-def _max_rel(a, b):
+def _max_rel(a, b, floor=None):
+    """The largest _rel over a dict's keys, each with its floor from the
+    dict floor (0 where it has none), or _rel of two values."""
     if isinstance(a, dict):
-        return max((_rel(a.get(k), b.get(k)) for k in set(a) | set(b)),
-                   default=0.0)
+        floor = floor or {}
+        return max((_rel(a.get(k), b.get(k), floor.get(k, 0.0))
+                    for k in set(a) | set(b)), default=0.0)
     return _rel(a, b)
+
+
+def _rho_floor(rows):
+    """{sigma: RHO_FLOOR |rho_sigma at N = 0|} of a series' rows; empty
+    when they do not start at N = 0."""
+    if not rows or rows[0]["N"] != 0:
+        return {}
+    return {s: RHO_FLOOR * abs(float.fromhex(v))
+            for s, v in rows[0]["rho_sigma"].items() if v is not None}
 
 
 def diff_dumps(old, new):
     """Differences between two {key: [rows] or {"error": ...}} dumps:
     {"counts": {field: differing records}, "max_rel": {value field: largest
-    relative difference}, "flips": [(key, N, field, old, new)], "problems":
-    [str]}. Records are matched by series and N."""
+    relative difference}, "series": {key: (records whose values differ,
+    largest floored rho_sigma difference)} for each series with such a
+    record, "flips": [(key, N, field, old, new)], "problems": [str]}.
+    Records are matched by series and N."""
     counts = {f: 0 for f in VALUE_FIELDS + VERDICT_FIELDS}
     max_rel = dict.fromkeys(VALUE_FIELDS, 0.0)
+    moved = {}
     flips = []
     problems = []
     for key in sorted(set(old) | set(new)):
@@ -321,17 +344,24 @@ def diff_dumps(old, new):
             continue
         if len(a) != len(b):
             problems.append(f"{key}: {len(a)} records -> {len(b)}")
+        floor = _rho_floor(a)
+        changed, floored = 0, 0.0
         for ra, rb in zip(a, b):
-            for f in VALUE_FIELDS:
-                if ra[f] != rb[f]:
-                    counts[f] += 1
-                    max_rel[f] = max(max_rel[f], _max_rel(ra[f], rb[f]))
+            fields = [f for f in VALUE_FIELDS if ra[f] != rb[f]]
+            for f in fields:
+                counts[f] += 1
+                max_rel[f] = max(max_rel[f], _max_rel(ra[f], rb[f]))
+            changed += bool(fields)
+            floored = max(floored, _max_rel(ra["rho_sigma"], rb["rho_sigma"],
+                                            floor))
             for f in VERDICT_FIELDS:
                 if ra[f] != rb[f]:
                     counts[f] += 1
                     flips.append((key, ra["N"], f, ra[f], rb[f]))
-    return {"counts": counts, "max_rel": max_rel, "flips": flips,
-            "problems": problems}
+        if changed:
+            moved[key] = (changed, floored)
+    return {"counts": counts, "max_rel": max_rel, "series": moved,
+            "flips": flips, "problems": problems}
 
 
 def diff_verify(old, new):
@@ -390,6 +420,9 @@ def report(diff, label, n_series, n_records):
         if f in diff["max_rel"]:
             line += f", max rel {diff['max_rel'][f]:.3g}"
         lines.append(line)
+    for key, (n, rel) in diff["series"].items():
+        lines.append(f"  {key}: {n} differing records, rho_sigma floored "
+                     f"max rel {rel:.3g}")
     for key, N, f, a, b in diff["flips"]:
         lines.append(f"  flip {key} N={N} {f}: {a} -> {b}")
     lines += [f"  {p}" for p in diff["problems"]]
