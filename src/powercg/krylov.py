@@ -10,6 +10,7 @@ needs spectral access.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ class InverseProblem:
             else _fixed_vector(known_solution, n, "known_solution"))
         self.consistency_tol = consistency_tol
         self.notes = dict(notes) if notes else {}
-        # the Lanczos recurrence from R0 that theta_iterate extends
+        # the Lanczos recurrence from R0 that run_cg and theta_iterate extend
         self._lanczos = None
         self._ker = self._c0 = self._e0 = self._atoms = self._index = None
 
@@ -136,17 +137,10 @@ class IterateHistory:
     reason: str = None
 
 
-def _orthogonalize(B, v):
-    """v minus its projection on the orthonormal columns of B, in two passes
-    of classical Gram-Schmidt."""
-    for _ in range(2):
-        v = v - B @ (B.T @ v)
-    return v
-
-
 class _Lanczos:
     """Resumable symmetric Lanczos recurrence from b with two-pass full
-    reorthogonalization.
+    reorthogonalization: a problem's one Krylov process, from R0, that
+    run_cg and theta_iterate read.
 
     Holds ||b||, the column-major basis, the alpha/beta lists (the Jacobi
     matrix T, in this form only), the unnormalized residual of the last
@@ -208,7 +202,11 @@ class _Lanczos:
                 v = v - self.betas[k - 1] * V[:, k - 1]
             a = float(np.dot(v, q))
             v = v - a * q
-            self.residual = _orthogonalize(V[:, :k + 1], v)
+            # two passes of classical Gram-Schmidt against the whole basis
+            B = V[:, :k + 1]
+            for _ in range(2):
+                v = v - B @ (B.T @ v)
+            self.residual = v
             self.alphas.append(a)
 
     def cholesky(self, rows):
@@ -216,11 +214,10 @@ class _Lanczos:
         steps and return the order of its positive-definite prefix there.
 
         The factor stops for good at the first pivot at or below self.tol,
-        the curvature run_cg stops at (its first-step test pAp <= tol pp is
-        this pivot): past it roundoff has leaked a kernel direction into the
-        recurrence. Row i reads alpha_i and beta_(i-1) only, so the factor
-        is nested like the recurrence and the prefix does not depend on the
-        calls made before."""
+        where run_cg reports breakdown: past it roundoff has leaked a kernel
+        direction into the recurrence. Row i reads alpha_i and beta_(i-1)
+        only, so the factor is nested like the recurrence and the prefix
+        does not depend on the calls made before."""
         d, m = self.chol_diag, self.chol_sub
         while len(d) < min(rows, self.steps):
             i = len(d)
@@ -248,55 +245,59 @@ class _Lanczos:
         return np.array(y)
 
 
-def run_cg(problem, n_max):
-    """Conjugate gradients from f0, residual sign R = A f - g.
+def _check_degree(N, dimension, name="N"):
+    """Refuse a degree that is not an integer in 0..dimension."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {N!r}")
+    if N > dimension:
+        raise ValueError(f"{name} {N} exceeds dimension {dimension}")
 
-    Residuals are reorthogonalized against all previous ones; at condition
-    numbers around 1e6 plain CG iterates drift from the exact Krylov
-    minimizer by order one while the reorthogonalized ones stay at 1e-12
-    (cost O(N^2 n), harmless here). Stops early when
-    ||R|| <= CG_TOL_REL ||g|| or on curvature breakdown.
+
+def _lanczos_state(problem):
+    """The problem's Lanczos recurrence from R0, made on first use; None
+    when R0 is exactly zero."""
+    state = problem._lanczos
+    if state is None:
+        R0 = problem.residual0()
+        if float(np.linalg.norm(R0)) == 0.0:
+            return None
+        state = problem._lanczos = _Lanczos(problem.operator, R0)
+    return state
+
+
+def run_cg(problem, n_max):
+    """Conjugate gradients from f0, residual sign R = A f - g, as the
+    theta = 1 series of the problem's stored Lanczos recurrence.
+
+    Degree N is the Galerkin solve T_N y = -||R0|| e1 (Meurant, The Lanczos
+    and Conjugate Gradient Algorithms, 2006), f0 + V_N y, bit for bit
+    theta_iterate(problem, 1, N); the recurrence's reorthogonalization keeps
+    it at the exact Krylov minimizer, where plain CG drifts by order one at
+    condition numbers around 1e6. Stops as converged at N once ||R_N|| =
+    beta_N |y_N| (the Lanczos residual identity) is at most CG_TOL_REL ||g||
+    or the recurrence breaks down there, and as breakdown at N - 1 at the
+    Cholesky pivot of T_N that ends theta_iterate's prefix. A fresh problem
+    pays N + 1 applies to degree N; a stored recurrence serves later series.
     """
-    if n_max > problem.dimension:
-        raise ValueError(
-            f"n_max {n_max} exceeds dimension {problem.dimension}")
-    op = problem.operator
-    f = problem.f0.astype(float).copy()
-    hist = IterateHistory([f.copy()])
+    _check_degree(n_max, problem.dimension, "n_max")
+    iterates = [problem.f0.copy()]
     threshold = CG_TOL_REL * float(np.linalg.norm(problem.g))
-    crv_tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
-    r = problem.g - op.apply(f)
-    rr = float(np.dot(r, r))
-    if np.sqrt(rr) <= threshold:
-        hist.terminated = True
-        hist.reason = "converged at N=0"
-        return hist
-    p = r.copy()
-    # column k holds the normalized residual of step k, column-major like
-    # the Lanczos basis
-    basis = np.empty((problem.dimension, n_max + 1), order="F")
-    basis[:, 0] = r / np.sqrt(rr)
+    state = _lanczos_state(problem)
+    if state is None or state.norm <= threshold:
+        return IterateHistory(iterates, True, "converged at N=0")
     for N in range(1, n_max + 1):
-        Ap = op.apply(p)
-        pAp = float(np.dot(p, Ap))
-        if pAp <= crv_tol * float(np.dot(p, p)):
-            hist.terminated = True
-            hist.reason = f"breakdown at N={N - 1} (curvature {pAp:.3e})"
-            return hist
-        a = rr / pAp
-        f = f + a * p
-        r_new = _orthogonalize(basis[:, :N], r - a * Ap)
-        rr_new = float(np.dot(r_new, r_new))
-        hist.iterates.append(f.copy())
-        if np.sqrt(rr_new) <= threshold:
-            hist.terminated = True
-            hist.reason = f"converged at N={N}"
-            return hist
-        basis[:, N] = r_new / np.sqrt(rr_new)
-        p = r_new + (rr_new / rr) * p
-        r = r_new
-        rr = rr_new
-    return hist
+        state.extend(N)
+        if state.cholesky(N) < N:
+            return IterateHistory(iterates, True, f"breakdown at N={N - 1} "
+                                  f"(pivot of T_{N} <= {state.tol:.3e})")
+        y = state.cg_solve(N)
+        iterates.append(problem.f0 + state.V[:, :N] @ y)
+        # beta_N, or the norm extend will take as beta_N
+        beta = (state.betas[N - 1] if state.steps > N
+                else float(np.linalg.norm(state.residual)))
+        if beta <= state.tol or beta * abs(y[-1]) <= threshold:
+            return IterateHistory(iterates, True, f"converged at N={N}")
+    return IterateHistory(iterates)
 
 
 def _power_column(alphas, betas, k, j, s):
@@ -413,10 +414,10 @@ def theta_iterate(problem, theta, N):
 
     Needs N + theta Lanczos steps from R0, so that every tridiagonal power
     touching the leading N columns is exact. The problem stores one Lanczos
-    recurrence from R0 and extends it on demand; its leading steps are the
-    same numbers whatever was asked before, so a series N = 1..K costs
-    K + theta Lanczos applies plus one apply for R0, instead of a rebuild
-    per N. Early Lanczos breakdown saturates the Krylov space; the iterate
+    recurrence from R0, shared with run_cg, and extends it on demand; its
+    leading steps are the same numbers whatever was asked before, so a
+    series N = 1..K costs K + theta Lanczos applies plus one apply for R0,
+    instead of a rebuild per N, and fewer after a run_cg or another series. Early Lanczos breakdown saturates the Krylov space; the iterate
     returned is then the minimizer of the saturated space, which equals the
     requested one.
 
@@ -425,14 +426,14 @@ def theta_iterate(problem, theta, N):
     below BREAKDOWN_REL ||A|| (see _Lanczos.cholesky). In exact arithmetic
     A >= 0 and R0 in ran A keep T positive definite; past that pivot
     roundoff has leaked a kernel direction into the recurrence, and run_cg
-    stops at the same curvature. A degree past the prefix returns the
+    reports breakdown at the same pivot. A degree past the prefix returns the
     minimizer of its k-dimensional space, as after a Lanczos breakdown, and
     k = 0 returns f0. The price: a Krylov space whose Ritz values span more
     than about 13 decades loses the degrees past the cut.
 
     theta = 1 solves the CG tridiagonal system T y = -||R0|| e1 by a
     forward sweep on L and a back sweep on L^T, with the factor T = L L^T
-    that the prefix test grew. For theta >= 2 the projected problem is
+    that the prefix test grew: run_cg's iterate, bit for bit. For theta >= 2 the projected problem is
     solved in a square-rooted form (least squares on B = W (T^s)[:, :N],
     s = theta // 2; the normal equations would square the condition
     number) by one Givens QR of B per theta that the recurrence stores,
@@ -450,24 +451,18 @@ def theta_iterate(problem, theta, N):
     if spectral_route:
         # checks theta, spectral access and N, N = 0 included
         values = _spectral_ladder(problem, theta, N)
-    elif N > problem.dimension:
-        raise ValueError(f"N {N} exceeds dimension {problem.dimension}")
+    else:
+        _check_degree(N, problem.dimension)
     if N == 0:
         return problem.f0.copy()
-    op = problem.operator
-    state = problem._lanczos
+    state = _lanczos_state(problem)
     if state is None:
-        # a stored recurrence implies a nonzero R0; only a new one is checked
-        R0 = problem.residual0()
-        if float(np.linalg.norm(R0)) == 0.0:
-            return problem.f0.copy()
+        return problem.f0.copy()
     if spectral_route:
         for p in values:
             pass
         return _transported(problem, p)
     theta = int(theta)
-    if state is None:
-        state = problem._lanczos = _Lanczos(op, R0)
     m = min(N + theta, problem.dimension)
     state.extend(m)
     k = state.cholesky(m)
@@ -530,8 +525,7 @@ def _spectral_ladder(problem, theta, n_max):
     if not op.spectral:
         raise SpectralAccessError(
             f"theta = {theta} on the eigenbasis route needs spectral access")
-    if n_max > problem.dimension:
-        raise ValueError(f"N {n_max} exceeds dimension {problem.dimension}")
+    _check_degree(n_max, problem.dimension)
     # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta; the
     # power is taken per eigenvalue, before its atom sums it
     w = _power_weights(op.eigenvalues(), theta, np.abs(problem.e0) ** 2)

@@ -12,6 +12,10 @@ nor arithmetic library with it.
   recurrence plus a dense eigensolve per degree), so tests keep it small.
 - brute_force_iterate / brute_force_objective, for the weighted Krylov
   minimizers: the monomial normal equations solved at many digits.
+- cg_reference, for krylov.run_cg: the three-term conjugate gradient
+  loop with its own residual basis, reorthogonalized, and its own
+  curvature test, so the Lanczos route run_cg takes is checked against a
+  second Krylov process.
 - lemma_bound, for the lemma verdict chain_table reports as lemma_ok on
   its weighted_left_bound operands: the same comparison made in double
   precision from the zero table's split integrals and delta_n, outside
@@ -22,6 +26,7 @@ nor arithmetic library with it.
 import numpy as np
 from mpmath import mp
 
+from powercg.krylov import BREAKDOWN_REL, CG_TOL_REL, IterateHistory
 from powercg.linop import SpectralAccessError
 from powercg.orthopoly import LEMMA_SLACK
 
@@ -210,6 +215,64 @@ def brute_force_objective(problem, theta, x, dps=50):
             mag = mp.mpf(complex(e[i]).real) ** 2 + mp.mpf(complex(e[i]).imag) ** 2
             total += mp.mpf(float(lam[i])) ** theta * mag
         return float(total)
+
+
+def _orthogonalize(B, v):
+    """v minus its projection on the orthonormal columns of B, in two passes
+    of classical Gram-Schmidt."""
+    for _ in range(2):
+        v = v - B @ (B.T @ v)
+    return v
+
+
+def cg_reference(problem, n_max):
+    """Conjugate gradients from f0, residual sign R = A f - g.
+
+    Residuals are reorthogonalized against all previous ones; at condition
+    numbers around 1e6 plain CG iterates drift from the exact Krylov
+    minimizer by order one while the reorthogonalized ones stay at 1e-12
+    (cost O(N^2 n), harmless here). Stops early when
+    ||R|| <= CG_TOL_REL ||g|| or on curvature breakdown.
+    """
+    if n_max > problem.dimension:
+        raise ValueError(
+            f"n_max {n_max} exceeds dimension {problem.dimension}")
+    op = problem.operator
+    f = problem.f0.astype(float).copy()
+    hist = IterateHistory([f.copy()])
+    threshold = CG_TOL_REL * float(np.linalg.norm(problem.g))
+    crv_tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
+    r = problem.g - op.apply(f)
+    rr = float(np.dot(r, r))
+    if np.sqrt(rr) <= threshold:
+        hist.terminated = True
+        hist.reason = "converged at N=0"
+        return hist
+    p = r.copy()
+    # column k holds the normalized residual of step k
+    basis = np.empty((problem.dimension, n_max + 1), order="F")
+    basis[:, 0] = r / np.sqrt(rr)
+    for N in range(1, n_max + 1):
+        Ap = op.apply(p)
+        pAp = float(np.dot(p, Ap))
+        if pAp <= crv_tol * float(np.dot(p, p)):
+            hist.terminated = True
+            hist.reason = f"breakdown at N={N - 1} (curvature {pAp:.3e})"
+            return hist
+        a = rr / pAp
+        f = f + a * p
+        r_new = _orthogonalize(basis[:, :N], r - a * Ap)
+        rr_new = float(np.dot(r_new, r_new))
+        hist.iterates.append(f.copy())
+        if np.sqrt(rr_new) <= threshold:
+            hist.terminated = True
+            hist.reason = f"converged at N={N}"
+            return hist
+        basis[:, N] = r_new / np.sqrt(rr_new)
+        p = r_new + (rr_new / rr) * p
+        r = r_new
+        rr = rr_new
+    return hist
 
 
 def mass_below(measure, t):

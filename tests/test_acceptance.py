@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from powercg.diagnostics import rho
-from powercg.krylov import run_cg, spectral_iterates, theta_iterate
+from powercg.krylov import spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import (_factor_products, chain_table,
                                check_separation, orthogonality_gap,
@@ -21,7 +21,7 @@ from powercg.orthopoly import (_factor_products, chain_table,
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
 
 from mp_reference import (brute_force_iterate, brute_force_objective,
-                          lemma_bound)
+                          cg_reference, lemma_bound)
 
 GRID_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 25.0, "2b": 25.0}
 BIG_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 200.0, "2b": 200.0}
@@ -133,7 +133,7 @@ def test_2_cg_and_weighted_minimizer_coincide_at_one(random_problems, acceptance
     failures = []
     worst = 0.0
     for i, prob in enumerate(random_problems):
-        hist = run_cg(prob, prob.dimension)
+        hist = cg_reference(prob, prob.dimension)
         for N in range(1, len(hist.iterates)):
             f_cg = hist.iterates[N]
             f_th = theta_iterate(prob, 1.0, N)

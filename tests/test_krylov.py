@@ -20,7 +20,8 @@ from powercg.krylov import (ConsistencyError, InverseProblem, _Lanczos,
                             run_cg, spectral_iterates, theta_iterate)
 from powercg.runs import build_test_case
 
-from mp_reference import brute_force_iterate, brute_force_objective
+from mp_reference import (brute_force_iterate, brute_force_objective,
+                          cg_reference)
 
 
 def two_dim():
@@ -188,6 +189,13 @@ def test_cg_breakdown_on_near_null_direction():
 def test_cg_rejects_n_max_beyond_dimension():
     with pytest.raises(ValueError, match="exceeds dimension"):
         run_cg(two_dim(), 3)
+    # a negative or non-integer degree is refused, not read as a short run
+    mat = InverseProblem(MatrixOperator(np.diag([1.0, 2.0])),
+                         g=np.array([1.0, 2.0]))
+    for prob in (two_dim(), mat):
+        for n_max in (-1, -3, 2.5, 1.0, True):
+            with pytest.raises(ValueError, match="^n_max must be an integer"):
+                run_cg(prob, n_max)
 
 
 def test_cg_stops_at_n_max_without_terminating():
@@ -333,7 +341,7 @@ def test_theta_one_equals_cg_path():
     probs = [random_problem(rng, int(rng.integers(2, 9))) for _ in range(5)]
     for prob in probs + [dense_problem(44, 10)]:
         dim = prob.dimension
-        hist = run_cg(prob, dim)
+        hist = cg_reference(prob, dim)
         for N in range(1, dim + 1):
             fN = theta_iterate(prob, 1, N)
             want = hist.iterates[min(N, len(hist.iterates) - 1)]
@@ -479,6 +487,56 @@ def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
         assert np.linalg.norm(f - sol) <= 1e-8 * np.linalg.norm(sol), theta
 
 
+def test_cg_is_the_theta_one_series_of_the_stored_recurrence(monkeypatch):
+    # run_cg reads the problem's one Lanczos recurrence: a fresh problem
+    # pays N + 1 applies (R0 and N steps), a theta = 2 and 3 series after it
+    # only the steps past N, a repeated run_cg none, and every iterate is
+    # theta_iterate(p, 1, N) and a fresh run's, whatever ran before
+    applies = []
+    apply = MatrixOperator._apply
+
+    def spy(self, x):
+        applies.append(None)
+        return apply(self, x)
+    monkeypatch.setattr(MatrixOperator, "_apply", spy)
+
+    def theta3_series(p):
+        for n in range(1, p.dimension + 1):
+            theta_iterate(p, 3, n)
+    for make, N in ((lambda: dense_problem(44, 10), 8),
+                    (lambda: _benchmark_dense_case(40, 3, 0), 30)):
+        prob = make()
+        full = run_cg(prob, prob.dimension)
+        prob = make()
+        applies.clear()
+        hist = run_cg(prob, N)
+        assert len(applies) == N + 1 and len(hist.iterates) == N + 1
+        for theta in (2, 3):
+            for n in range(1, N + 1):
+                theta_iterate(prob, theta, n)
+        assert len(applies) <= N + 1 + 3
+        applies.clear()
+        again = run_cg(prob, N)
+        assert not applies
+        for n, f in enumerate(hist.iterates):
+            assert np.array_equal(f, again.iterates[n]), n
+            assert np.array_equal(f, theta_iterate(prob, 1, n)), n
+        # the stop rule too: converged at 9 of 10, and at 37 of 40
+        assert full.reason == f"converged at N={len(full.iterates) - 1}"
+        for before in (lambda p: run_cg(p, p.dimension), theta3_series):
+            prob = make()
+            before(prob)
+            got = run_cg(prob, N).iterates
+            assert len(got) == N + 1
+            for n, f in enumerate(got):
+                assert np.array_equal(f, hist.iterates[n]), n
+            again = run_cg(prob, prob.dimension)
+            assert again.reason == full.reason
+            assert len(again.iterates) == len(full.iterates)
+            for n, f in enumerate(again.iterates):
+                assert np.array_equal(f, full.iterates[n]), n
+
+
 def test_theta_iterate_against_brute_force():
     rng = np.random.default_rng(19)
     for _ in range(6):
@@ -579,6 +637,14 @@ def test_theta_iterate_validation():
                 theta_iterate(p, theta, 1)
             with pytest.raises(ValueError, match="finite and >= 0"):
                 spectral_iterates(p, theta, 1)
+    # a negative or non-integer degree is refused on every route
+    calls = [(theta_iterate, p, theta) for p in (three, mat)
+             for theta in (1, 2, 3)]
+    calls += [(theta_iterate, three, 0.5), (spectral_iterates, three, 1.0)]
+    for N in (-1, -3, 2.5, 1.0, True):
+        for f, p, theta in calls:
+            with pytest.raises(ValueError, match="^N must be an integer"):
+                f(p, theta, N)
 
 
 def test_theta_iterate_at_solution_returns_f0():
