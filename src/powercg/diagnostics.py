@@ -54,11 +54,12 @@ def rho(problem, f_n, sigma):
     """||A^{sigma/2}(f_n - P f_n)||^2.
 
     Spectral path: any real sigma, measured against the operator's own
-    discrete solution set. Matrix-free path: sigma in {0, 1, 2}, with 0 and 1
-    against the supplied known solution (which must share the iterate's
-    kernel component). sigma = 2 always uses the recomputed residual
-    A f_n - g directly, never the error, so its rounding is decoupled from
-    the solution's.
+    discrete solution set. Matrix-free path: sigma in {0, 1, 2}, from the
+    error d = f_n - s against s, the supplied known solution (which must
+    share the iterate's kernel component) or 0 without one; sigma < 2 needs
+    s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic and
+    bit for bit without a known solution, with A s - g kept from the
+    problem's consistency check.
     """
     sigma = float(sigma)
     return rho_evaluator(problem, (sigma,))(f_n)[sigma]
@@ -71,6 +72,12 @@ def rho_evaluator(problem, sigmas):
     adds the kernel-drift guard's one transform of f_n - f0. lambda^sigma
     is taken here, once, so an overflowing sigma raises before any iterate,
     as does a sigma the matrix-free path cannot measure.
+
+    On the matrix-free path sigma = 1 and 2 read one image A d of the error
+    d = f_n - s, which the problem keeps from the first read to the second
+    or until f_n is collected: the two cost one apply, whether one
+    evaluator or two rho calls ask for them, and an iterate changed in
+    place is measured afresh.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator
@@ -101,7 +108,8 @@ def rho_evaluator(problem, sigmas):
         mag = None
         for sigma in sigmas:
             if sigma == 2.0:
-                r = op.apply(f_n) - problem.g
+                r = (op.apply(f_n) - problem.g if op.spectral
+                     else problem._error_image(f_n) + problem._residual_s)
                 out[sigma] = float(np.dot(r, r))
             elif op.spectral:
                 if mag is None:
@@ -110,7 +118,7 @@ def rho_evaluator(problem, sigmas):
             else:
                 d = f_n - problem.known_solution
                 out[sigma] = (float(np.dot(d, d)) if sigma == 0.0
-                              else float(np.dot(d, op.apply(d))))
+                              else float(np.dot(d, problem._error_image(f_n))))
         return out
     return evaluate
 

@@ -21,13 +21,23 @@ nor arithmetic library with it.
   precision from the zero table's split integrals and delta_n, outside
   chain_table, with the mass below z_1 from mass_below, a strict tail sum
   of its own.
+- exact_residual_sq, for diagnostics.rho's sigma = 2 on the matrix-free
+  path: ||M x - g||^2 of the float data in exact integer arithmetic.
+
+benchmark_dense_case loads the benchmark's dense pool member as a problem,
+for the tests of the matrix-free routes.
 """
+
+import importlib.util
+import os
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
 
-from powercg.krylov import BREAKDOWN_REL, CG_TOL_REL, IterateHistory
-from powercg.linop import SpectralAccessError
+from powercg.krylov import (BREAKDOWN_REL, CG_TOL_REL, InverseProblem,
+                            IterateHistory)
+from powercg.linop import MatrixOperator, SpectralAccessError
 from powercg.orthopoly import LEMMA_SLACK
 
 
@@ -296,3 +306,38 @@ def lemma_bound(table, N, mu_sigma, xi, sigma):
     below = mass_below(mu_sigma, table.zeros[N - 1][0])
     rhs = below * (q / table.delta[N - 1]) ** q
     return lhs, rhs, lhs <= rhs * (1.0 + LEMMA_SLACK)
+
+
+# every finite double is an integer times 2^-_EXP
+_EXP = 1074
+
+
+def _scaled(values):
+    return [int(Fraction(v) * 2 ** _EXP) for v in np.asarray(values).tolist()]
+
+
+def exact_residual_sq(matrix, g):
+    """x -> ||matrix @ x - g||^2, computed exactly from the float entries
+    and rounded once to a float."""
+    rows = [_scaled(row) for row in matrix]
+    gs = [v << _EXP for v in _scaled(g)]
+
+    def residual_sq(x):
+        xs = _scaled(x)
+        r = [sum(m * v for m, v in zip(row, xs)) - gi
+             for row, gi in zip(rows, gs)]
+        return float(Fraction(sum(ri * ri for ri in r), 2 ** (4 * _EXP)))
+    return residual_sq
+
+
+def benchmark_dense_case(n, kernel, index, known_solution=True):
+    """perfbench/workloads.dense_case as an InverseProblem, with its known
+    solution unless known_solution is False."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    M, sol = wl.dense_case(n, kernel, index)
+    return InverseProblem(MatrixOperator(M), g=M @ sol,
+                          known_solution=sol if known_solution else None)

@@ -5,14 +5,18 @@ energy-norm minimizer at N = 1 is (5/9, 10/9) with error (-4/9, 1/9), so
 rho_0 = 17/81, rho_1 = 2/9, rho_2 = 20/81 as exact fractions.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from powercg.diagnostics import (ConvergenceRecord, np_rate_monitor, rho,
                                  rho_evaluator)
-from powercg.krylov import InverseProblem, run_cg
+from powercg.krylov import InverseProblem, run_cg, theta_iterate
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
+
+from mp_reference import benchmark_dense_case, exact_residual_sq
 
 
 def two_dim():
@@ -87,6 +91,91 @@ def test_rho_matrix_free_needs_solution_and_integer_sigma():
                              known_solution=np.ones(2))
     assert rho(withsol, np.zeros(2), 0) == pytest.approx(2.0)
     assert rho(withsol, np.zeros(2), 1) == pytest.approx(3.0)
+
+
+def test_matrix_free_rho_takes_one_apply_per_iterate(monkeypatch):
+    # sigma = 1 and 2 read one image A (f - s) per iterate, kept from the
+    # first read to the second: a sigma-major loop of rho calls and an
+    # evaluator of (0, 1, 2) each apply A once per iterate, rho0 and rho1
+    # are d.d and d.(M d), and rho2 = ||A d + (A s - g)||^2 stays at the
+    # exact residual of the float iterate
+    applies = []
+    apply = MatrixOperator._apply
+
+    def spy(self, x):
+        applies.append(None)
+        return apply(self, x)
+    monkeypatch.setattr(MatrixOperator, "_apply", spy)
+
+    def series(prob):
+        # N = 38..40 repeat degree 37, past the positive-definite prefix
+        return {theta: [theta_iterate(prob, theta, N) for N in range(41)]
+                for theta in (1, 2, 3)}
+
+    sigmas = (0.0, 1.0, 2.0)
+    table = {}
+    for by_sigma in (True, False):
+        prob = benchmark_dense_case(40, 3, 0)
+        for theta, fs in series(prob).items():
+            applies.clear()
+            if by_sigma:
+                vals = {s: [rho(prob, f, s) for f in fs] for s in sigmas}
+            else:
+                rho_of = rho_evaluator(prob, sigmas)
+                evals = [rho_of(f) for f in fs]
+                vals = {s: [e[s] for e in evals] for s in sigmas}
+            assert len(applies) == len(fs), (by_sigma, theta)
+            # sigma = 2 read every image sigma = 1 made
+            assert not prob._images
+            # both ways give the same bits, as the iterates are the same
+            assert table.setdefault(theta, vals) == vals, theta
+
+    M, sol, g = prob.operator.matrix, prob.known_solution, prob.g
+    residual_sq = exact_residual_sq(M, g)
+    for theta, fs in series(prob).items():
+        vals = table[theta]
+        floor = 1e-12 * residual_sq(fs[0])
+        for N, f in enumerate(fs):
+            d = f - sol
+            assert vals[0.0][N] == float(np.dot(d, d)), (theta, N)
+            assert vals[1.0][N] == float(np.dot(d, M @ d)), (theta, N)
+            want = residual_sq(f)
+            assert abs(vals[2.0][N] - want) <= 1e-9 * max(want, floor), (
+                theta, N)
+
+    # an image no second read takes lives as long as its vector
+    fs = [theta_iterate(prob, 2, N) for N in range(30)]
+    applies.clear()
+    for f in fs:
+        rho(prob, f, 1)
+    assert len(applies) == len(prob._images) == 30
+    del fs, f
+    gc.collect()
+    assert not prob._images
+
+    # a vector changed in place is measured afresh; a strided view of the
+    # same values reads the same image
+    x = theta_iterate(prob, 2, 5)
+    applies.clear()
+    first = rho(prob, x, 1)
+    x *= 0.5
+    d = x - sol
+    assert rho(prob, x, 1) == float(np.dot(d, M @ d)) != first
+    assert len(applies) == 2
+    view = np.repeat(x, 2)[::2]
+    assert rho(prob, view, 2) == rho(prob, x.copy(), 2)
+    assert len(applies) == 3
+    del x, view
+    gc.collect()
+    assert not prob._images
+
+    # without a known solution, s = 0: rho2 is ||M x - g||^2 bit for bit
+    prob = benchmark_dense_case(40, 3, 0, known_solution=False)
+    rho_of = rho_evaluator(prob, (2.0,))
+    for fs in series(prob).values():
+        for f in fs:
+            r = M @ f - g
+            assert rho_of(f)[2.0] == float(np.dot(r, r))
 
 
 def test_negative_sigma_kernel_drift_guard():

@@ -8,20 +8,18 @@ Everything beyond hand reach is checked against the extended-precision
 monomial oracle brute_force_iterate / brute_force_objective.
 """
 
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 
+from powercg.diagnostics import rho
 from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
                            KernelComponentError, SpectralAccessError)
 from powercg.krylov import (ConsistencyError, InverseProblem, _Lanczos,
                             run_cg, spectral_iterates, theta_iterate)
 from powercg.runs import build_test_case
 
-from mp_reference import (brute_force_iterate, brute_force_objective,
-                          cg_reference)
+from mp_reference import (benchmark_dense_case, brute_force_iterate,
+                          brute_force_objective, cg_reference)
 
 
 def two_dim():
@@ -349,6 +347,30 @@ def test_theta_one_equals_cg_path():
             assert np.linalg.norm(fN - want) <= 1e-10 * scale, (dim, N)
 
 
+def test_cg_stays_at_the_eigenbasis_minimizer_on_clean_data():
+    # run_cg sees only apply; on data without a roundoff floor in its
+    # spectrum its rho0 must stay at the exact Krylov minimizer, which the
+    # eigenbasis ladder computes: 1b as built (measured gap 2.4e-12), and
+    # 2b with the solution's coefficients below 1e-13 of the largest zeroed
+    # and the datum rebuilt from it (measured 1.4e-13; 1.9e-6 as built)
+    def floor_cleaned(test):
+        built = build_test_case(test)
+        op = built.operator
+        c = op.coefficients(built.known_solution)
+        c[np.abs(c) < 1e-13 * np.abs(c).max()] = 0.0
+        f = op.from_coefficients(c)
+        return InverseProblem(op, op.apply(f), known_solution=f)
+
+    for prob, bound in ((build_test_case("1b"), 1e-10),
+                        (floor_cleaned("2b"), 1e-11)):
+        ladder = [rho(prob, f, 0) for f in spectral_iterates(prob, 1, 60)]
+        got = [rho(prob, f, 0) for f in run_cg(prob, 60).iterates]
+        assert len(got) == 61
+        floor = 1e-12 * ladder[0]
+        gap = max(abs(a - b) / max(b, floor) for a, b in zip(got, ladder))
+        assert gap <= bound, (prob.notes, gap)
+
+
 def test_theta_iterate_matrix_free_path():
     # same minimizer through MatrixOperator (no spectral access) and
     # DiagonalOperator
@@ -448,18 +470,6 @@ def test_theta_series_factors_once(monkeypatch):
         assert len(prob._lanczos.factors[theta].R) == K
 
 
-def _benchmark_dense_case(n, kernel, index):
-    """perfbench/workloads.dense_case as an InverseProblem with its known
-    solution."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    wl = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(wl)
-    M, sol = wl.dense_case(n, kernel, index)
-    return InverseProblem(MatrixOperator(M), g=M @ sol, known_solution=sol)
-
-
 def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
     # at full dimension roundoff leaks a kernel direction into the last
     # Lanczos steps, and a Cholesky pivot of T falls to BREAKDOWN_REL ||A||:
@@ -470,7 +480,7 @@ def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
         raise AssertionError("np.linalg.lstsq called")
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     probs = [dense_problem(44, 10), dense_problem(41, 40),
-             dense_problem(48, 16), _benchmark_dense_case(40, 3, 0)]
+             dense_problem(48, 16), benchmark_dense_case(40, 3, 0)]
     for prob in probs:
         M, g, dim = prob.operator.matrix, prob.g, prob.dimension
         for theta in (1, 2, 3, 4, 5):
@@ -504,7 +514,7 @@ def test_cg_is_the_theta_one_series_of_the_stored_recurrence(monkeypatch):
         for n in range(1, p.dimension + 1):
             theta_iterate(p, 3, n)
     for make, N in ((lambda: dense_problem(44, 10), 8),
-                    (lambda: _benchmark_dense_case(40, 3, 0), 30)):
+                    (lambda: benchmark_dense_case(40, 3, 0), 30)):
         prob = make()
         full = run_cg(prob, prob.dimension)
         prob = make()

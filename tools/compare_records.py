@@ -34,7 +34,11 @@ from its own src/:
     to full dimension, past the positive-definite prefix of its Lanczos
     recurrence (37 steps), where roundoff leaks a kernel direction in;
   - spectral theta_iterate on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
-    at N = 0..12, one problem for both thetas.
+    at N = 0..12, one problem for both thetas;
+  - the Krylov routes on the built-in cases 1a, 2a, 1b, 2b at their
+    defaults: run_cg (theta = 1) and theta_iterate at theta in {2, 3}, each
+    at N <= BUILTIN_N_MAX, one problem per case, so that a change to a
+    Krylov route shows on data with a roundoff floor as well.
 These matrix-free and theta_iterate records carry rho only, at the
 benchmark's SIGMAS; their node fields and verdicts are None.
 
@@ -80,6 +84,9 @@ EXTRA_THETAS = (4, 5)
 # the full-dimension matrix-free series: its order and thetas
 FULL_N = 40
 FULL_THETAS = (1, 2, 3, 4, 5)
+# the Krylov series of the built-in cases: their thetas and last degree
+BUILTIN_THETAS = (1, 2, 3)
+BUILTIN_N_MAX = 60
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
 # perfbench/workloads.RHO_FLOOR: the benchmark's rho gate compares relative
@@ -163,12 +170,25 @@ def record_row(r):
             "lemma_ok": getattr(r, "lemma_ok", None)}
 
 
+def krylov_rows(problem, theta, n_max, rho_of):
+    """rho rows of run_cg (theta = 1) or of theta_iterate at N = 0..n_max
+    on problem, measured by the evaluator rho_of."""
+    from powercg.krylov import run_cg, theta_iterate
+
+    if theta == 1:
+        iterates = run_cg(problem, n_max).iterates
+    else:
+        iterates = [problem.f0] + [theta_iterate(problem, theta, N)
+                                   for N in range(1, n_max + 1)]
+    return [rho_row(N, rho_of(f)) for N, f in enumerate(iterates)]
+
+
 def matrix_free_series(wl, index):
     """[(key, thunk giving rho rows)] for one member of the benchmark's
     matrix-free pool, with EXTRA_THETAS on member 0; the thetas share one
     problem, as in the benchmark."""
     from powercg.diagnostics import rho_evaluator
-    from powercg.krylov import InverseProblem, run_cg, theta_iterate
+    from powercg.krylov import InverseProblem
     from powercg.linop import MatrixOperator
 
     mf = wl.MatrixFree
@@ -176,17 +196,24 @@ def matrix_free_series(wl, index):
     problem = InverseProblem(MatrixOperator(matrix), matrix @ solution,
                              known_solution=solution)
     rho_of = rho_evaluator(problem, wl.SIGMAS)
-
-    def rows(theta):
-        if theta == 1:
-            iterates = run_cg(problem, mf.N_MAX).iterates
-        else:
-            iterates = [problem.f0] + [theta_iterate(problem, theta, N)
-                                       for N in range(1, mf.N_MAX + 1)]
-        return [rho_row(N, rho_of(f)) for N, f in enumerate(iterates)]
     thetas = mf.THETAS + (EXTRA_THETAS if index == 0 else ())
-    return [(f"mf/{mf.unit_key(index, theta)}", lambda t=theta: rows(t))
+    return [(f"mf/{mf.unit_key(index, theta)}",
+             lambda t=theta: krylov_rows(problem, t, mf.N_MAX, rho_of))
             for theta in thetas]
+
+
+def builtin_krylov_series(wl, test):
+    """[(key, thunk giving rho rows)] of run_cg and theta_iterate at every
+    BUILTIN_THETAS on the built-in case test at its defaults, N <=
+    BUILTIN_N_MAX; the thetas share one problem."""
+    from powercg.diagnostics import rho_evaluator
+    from powercg.runs import build_test_case
+
+    problem = build_test_case(test)
+    rho_of = rho_evaluator(problem, wl.SIGMAS)
+    return [(f"krylov/{test}/theta{theta}",
+             lambda t=theta: krylov_rows(problem, t, BUILTIN_N_MAX, rho_of))
+            for theta in BUILTIN_THETAS]
 
 
 def full_dimension_series(wl):
@@ -278,6 +305,10 @@ def dump(path):
             record(out, key, job)
     for key, job in full_dimension_series(wl) + spectral_theta_series(wl):
         record(out, key, job)
+    # one built-in problem at a time
+    for test in BUILTINS:
+        for key, job in builtin_krylov_series(wl, test):
+            record(out, key, job)
     for key, kwargs in builtin_series():
         record(checks, key, lambda: [
             [name, bool(ok), detail]
