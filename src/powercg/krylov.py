@@ -3,9 +3,9 @@
 The degree-N iterate minimizes ||A^{theta/2}(h - P h)|| over the affine
 Krylov space f0 + span{R_0, A R_0, ..., A^{N-1} R_0}, where P projects onto
 the solution set of A f = g and R = A f - g (note the sign; the classic CG
-literature negates it). theta = 1 is plain CG. Matrix-free evaluation works
-for integer theta >= 1 through Lanczos tridiagonal powers; everything else
-needs spectral access.
+literature negates it). theta = 1 is plain CG. theta_iterate takes integer
+theta >= 1 matrix-free, through Lanczos tridiagonal powers; spectral_iterates
+takes any theta >= 0 in the eigenbasis, which needs spectral access.
 """
 
 import itertools
@@ -446,8 +446,9 @@ class _ProjectedQR:
 
 
 def theta_iterate(problem, theta, N):
-    """Degree-N minimizer of the A^{theta/2}-weighted error, matrix-free for
-    integer theta >= 1, spectral for the rest.
+    """Degree-N minimizer of the A^{theta/2}-weighted error for an integer
+    theta >= 1, matrix-free; any other theta raises ValueError (use
+    spectral_iterates).
 
     Needs N + theta Lanczos steps from R0, so that every tridiagonal power
     touching the leading N columns is exact. The problem stores one Lanczos
@@ -483,23 +484,15 @@ def theta_iterate(problem, theta, N):
     factorization has grown, and the iterate does not depend on the calls
     made before.
     """
-    # theta = 0 must take the spectral route too: the tridiagonal branches
-    # index powers of T from theta >= 1
-    spectral_route = not (theta >= 1 and float(theta).is_integer())
-    if spectral_route:
-        # checks theta, spectral access and N, N = 0 included
-        values = _spectral_ladder(problem, theta, N)
-    else:
-        _check_degree(N, problem.dimension)
+    if not (theta >= 1 and float(theta).is_integer()):
+        raise ValueError(f"theta_iterate takes an integer theta >= 1, got "
+                         f"{theta!r}; spectral_iterates takes any theta >= 0")
+    _check_degree(N, problem.dimension)
     if N == 0:
         return problem.f0.copy()
     state = _lanczos_state(problem)
     if state is None:
         return problem.f0.copy()
-    if spectral_route:
-        for p in values:
-            pass
-        return _transported(problem, p)
     theta = int(theta)
     m = min(N + theta, problem.dimension)
     state.extend(m)
@@ -552,25 +545,6 @@ def _weighted_residual_values(lam, w, n_max):
         yield p
 
 
-def _spectral_ladder(problem, theta, n_max):
-    """The eager set-up of the eigenbasis route: the argument checks and
-    the weights lambda^theta |e0|^2 (checked for overflow) on the problem's
-    atoms. Returns a lazy iterator of the optimal residual polynomial at
-    the atoms for N = 1..n_max."""
-    if not 0 <= theta < math.inf:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    op = problem.operator
-    if not op.spectral:
-        raise SpectralAccessError(
-            f"theta = {theta} on the eigenbasis route needs spectral access")
-    _check_degree(n_max, problem.dimension)
-    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta; the
-    # power is taken per eigenvalue, before its atom sums it
-    w = _power_weights(op.eigenvalues(), theta, np.abs(problem.e0) ** 2)
-    return _weighted_residual_values(
-        problem.atoms, np.bincount(problem.atom_index, weights=w), n_max)
-
-
 def _transported(problem, p):
     """The iterate whose error coefficients are p * e0, p given on the
     problem's atoms."""
@@ -592,8 +566,20 @@ def spectral_iterates(problem, theta, n_max):
 
     Returns a lazy iterator: each degree's iterate is made when it is asked
     for, so a caller that drops one before asking for the next holds one at
-    a time. The arguments are checked here, at the call.
+    a time. The arguments, and the weights for overflow, are checked here,
+    at the call.
     """
-    values = _spectral_ladder(problem, theta, n_max)
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    op = problem.operator
+    if not op.spectral:
+        raise SpectralAccessError(
+            f"spectral_iterates at theta = {theta} needs spectral access")
+    _check_degree(n_max, problem.dimension)
+    # e0 is exactly 0 on the kernel, so its atoms weigh 0 at any theta; the
+    # power is taken per eigenvalue, before its atom sums it
+    w = _power_weights(op.eigenvalues(), theta, np.abs(problem.e0) ** 2)
+    values = _weighted_residual_values(
+        problem.atoms, np.bincount(problem.atom_index, weights=w), n_max)
     return itertools.chain([problem.f0.copy()],
                            (_transported(problem, p) for p in values))

@@ -327,7 +327,6 @@ def test_theta_zero_hand_value():
     # minimize (y+1)^2 + (2y+1)^2 over f = y (1, 2): y = -3/5
     prob = two_dim()
     want = [0.6, 1.2]
-    assert np.allclose(theta_iterate(prob, 0, 1), want, rtol=0, atol=1e-13)
     assert np.allclose(list(spectral_iterates(prob, 0.0, 1))[1], want,
                        rtol=0, atol=1e-13)
 
@@ -573,18 +572,19 @@ def test_fractional_theta_against_brute_force(monkeypatch):
         return from_coefficients(self, c)
     monkeypatch.setattr(DiagonalOperator, "from_coefficients", spy)
     for theta in (0.5, 1.5):
-        for N in (1, 2, 4, 6):
-            made.clear()
-            f = theta_iterate(prob, theta, N)
-            # the ladder runs to degree N; only its last polynomial is
-            # transformed back
-            assert len(made) == 1
-            # non-integer theta takes the spectral route
-            assert np.array_equal(f, list(spectral_iterates(prob, theta, N))[N])
+        made.clear()
+        iterates = []
+        for f in spectral_iterates(prob, theta, 6):
+            iterates.append(f)
+            # f0 is a copy; each later degree transforms its own polynomial
+            # back, once
+            assert len(made) == len(iterates) - 1
+        assert len(iterates) == 7
+        for N, f in enumerate(iterates):
             got = brute_force_objective(prob, theta, f)
             want = brute_force_objective(
                 prob, theta, brute_force_iterate(prob, theta, N))
-            assert abs(got - want) <= 1e-8 * max(want, 1e-14)
+            assert abs(got - want) <= 1e-8 * max(want, 1e-14), (theta, N)
 
 
 def test_spectral_iterates_against_brute_force_past_breakdown():
@@ -618,39 +618,35 @@ def _check_past_breakdown(prob):
 
 def test_theta_iterate_validation():
     prob = two_dim()
-    with pytest.raises(ValueError, match=">= 0"):
-        theta_iterate(prob, -1.0, 1)
     with pytest.raises(ValueError, match="exceeds dimension"):
         theta_iterate(prob, 1, 3)
     assert np.array_equal(theta_iterate(prob, 1, 0), prob.f0)
     mat = InverseProblem(MatrixOperator(np.diag([1.0, 2.0])),
                          g=np.array([1.0, 2.0]))
-    with pytest.raises(SpectralAccessError):
-        theta_iterate(mat, 0.5, 1)
-    with pytest.raises(SpectralAccessError):
-        theta_iterate(mat, 1.5, 1)
-    # refused before the degree is looked at, N = 0 included
-    for theta in (0.0, 0.5, 1.5):
-        with pytest.raises(SpectralAccessError):
-            theta_iterate(mat, theta, 0)
+    three = InverseProblem(DiagonalOperator(np.array([1.0, 2.0, 3.0])),
+                           g=np.array([1.0, 2.0, 3.0]))
+    # theta_iterate takes an integer theta >= 1 only, on every problem,
+    # refused before the degree is looked at, N = 0 included; the rest is
+    # spectral_iterates'
+    for p in (three, mat):
+        for theta in (0, 0.0, 0.5, 1.5, -1.0, np.inf, np.nan):
+            for N in (0, 1):
+                with pytest.raises(ValueError, match="^theta_iterate takes an "
+                                   "integer theta >= 1.*spectral_iterates"):
+                    theta_iterate(p, theta, N)
     with pytest.raises(SpectralAccessError):
         spectral_iterates(mat, 1.0, 1)
     with pytest.raises(ValueError, match=">= 0"):
         spectral_iterates(prob, -0.5, 1)
-    # a non-finite theta is refused on either route, not rounded or
-    # carried into the weights
-    three = InverseProblem(DiagonalOperator(np.array([1.0, 2.0, 3.0])),
-                           g=np.array([1.0, 2.0, 3.0]))
+    # a non-finite theta is refused, not rounded or carried into the weights
     for p in (three, mat):
         for theta in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite and >= 0"):
-                theta_iterate(p, theta, 1)
             with pytest.raises(ValueError, match="finite and >= 0"):
                 spectral_iterates(p, theta, 1)
     # a negative or non-integer degree is refused on every route
     calls = [(theta_iterate, p, theta) for p in (three, mat)
              for theta in (1, 2, 3)]
-    calls += [(theta_iterate, three, 0.5), (spectral_iterates, three, 1.0)]
+    calls += [(spectral_iterates, three, 0.5), (spectral_iterates, three, 1.0)]
     for N in (-1, -3, 2.5, 1.0, True):
         for f, p, theta in calls:
             with pytest.raises(ValueError, match="^N must be an integer"):

@@ -127,6 +127,24 @@ def test_mp_zero_table_matches_reference_route(monkeypatch):
             assert sum(np.isin(nu.support, z).sum() for z, _ in got) > 0
 
 
+def test_mp_path_ends_at_64_atoms(monkeypatch):
+    # a measure of _MP_MAX_ATOMS = 64 atoms gets its zeros in extended
+    # precision; one more atom takes the double path
+    calls = []
+    mp_zero_table = orthopoly._mp_zero_table
+
+    def spy(nu, n_max):
+        calls.append(len(nu))
+        return mp_zero_table(nu, n_max)
+    monkeypatch.setattr(orthopoly, "_mp_zero_table", spy)
+    for m, want in ((64, [64]), (65, [])):
+        calls.clear()
+        nu = _pool_like(m, 11)
+        assert len(nu) == m
+        assert len(residual_polynomials(nu, 2).zeros) == 2
+        assert calls == want, m
+
+
 def test_newton_polish_that_does_not_settle_raises(monkeypatch):
     # from a double start one Newton correction is still far above the
     # 10^-(dps-3) stopping rule and the 10^-(dps-6) floor
@@ -491,9 +509,12 @@ def test_chain_table_hand_case():
 
 
 def test_chain_table_detects_wrong_rho():
-    t = chain_table([0.5], residual_polynomials(NU2, 1), MU0_2, 1.0, 0.0)
-    assert t.ok.tolist() == [False]
-    assert t.first_failure == ["integral_identity"]
+    # the hand case's rho is 17/81; 5e-8 relative off it is five times
+    # CHAIN_SLACK, and a slack ten times wider would let it pass
+    for rho in (0.5, 17.0 / 81.0 * (1 + 5e-8)):
+        t = chain_table([rho], residual_polynomials(NU2, 1), MU0_2, 1.0, 0.0)
+        assert t.ok.tolist() == [False], rho
+        assert t.first_failure == ["integral_identity"], rho
 
 
 def test_chain_table_rejects_sigma_above_xi():

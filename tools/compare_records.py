@@ -33,14 +33,14 @@ from its own src/:
     MatrixFree.KERNEL, 0) at N = 0..40, one problem for every theta: run
     to full dimension, past the positive-definite prefix of its Lanczos
     recurrence (37 steps), where roundoff leaks a kernel direction in;
-  - spectral theta_iterate on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
+  - spectral_iterates on 2a at n = 256, L = 40, for theta in {0.5, 1.5}
     at N = 0..12, one problem for both thetas;
   - the Krylov routes on the built-in cases 1a, 2a, 1b, 2b at their
     defaults: run_cg (theta = 1) and theta_iterate at theta in {2, 3}, each
     at N <= BUILTIN_N_MAX, one problem per case, so that a change to a
     Krylov route shows on data with a roundoff floor as well.
-These matrix-free and theta_iterate records carry rho only, at the
-benchmark's SIGMAS; their node fields and verdicts are None.
+These run_cg, theta_iterate and spectral_iterates records carry rho
+only, at the benchmark's SIGMAS; their node fields and verdicts are None.
 
 Each tree also runs powercg.runs.verify_case on the built-in cases at their
 defaults, for xi in {1, 2}, and keeps every check line: name, verdict and
@@ -54,14 +54,14 @@ hex, each with its largest relative difference |new - old| / max(|old|,
 |new|) (inf where one side is not finite), and the bound_chain_ok and
 lemma_ok verdicts. For each series whose values differ it gives the
 number of its records that do and its largest rho_sigma difference
-relative to max(|old|, |new|, RHO_FLOOR |old rho_sigma at N = 0|), the
-floor of the benchmark's rho gate, so that a move among rho values at
-the roundoff floor reads as the gate sees it. It lists every verdict
-flip, every series that is missing, raised, or has a different number
-of records on one side, every verify check line that differs, and every
-emitted file that differs, with its first differing line. Exit status: 0
-when nothing differs, 1 on any difference, 2 when REV cannot be checked
-out or a tree cannot be run.
+relative to max(|old|, |new|, RHO_FLOOR |old rho_sigma at N = 0|), with
+the RHO_FLOOR of perfbench/workloads.py, the floor of the benchmark's rho
+gate, so that a move among rho values at the roundoff floor reads as the
+gate sees it. It lists every verdict flip, every series that is missing,
+raised, or has a different number of records on one side, every verify
+check line that differs, and every emitted file that differs, with its
+first differing line. Exit status: 0 when nothing differs, 1 on any
+difference, 2 when REV cannot be checked out or a tree cannot be run.
 """
 
 import argparse
@@ -89,9 +89,6 @@ BUILTIN_THETAS = (1, 2, 3)
 BUILTIN_N_MAX = 60
 VALUE_FIELDS = ("rho_sigma", "n_sq_rho1", "delta_n", "ritz_min", "ritz_max")
 VERDICT_FIELDS = ("bound_chain_ok", "lemma_ok")
-# perfbench/workloads.RHO_FLOOR: the benchmark's rho gate compares relative
-# to max(|a|, |b|, RHO_FLOOR |rho at N = 0|)
-RHO_FLOOR = 1e-12
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -238,18 +235,18 @@ def full_dimension_series(wl):
 
 
 def spectral_theta_series(wl):
-    """[(key, thunk giving rho rows)] of the spectral theta_iterate route:
-    2a at n = 256, L = 40, every theta of SPECTRAL_THETAS at N = 0..12."""
+    """[(key, thunk giving rho rows)] of one spectral_iterates pass per
+    theta of SPECTRAL_THETAS: 2a at n = 256, L = 40, N = 0..12."""
     from powercg.diagnostics import rho_evaluator
-    from powercg.krylov import theta_iterate
+    from powercg.krylov import spectral_iterates
     from powercg.runs import build_test_case
 
     problem = build_test_case("2a", 256, 40.0)
     rho_of = rho_evaluator(problem, wl.SIGMAS)
 
     def rows(theta):
-        return [rho_row(N, rho_of(theta_iterate(problem, theta, N)))
-                for N in range(13)]
+        return [rho_row(N, rho_of(f))
+                for N, f in enumerate(spectral_iterates(problem, theta, 12))]
     return [(f"theta/2a/{theta:g}", lambda t=theta: rows(t))
             for theta in SPECTRAL_THETAS]
 
@@ -342,12 +339,12 @@ def _max_rel(a, b, floor=None):
     return _rel(a, b)
 
 
-def _rho_floor(rows):
-    """{sigma: RHO_FLOOR |rho_sigma at N = 0|} of a series' rows; empty
-    when they do not start at N = 0."""
+def _rho_floor(rows, rel):
+    """{sigma: rel |rho_sigma at N = 0|} of a series' rows; empty when they
+    do not start at N = 0."""
     if not rows or rows[0]["N"] != 0:
         return {}
-    return {s: RHO_FLOOR * abs(float.fromhex(v))
+    return {s: rel * abs(float.fromhex(v))
             for s, v in rows[0]["rho_sigma"].items() if v is not None}
 
 
@@ -363,6 +360,7 @@ def diff_dumps(old, new):
     moved = {}
     flips = []
     problems = []
+    rho_floor = _workloads().RHO_FLOOR
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
             problems.append(f"{key}: only in the "
@@ -375,7 +373,7 @@ def diff_dumps(old, new):
             continue
         if len(a) != len(b):
             problems.append(f"{key}: {len(a)} records -> {len(b)}")
-        floor = _rho_floor(a)
+        floor = _rho_floor(a, rho_floor)
         changed, floored = 0, 0.0
         for ra, rb in zip(a, b):
             fields = [f for f in VALUE_FIELDS if ra[f] != rb[f]]
