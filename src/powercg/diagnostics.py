@@ -57,9 +57,11 @@ def rho(problem, f_n, sigma):
     discrete solution set. Matrix-free path: sigma in {0, 1, 2}, from the
     error d = f_n - s against s, the supplied known solution (which must
     share the iterate's kernel component) or 0 without one; sigma < 2 needs
-    s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic and
-    bit for bit without a known solution, with A s - g kept from the
-    problem's consistency check.
+    s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic,
+    with A s - g kept from the problem's consistency check (exactly -g
+    without a known solution). The image A d comes from the operator's
+    apply_rows, batched with the problem's other pending iterates (see
+    rho_evaluator).
     """
     sigma = float(sigma)
     return rho_evaluator(problem, (sigma,))(f_n)[sigma]
@@ -75,9 +77,13 @@ def rho_evaluator(problem, sigmas):
 
     On the matrix-free path sigma = 1 and 2 read one image A d of the error
     d = f_n - s, which the problem keeps from the first read to the second
-    or until f_n is collected: the two cost one apply, whether one
-    evaluator or two rho calls ask for them, and an iterate changed in
-    place is measured afresh.
+    or until f_n is collected, whether one evaluator or two rho calls ask
+    for them. The first read of an iterate without an image images it
+    together with every live iterate that run_cg and theta_iterate have
+    handed out on the problem since, in one apply_rows call: a series
+    measured after it is made costs one product of one row per distinct
+    iterate, and MatrixOperator computes it as one matrix product. An
+    iterate changed in place is measured afresh.
     """
     sigmas = tuple(float(s) for s in sigmas)
     op = problem.operator

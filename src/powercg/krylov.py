@@ -66,9 +66,12 @@ class InverseProblem:
         # the Lanczos recurrence from R0 that run_cg and theta_iterate extend
         self._lanczos = None
         self._ker = self._c0 = self._e0 = self._atoms = self._index = None
-        # the matrix-free rho's images A (x - s): bytes of x -> (image, the
-        # finalizer that drops the entry when x is collected)
+        # the matrix-free rho's images A (x - s): bytes of x -> [image, reads
+        # left, the finalizers that drop the entry when a vector it was
+        # made for is collected]; and, weakly by id, the iterates handed
+        # out since the last batch of images
         self._images = {}
+        self._pending = weakref.WeakValueDictionary()
 
         if operator.spectral:
             cg = operator.coefficients(g)
@@ -118,25 +121,60 @@ class InverseProblem:
     def residual0(self):
         return self.operator.apply(self.f0) - self.g
 
+    def _hand_out(self, x):
+        """x, an iterate made for the caller. Without spectral access it is
+        registered, weakly, so that the next miss of _error_image images it
+        in the same batch."""
+        if not self.operator.spectral:
+            self._pending[id(x)] = x
+        return x
+
     def _error_image(self, x):
-        """A (x - s), s the known solution or 0, with one apply for two
-        reads: the image is kept under the bytes of x as a float vector
-        until it is read once more or x is collected, so rho's sigma = 1 and
-        2 of one iterate share it across calls and evaluators. A vector
-        changed in place is looked up by its new bytes, never served the
-        old image."""
+        """A (x - s), s the known solution or 0, kept under the bytes of x
+        for two reads (rho's sigma = 1 and 2) per vector of its batch with
+        those bytes, across calls and evaluators, and dropped at the last
+        read or when one of those vectors is collected. A miss images x with
+        every live iterate handed out since the last miss whose bytes have no
+        image yet, in one apply_rows call, and empties that registry: a
+        series measured after it is made costs one product, not one apply
+        per iterate. A vector changed in place is looked up by its new
+        bytes, never served the old image."""
         x = _as_vector(x, self.dimension, "f_n").astype(float, copy=False)
         key = x.tobytes()
+        entry = self._images.get(key)
+        if entry is None:
+            entry = self._image_batch(x, key)
+        entry[1] -= 1
+        if not entry[1]:
+            self._release(key)
+        return entry[0]
+
+    def _image_batch(self, x, key):
+        """Image x and the pending iterates in one call; x's entry."""
+        batch = {key: [x]}
+        for v in list(self._pending.values()):
+            # a handed-out vector changed in place to non-finite values must
+            # not make its siblings' rho raise
+            if v is not x and np.isfinite(v).all():
+                k = v.tobytes()
+                if k not in self._images:
+                    batch.setdefault(k, []).append(v)
+        self._pending.clear()
+        X = np.array([vs[0] for vs in batch.values()])
+        s = self._known_solution
+        if s is not None:
+            X -= s
+        for (k, vs), image in zip(batch.items(), self.operator.apply_rows(X)):
+            self._images[k] = [image, 2 * len(vs),
+                               [weakref.finalize(v, self._release, k)
+                                for v in vs]]
+        return self._images[key]
+
+    def _release(self, key):
         entry = self._images.pop(key, None)
         if entry is not None:
-            image, dropper = entry
-            dropper.detach()
-            return image
-        s = self._known_solution
-        image = self.operator.apply(x if s is None else x - s)
-        self._images[key] = (image, weakref.finalize(x, self._images.pop,
-                                                     key, None))
-        return image
+            for dropper in entry[2]:
+                dropper.detach()
 
     def error_coefficients(self, x):
         """Coefficients of x minus its projection onto the solution set.
@@ -317,7 +355,7 @@ def run_cg(problem, n_max):
     datum cleaned the gap is 1.4e-13.
     """
     _check_degree(n_max, problem.dimension, "n_max")
-    iterates = [problem.f0.copy()]
+    iterates = [problem._hand_out(problem.f0.copy())]
     threshold = CG_TOL_REL * float(np.linalg.norm(problem.g))
     state = _lanczos_state(problem)
     if state is None or state.norm <= threshold:
@@ -328,7 +366,7 @@ def run_cg(problem, n_max):
             return IterateHistory(iterates, True, f"breakdown at N={N - 1} "
                                   f"(pivot of T_{N} <= {state.tol:.3e})")
         y = state.cg_solve(N)
-        iterates.append(problem.f0 + state.V[:, :N] @ y)
+        iterates.append(problem._hand_out(problem.f0 + state.V[:, :N] @ y))
         # beta_N, or the norm extend will take as beta_N
         beta = (state.betas[N - 1] if state.steps > N
                 else float(np.linalg.norm(state.residual)))
@@ -488,18 +526,16 @@ def theta_iterate(problem, theta, N):
         raise ValueError(f"theta_iterate takes an integer theta >= 1, got "
                          f"{theta!r}; spectral_iterates takes any theta >= 0")
     _check_degree(N, problem.dimension)
-    if N == 0:
-        return problem.f0.copy()
-    state = _lanczos_state(problem)
+    state = _lanczos_state(problem) if N else None
     if state is None:
-        return problem.f0.copy()
+        return problem._hand_out(problem.f0.copy())
     theta = int(theta)
     m = min(N + theta, problem.dimension)
     state.extend(m)
     k = state.cholesky(m)
     Nc = min(N, k)
     if Nc == 0:
-        return problem.f0.copy()
+        return problem._hand_out(problem.f0.copy())
     if theta == 1:
         y = state.cg_solve(Nc)
     else:
@@ -508,7 +544,7 @@ def theta_iterate(problem, theta, N):
             qr = state.factors[theta] = _ProjectedQR(theta)
         qr.grow(state, k, Nc)
         y = qr.solve(Nc)
-    return problem.f0 + state.V[:, :Nc] @ y
+    return problem._hand_out(problem.f0 + state.V[:, :Nc] @ y)
 
 
 def _weighted_residual_values(lam, w, n_max):

@@ -23,13 +23,15 @@ class SpectralAccessError(TypeError):
     """Raised when an operation needs eigendata the operator cannot provide."""
 
 
-def _as_vector(x, dim, who, complex_ok=False):
-    """x as an array, checked for shape (dim,) and finite entries. A field
-    is a real vector; only Fourier coefficients (complex_ok) may be complex."""
+def _as_vector(x, dim, who, complex_ok=False, rows=False):
+    """x as an array, checked for shape (dim,), or (k, dim) for a stack of k
+    rows, and finite entries. A field is a real vector; only Fourier
+    coefficients (complex_ok) may be complex."""
     x = np.asarray(x)
-    if x.shape != (dim,):
+    if x.ndim != 1 + rows or x.shape[-1] != dim:
+        want = f"(k, {dim})" if rows else f"({dim},)"
         raise DimensionMismatchError(
-            f"{who}: expected shape ({dim},), got {x.shape}")
+            f"{who}: expected shape {want}, got {x.shape}")
     if np.iscomplexobj(x) and not complex_ok:
         raise ValueError(f"{who} is complex, expected a real vector")
     if not np.all(np.isfinite(x)):
@@ -38,9 +40,10 @@ def _as_vector(x, dim, who, complex_ok=False):
 
 
 class SelfAdjointOperator:
-    """Base class. Subclasses set .dimension and implement _apply; spectral
-    ones also implement eigenvalues, _coefficients and _from_coefficients.
-    The public methods check their input once, here."""
+    """Base class. Subclasses set .dimension and implement _apply, and may
+    implement _apply_rows for a faster stack; spectral ones also implement
+    eigenvalues, _coefficients and _from_coefficients. The public methods
+    check their input once, here."""
 
     spectral = False
     dimension = None
@@ -53,6 +56,20 @@ class SelfAdjointOperator:
     def apply(self, x):
         x = _as_vector(x, self.dimension, type(self).__name__ + ".apply")
         return self._apply(x)
+
+    def _apply_rows(self, X):
+        out = np.empty(X.shape)
+        for i, x in enumerate(X):
+            out[i] = self._apply(x)
+        return out
+
+    def apply_rows(self, X):
+        """A x for every row x of the (k, dimension) stack X, as the rows of
+        one array: k images from one call, checked once, as apply checks one
+        vector."""
+        X = _as_vector(X, self.dimension, type(self).__name__ + ".apply_rows",
+                       rows=True)
+        return self._apply_rows(X)
 
     def norm_estimate(self):
         """Upper spectral edge, within about 1 percent."""
@@ -101,6 +118,11 @@ class MatrixOperator(SelfAdjointOperator):
 
     def _apply(self, x):
         return self.matrix @ x
+
+    def _apply_rows(self, X):
+        # row i is (M x_i)^T because the stored matrix is exactly symmetric:
+        # one level-3 product in place of k matrix-vector products
+        return X @ self.matrix
 
     def norm_estimate(self):
         # power iteration; deterministic start avoids seeding questions

@@ -116,6 +116,13 @@ def test_kernel_gate_on_spectral_datum():
     x = op.grid()
     g = np.sin(2 * np.pi * x / 4.0)
     InverseProblem(op, g=g)  # mean-free datum passes
+    # at KERNEL_TOL's boundary: a kernel datum of 1.5e-9 against ||g|| =
+    # sqrt(2) is refused at 1e-10 (and would pass at 1e-8), one of 1e-11
+    # passes (and would be refused at 1e-12)
+    op = DiagonalOperator([0.0, 1.0, 2.0])
+    with pytest.raises(KernelComponentError, match="kernel component"):
+        InverseProblem(op, g=[1.5e-9, 1.0, 1.0])
+    InverseProblem(op, g=[1e-11, 1.0, 1.0])
 
 
 def test_solution_and_error_coefficients():

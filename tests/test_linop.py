@@ -149,6 +149,9 @@ def test_dimension_mismatch():
             for bad in (np.ones(7), np.ones((8, 1)), np.ones((2, 8))):
                 with pytest.raises(DimensionMismatchError):
                     method(bad)
+        for bad in (np.ones(8), np.ones((2, 7)), np.ones((2, 8, 1))):
+            with pytest.raises(DimensionMismatchError, match=r"\(k, 8\)"):
+                op.apply_rows(bad)
         for method in (op.apply, op.coefficients):
             with pytest.raises(ValueError, match="is complex") as info:
                 method(np.ones(8) + 1e-300j)
@@ -163,6 +166,9 @@ def test_dimension_mismatch():
 
 @pytest.mark.parametrize("make, error, match", [
     (lambda: pc.DiagonalOperator(np.ones(3)).apply([1.0, np.nan, 0.0]),
+     ValueError, "non-finite"),
+    (lambda: pc.MatrixOperator(np.eye(2)).apply_rows([[1.0, 0.0],
+                                                      [np.inf, 0.0]]),
      ValueError, "non-finite"),
     (lambda: pc.FourierOperator(4, 1.0).coefficients([0.0, np.inf, 0, 0]),
      ValueError, "non-finite"),
@@ -182,8 +188,9 @@ def test_dimension_mismatch():
      DimensionMismatchError, "expected shape"),
     (lambda: pc.MatrixOperator(np.eye(2)).coefficients(np.ones(2)),
      SpectralAccessError, "no spectral access"),
-], ids=["non-finite-apply", "non-finite-coefficients",
-        "non-finite-from-coefficients", "diagonal-not-1d",
+], ids=["non-finite-apply", "non-finite-apply-rows",
+        "non-finite-coefficients", "non-finite-from-coefficients",
+        "diagonal-not-1d",
         "diagonal-infinite", "diagonal-nan", "matrix-not-square",
         "matrix-not-2d", "matrix-infinite", "matrix-nan",
         "diagonal-from-coefficients-shape", "matrix-no-spectral-access"])
