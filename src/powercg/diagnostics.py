@@ -60,7 +60,7 @@ def rho(problem, f_n, sigma):
     s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic,
     with A s - g kept from the problem's consistency check (exactly -g
     without a known solution). The image A d comes from the operator's
-    apply_rows, batched with the problem's other pending iterates (see
+    _apply_rows, batched with the problem's other pending iterates (see
     rho_evaluator).
     """
     sigma = float(sigma)
@@ -80,7 +80,7 @@ def rho_evaluator(problem, sigmas):
     or until f_n is collected, whether one evaluator or two rho calls ask
     for them. The first read of an iterate without an image images it
     together with every live iterate that run_cg and theta_iterate have
-    handed out on the problem since, in one apply_rows call: a series
+    handed out on the problem since, in one _apply_rows call: a series
     measured after it is made costs one product of one row per distinct
     iterate, and MatrixOperator computes it as one matrix product. An
     iterate changed in place is measured afresh.

@@ -135,7 +135,7 @@ class InverseProblem:
         those bytes, across calls and evaluators, and dropped at the last
         read or when one of those vectors is collected. A miss images x with
         every live iterate handed out since the last miss whose bytes have no
-        image yet, in one apply_rows call, and empties that registry: a
+        image yet, in one _apply_rows call, and empties that registry: a
         series measured after it is made costs one product, not one apply
         per iterate. A vector changed in place is looked up by its new
         bytes, never served the old image."""
@@ -150,7 +150,8 @@ class InverseProblem:
         return entry[0]
 
     def _image_batch(self, x, key):
-        """Image x and the pending iterates in one call; x's entry."""
+        """Image x, checked by _error_image, and the finite pending iterates
+        of the problem's dimension in one _apply_rows call; x's entry."""
         batch = {key: [x]}
         for v in list(self._pending.values()):
             # a handed-out vector changed in place to non-finite values must
@@ -164,7 +165,7 @@ class InverseProblem:
         s = self._known_solution
         if s is not None:
             X -= s
-        for (k, vs), image in zip(batch.items(), self.operator.apply_rows(X)):
+        for (k, vs), image in zip(batch.items(), self.operator._apply_rows(X)):
             self._images[k] = [image, 2 * len(vs),
                                [weakref.finalize(v, self._release, k)
                                 for v in vs]]
@@ -584,8 +585,6 @@ def _weighted_residual_values(lam, w, n_max):
 def _transported(problem, p):
     """The iterate whose error coefficients are p * e0, p given on the
     problem's atoms."""
-    # equal eigenvalues share their atom's value, so the coefficients keep
-    # the exact conjugate symmetry of c0 and e0 that from_coefficients checks
     return problem.operator.from_coefficients(
         problem._c0 + (p[problem.atom_index] - 1.0) * problem.e0)
 
@@ -598,7 +597,8 @@ def spectral_iterates(problem, theta, n_max):
     eigenvalue atoms with weights lambda^theta |e0|^2; the optimal residual
     polynomial evaluated at the atoms transports e0 to e_N directly. Equal
     eigenvalues are one atom with their summed weight (a periodic
-    surrogate's +-m pairs), so the ladder runs on the distinct ones only.
+    surrogate's cosine and sine of one frequency), so the ladder runs on
+    the distinct ones only.
 
     Returns a lazy iterator: each degree's iterate is made when it is asked
     for, so a caller that drops one before asking for the next holds one at

@@ -23,16 +23,14 @@ class SpectralAccessError(TypeError):
     """Raised when an operation needs eigendata the operator cannot provide."""
 
 
-def _as_vector(x, dim, who, complex_ok=False, rows=False):
-    """x as an array, checked for shape (dim,), or (k, dim) for a stack of k
-    rows, and finite entries. A field is a real vector; only Fourier
-    coefficients (complex_ok) may be complex."""
+def _as_vector(x, dim, who):
+    """x as an array, checked for shape (dim,), a real dtype and finite
+    entries."""
     x = np.asarray(x)
-    if x.ndim != 1 + rows or x.shape[-1] != dim:
-        want = f"(k, {dim})" if rows else f"({dim},)"
+    if x.shape != (dim,):
         raise DimensionMismatchError(
-            f"{who}: expected shape {want}, got {x.shape}")
-    if np.iscomplexobj(x) and not complex_ok:
+            f"{who}: expected shape ({dim},), got {x.shape}")
+    if np.iscomplexobj(x):
         raise ValueError(f"{who} is complex, expected a real vector")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{who} contains non-finite entries")
@@ -41,14 +39,14 @@ def _as_vector(x, dim, who, complex_ok=False, rows=False):
 
 class SelfAdjointOperator:
     """Base class. Subclasses set .dimension and implement _apply, and may
-    implement _apply_rows for a faster stack; spectral ones also implement
-    eigenvalues, _coefficients and _from_coefficients. The public methods
-    check their input once, here."""
+    implement _apply_rows (the rows A x of an unchecked (k, dimension) stack)
+    faster. Spectral ones also implement eigenvalues, _coefficients, the
+    real coordinates in an orthonormal eigenbasis (coefficients(x)[j]
+    belongs to eigenvalues()[j]), and its inverse _from_coefficients. The
+    public methods check their input once, here."""
 
     spectral = False
     dimension = None
-    # the coefficients of a real field are complex (a Fourier basis)
-    _complex_coefficients = False
 
     def _apply(self, x):
         raise NotImplementedError
@@ -62,14 +60,6 @@ class SelfAdjointOperator:
         for i, x in enumerate(X):
             out[i] = self._apply(x)
         return out
-
-    def apply_rows(self, X):
-        """A x for every row x of the (k, dimension) stack X, as the rows of
-        one array: k images from one call, checked once, as apply checks one
-        vector."""
-        X = _as_vector(X, self.dimension, type(self).__name__ + ".apply_rows",
-                       rows=True)
-        return self._apply_rows(X)
 
     def norm_estimate(self):
         """Upper spectral edge, within about 1 percent."""
@@ -92,8 +82,7 @@ class SelfAdjointOperator:
 
     def from_coefficients(self, c):
         return self._from_coefficients(_as_vector(
-            c, self.dimension, type(self).__name__ + ".from_coefficients",
-            complex_ok=self._complex_coefficients))
+            c, self.dimension, type(self).__name__ + ".from_coefficients"))
 
     def kernel_mask(self):
         """Boolean mask of eigenvalues treated as zero."""
@@ -186,23 +175,22 @@ class DiagonalOperator(SelfAdjointOperator):
 class FourierOperator(SelfAdjointOperator):
     """Constant-coefficient surrogate  -d^2/dx^2 + shift  on [-L, L) periodic.
 
-    n grid points (power of two), unitary DFT gives the spectral basis;
-    eigenvalue at DFT index m is (pi m / L)^2 + shift with the usual
-    aliased frequency ordering. shift = 0 leaves a one-dimensional kernel
-    (the constants); shift = 1 makes the operator strictly positive.
+    n grid points (power of two), the real orthonormal Fourier basis gives
+    the spectral basis; eigenvalue at index m is (pi m / L)^2 + shift with
+    the usual aliased frequency ordering. shift = 0 leaves a one-dimensional
+    kernel (the constants); shift = 1 makes the operator strictly positive.
     """
 
     spectral = True
-    _complex_coefficients = True
 
     def __init__(self, n, L, shift=0.0):
         n = int(n)
         if n <= 0 or (n & (n - 1)) != 0:
             raise ValueError(f"n must be a positive power of two, got {n}")
-        if not (L > 0):
-            raise ValueError(f"L must be positive, got {L}")
-        if shift < 0:
-            raise ValueError(f"shift must be non-negative, got {shift}")
+        if not 0 < L < np.inf:
+            raise ValueError(f"L must be finite and > 0, got {L}")
+        if not 0 <= shift < np.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {shift}")
         self.n = n
         self.L = float(L)
         self.shift = float(shift)
@@ -224,21 +212,26 @@ class FourierOperator(SelfAdjointOperator):
         return self._lam
 
     def _coefficients(self, x):
-        # a real field has exactly conjugate-symmetric coefficients: the
-        # half spectrum and its conjugate mirror (a plain fft breaks the
-        # symmetry at the roundoff floor, and the asymmetric part would turn
-        # into spurious spectral-measure atoms)
-        half = np.fft.rfft(x)
-        half[0] = half[0].real
-        half[-1] = half[-1].real
-        c = np.concatenate([half, np.conj(half[-2:0:-1])])
-        return c / np.sqrt(self.n)
+        # the real orthonormal Fourier basis, each vector at its eigenvalue's
+        # index: with h = rfft(x), h_0 (constant) and h_{n/2} (alternating)
+        # over sqrt(n) at 0 and n/2, and for 0 < m < n/2 Re h_m (cosine) at m
+        # and Im h_m (sine) at n - m over sqrt(n/2); scaled in place both ways
+        h = np.fft.rfft(x)
+        half = self.n // 2
+        c = np.empty(self.n)
+        c[: half + 1] = h.real
+        c[half + 1:] = h[half - 1:0:-1].imag
+        c *= np.sqrt(2.0 / self.n)
+        c[0] = h[0].real / np.sqrt(self.n)
+        c[half] = h[half].real / np.sqrt(self.n)
+        return c
 
     def _from_coefficients(self, c):
-        h = self.n // 2
-        if not (c[0].imag == 0.0 and c[h].imag == 0.0
-                and np.array_equal(c[h + 1:], np.conj(c[1:h][::-1]))):
-            raise ValueError(
-                "FourierOperator.from_coefficients: the coefficients are not "
-                "exactly conjugate-symmetric, so they name no real field")
-        return np.fft.irfft(c[: h + 1] * np.sqrt(self.n), self.n)
+        half = self.n // 2
+        h = np.zeros(half + 1, dtype=complex)
+        h.real = c[: half + 1]
+        h.imag[1:half] = c[:half:-1]
+        h *= np.sqrt(self.n / 2.0)
+        h[0] = c[0] * np.sqrt(self.n)
+        h[half] = c[half] * np.sqrt(self.n)
+        return np.fft.irfft(h, self.n)

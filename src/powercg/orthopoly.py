@@ -170,12 +170,13 @@ def _ritz_values(alphas, betas):
 
 
 def _mp_zero_table(measure, n_max):
-    """(zeros, split integrals) of every degree 1..reached, the zeros in
-    extended precision rounded to double at the end. Working precision
+    """(zeros, split integrals, down) of every degree 1..reached, the zeros
+    in extended precision rounded to double at the end. Working precision
     covers the weight dynamic range, so a zero that has captured an atom
     lands on the atom's double exactly, not a few ulps off it; the split
     identity is infinitely sensitive to the sub-ulp rest of that offset,
-    so the split integrals use the unrounded zeros.
+    so the split integrals use the unrounded zeros, and down tells whether
+    rounding moved z1 down (an atom on the rounded z1 is then below it).
 
     The arithmetic is stdlib decimal at dps significant digits, in a fresh
     context (round half even, no trap on inexact results) whatever the
@@ -227,7 +228,8 @@ def _mp_zero_table(measure, n_max):
                 zeros.append(z)
             zeros.sort()
             table.append((np.array([float(z) for z in zeros]),
-                          _split_integrals_hp(zeros, dps, lam, lamd, wd)))
+                          _split_integrals_hp(zeros, dps, lam, lamd, wd),
+                          Decimal(float(zeros[0])) < zeros[0]))
     return table
 
 
@@ -237,8 +239,10 @@ class ZeroTable(NamedTuple):
     array the values are on, one for the whole table. Per degree: zeros,
     ascending; values, s on support (one array per degree, never stacked);
     left and right, the split integrals against nu; delta, delta_n of the
-    zeros; and k, the number of support atoms strictly below the rounded
-    smallest zero."""
+    zeros; and k, the number of support atoms below the smallest zero z1,
+    classified as the split integrals classify them: strictly below the
+    rounded z1, or at or below it where the extended path's rounding moved
+    z1 down."""
     support: np.ndarray
     zeros: list
     values: list
@@ -284,9 +288,9 @@ def residual_polynomials(nu, n_max, support=None):
         # before any other work
         alphas, betas = state.alphas, state.betas
         del state
-        found = [(z, None) for z in _ritz_values(alphas, betas)]
-    zeros, values, split = [], [], []
-    for z, lr in found:
+        found = [(z, None, False) for z in _ritz_values(alphas, betas)]
+    zeros, values, split, k = [], [], [], []
+    for z, lr, down in found:
         if np.any(z <= 0) or np.any(np.diff(z) <= 0):
             raise ValueError(
                 f"degree-{z.size} zeros must be strictly positive and "
@@ -299,10 +303,11 @@ def residual_polynomials(nu, n_max, support=None):
         zeros.append(z)
         values.append(s)
         split.append(lr)
+        k.append(np.searchsorted(support, z[0], "right" if down else "left"))
     left, right = np.array(split, dtype=float).reshape(-1, 2).T
     return ZeroTable(support, zeros, values, left, right,
                      np.array([delta_n(z) for z in zeros], dtype=float),
-                     np.searchsorted(support, [z[0] for z in zeros]))
+                     np.array(k, dtype=int))
 
 
 def delta_n(zeros):

@@ -145,8 +145,7 @@ def brute_force_iterate(problem, theta, N, dps=None):
             ker = op.kernel_mask()
             e0c = problem.error_coefficients(problem.f0)
             lam = [mp.mpf(float(lam_np[i])) for i in range(n)]
-            e0_re = [mp.mpf(float(np.real(e0c[i]))) for i in range(n)]
-            e0_im = [mp.mpf(float(np.imag(e0c[i]))) for i in range(n)]
+            e0 = [mp.mpf(float(e0c[i])) for i in range(n)]
             U = None
         else:
             M = mp.matrix([[mp.mpf(float(op.matrix[i, j])) for j in range(n)]
@@ -157,11 +156,10 @@ def brute_force_iterate(problem, theta, N, dps=None):
             ker = np.array([abs(lam[i]) <= 1e-12 * scale for i in range(n)])
             cf0 = U.T * mp.matrix([mp.mpf(float(v)) for v in problem.f0])
             cg = U.T * mp.matrix([mp.mpf(float(v)) for v in problem.g])
-            e0_re = [mp.mpf(0) if ker[i] else cf0[i] - cg[i] / lam[i]
-                     for i in range(n)]
-            e0_im = [mp.mpf(0)] * n
+            e0 = [mp.mpf(0) if ker[i] else cf0[i] - cg[i] / lam[i]
+                  for i in range(n)]
         w = [mp.mpf(0) if ker[i]
-             else lam[i] ** theta * (e0_re[i] ** 2 + e0_im[i] ** 2)
+             else lam[i] ** theta * e0[i] ** 2
              for i in range(n)]
         live = [i for i in range(n) if w[i] > 0]
         mom = [sum(w[i] * lam[i] ** k for i in live)
@@ -200,11 +198,8 @@ def brute_force_iterate(problem, theta, N, dps=None):
             pvals = np.array([float(pval(i)) if not ker[i] else 1.0
                               for i in range(n)])
             cN = op.coefficients(problem.f0) + (pvals - 1.0) * e0c
-            out = op.from_coefficients(cN)
-            if np.isrealobj(problem.f0) and np.iscomplexobj(out):
-                out = out.real.copy()
-            return out
-        delta = mp.matrix([(pval(i) - 1) * e0_re[i] for i in range(n)])
+            return op.from_coefficients(cN)
+        delta = mp.matrix([(pval(i) - 1) * e0[i] for i in range(n)])
         dvec = U * delta
         return problem.f0 + np.array([float(dvec[i]) for i in range(n)])
 
@@ -222,8 +217,7 @@ def brute_force_objective(problem, theta, x, dps=50):
         for i in range(op.dimension):
             if ker[i]:
                 continue
-            mag = mp.mpf(complex(e[i]).real) ** 2 + mp.mpf(complex(e[i]).imag) ** 2
-            total += mp.mpf(float(lam[i])) ** theta * mag
+            total += mp.mpf(float(lam[i])) ** theta * mp.mpf(float(e[i])) ** 2
         return float(total)
 
 

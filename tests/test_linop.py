@@ -94,35 +94,55 @@ def test_fourier_validation():
         pc.FourierOperator(16, -1.0)
     with pytest.raises(ValueError):
         pc.FourierOperator(16, 1.0, shift=-0.5)
+    # a non-finite length or shift is refused, not turned into a nan grid
+    # or norm estimate
+    for L, shift in ((np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            pc.FourierOperator(16, L, shift=shift)
 
 
-def test_fourier_coefficients_hermitian_for_real_input():
-    op = pc.FourierOperator(32, 5.0, shift=1.0)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(32)
-    c = op.coefficients(x)
-    idx = (-np.arange(32)) % 32
-    # exact, not approximate: the conjugate mirror is built in
-    assert np.array_equal(c, np.conj(c[idx]))
-    assert c[0].imag == 0.0 and c[16].imag == 0.0
-    back = op.from_coefficients(c)
-    assert np.isrealobj(back)
-    assert np.allclose(back, x, atol=1e-12)
-    # exactly hermitian input, built by hand: the real route from the half
-    # spectrum
-    h = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    h[0] = h[0].real
-    h[16] = h[16].real
-    c = np.concatenate([h, np.conj(h[1:16][::-1])])
-    assert np.array_equal(c, np.conj(c[idx]))
-    back = op.from_coefficients(c)
-    assert np.isrealobj(back)
-    assert np.array_equal(back, np.fft.irfft(h * np.sqrt(32), 32))
-    # a one-ulp break of the mirror names no real field: it raises, and no
-    # tolerance rounds it back to one
-    c[20] = np.nextafter(c[20].real, np.inf) + 1j * c[20].imag
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        op.from_coefficients(c)
+def test_fourier_coefficients_in_the_real_basis():
+    # the real orthonormal Fourier basis, each coordinate at the index of its
+    # eigenvalue, for every power of two (n = 1 and 2 have no cosine-sine
+    # pair); eigenvalues and apply are the bits of the half-spectrum
+    # multiplier on the fftfreq frequencies
+    eps = np.finfo(float).eps
+    for n in (1, 2, 4, 32, 2048):
+        L, shift = 5.0, 1.0
+        op = pc.FourierOperator(n, L, shift=shift)
+        x = np.random.default_rng(n).standard_normal(n)
+        c = op.coefficients(x)
+        assert c.dtype == float and c.shape == (n,), n
+        # Parseval and the round trip, within a few ulps
+        assert abs(c @ c - x @ x) <= 8 * eps * (x @ x), n
+        back = op.from_coefficients(c)
+        assert back.dtype == float, n
+        assert np.abs(back - x).max() <= 8 * eps * np.abs(x).max(), n
+        # constant and alternating vectors at 0 and n/2; cos(2 pi m k / n)
+        # at m and sin(2 pi m k / n) at n - m, each with its norm, and
+        # nothing else above roundoff
+        k = np.arange(n)
+        waves = [(np.ones(n), 0), ((-1.0) ** k, n // 2)]
+        for m in sorted({m for m in (1, 2, 3, n // 4, n // 2 - 1)
+                        if 0 < m < n / 2}):
+            waves += [(np.cos(2 * np.pi * m * k / n), m),
+                      (np.sin(2 * np.pi * m * k / n), n - m)]
+        for wave, at in waves:
+            cw = op.coefficients(wave)
+            norm = np.linalg.norm(wave)
+            assert abs(abs(cw[at]) - norm) <= 8 * eps * norm, (n, at)
+            assert np.abs(np.delete(cw, at)).max(initial=0.0) <= 1e-13 * norm
+        # the coordinates diagonalize the operator
+        lam = op.eigenvalues()
+        got = op.coefficients(op.apply(x))
+        assert np.abs(got - lam * c).max() <= 1e-13 * np.abs(lam * c).max(), n
+        # eigenvalues and apply bit for bit as the fftfreq multiplier
+        freq = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
+        want = freq * freq + shift
+        assert np.array_equal(lam, want), n
+        lam_half = want[: n // 2 + 1]
+        assert np.array_equal(op.apply(x),
+                              np.fft.irfft(lam_half * np.fft.rfft(x), n)), n
 
 
 def test_kernel_mask():
@@ -143,32 +163,21 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         fo.from_coefficients(np.ones(9))
     # both spectral operators: a wrong shape is a DimensionMismatchError on
-    # every route, a complex field a ValueError of its own
+    # every route, a complex field or coefficient vector a ValueError of its
+    # own (coefficients are real coordinates on every operator)
     for op in (pc.DiagonalOperator(np.arange(8.0)), fo):
         for method in (op.apply, op.coefficients, op.from_coefficients):
             for bad in (np.ones(7), np.ones((8, 1)), np.ones((2, 8))):
                 with pytest.raises(DimensionMismatchError):
                     method(bad)
-        for bad in (np.ones(8), np.ones((2, 7)), np.ones((2, 8, 1))):
-            with pytest.raises(DimensionMismatchError, match=r"\(k, 8\)"):
-                op.apply_rows(bad)
-        for method in (op.apply, op.coefficients):
-            with pytest.raises(ValueError, match="is complex") as info:
-                method(np.ones(8) + 1e-300j)
-            assert info.type is ValueError
-    # diagonal coefficients are coordinates, so they are a real field too;
-    # Fourier coefficients are complex and must mirror exactly
-    with pytest.raises(ValueError, match="is complex"):
-        pc.DiagonalOperator(np.arange(8.0)).from_coefficients(np.ones(8) + 1j)
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        fo.from_coefficients(np.ones(8) + 1j)
+            for bad in (np.ones(8) + 1e-300j, np.ones(8) + 1j):
+                with pytest.raises(ValueError, match="is complex") as info:
+                    method(bad)
+                assert info.type is ValueError
 
 
 @pytest.mark.parametrize("make, error, match", [
     (lambda: pc.DiagonalOperator(np.ones(3)).apply([1.0, np.nan, 0.0]),
-     ValueError, "non-finite"),
-    (lambda: pc.MatrixOperator(np.eye(2)).apply_rows([[1.0, 0.0],
-                                                      [np.inf, 0.0]]),
      ValueError, "non-finite"),
     (lambda: pc.FourierOperator(4, 1.0).coefficients([0.0, np.inf, 0, 0]),
      ValueError, "non-finite"),
@@ -188,8 +197,7 @@ def test_dimension_mismatch():
      DimensionMismatchError, "expected shape"),
     (lambda: pc.MatrixOperator(np.eye(2)).coefficients(np.ones(2)),
      SpectralAccessError, "no spectral access"),
-], ids=["non-finite-apply", "non-finite-apply-rows",
-        "non-finite-coefficients", "non-finite-from-coefficients",
+], ids=["non-finite-apply", "non-finite-coefficients", "non-finite-from-coefficients",
         "diagonal-not-1d",
         "diagonal-infinite", "diagonal-nan", "matrix-not-square",
         "matrix-not-2d", "matrix-infinite", "matrix-nan",

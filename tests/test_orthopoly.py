@@ -57,7 +57,7 @@ def test_zeros_validation(monkeypatch):
     for bad in ([-1.0, 2.0], [2.0, 1.0], [0.0, 2.0], [2.0, 2.0]):
         z = np.array(bad)
         monkeypatch.setattr(orthopoly, "_mp_zero_table",
-                            lambda nu, n_max: [(z, (1.0, 1.0))])
+                            lambda nu, n_max: [(z, (1.0, 1.0), False)])
         monkeypatch.setattr(orthopoly, "_ritz_values",
                             lambda alphas, betas: [z])
         for m in (8, 72):
@@ -116,15 +116,16 @@ def test_mp_zero_table_matches_reference_route(monkeypatch):
     for nu, n_max in cases:
         passes.clear()
         got = orthopoly._mp_zero_table(nu, n_max)
-        zeros = sum(z.size for z, _ in got)
+        zeros = sum(z.size for z, *_ in got)
         assert len(passes) <= 2.25 * zeros, (len(nu), len(passes), zeros)
         want = reference_zero_table(nu, n_max)
         assert len(got) == len(want) == min(n_max, len(nu))
-        for N, ((z, split), (z_ref, split_ref)) in enumerate(zip(got, want), 1):
+        for N, ((z, split, _), (z_ref, split_ref)) in enumerate(
+                zip(got, want), 1):
             assert np.array_equal(z, z_ref), (len(nu), N)
             assert split == split_ref, (len(nu), N, split, split_ref)
         if nu is captured:
-            assert sum(np.isin(nu.support, z).sum() for z, _ in got) > 0
+            assert sum(np.isin(nu.support, z).sum() for z, *_ in got) > 0
 
 
 def test_mp_path_ends_at_64_atoms(monkeypatch):
@@ -153,17 +154,21 @@ def test_newton_polish_that_does_not_settle_raises(monkeypatch):
         orthopoly._mp_zero_table(_pool_like(8, 1), 4)
 
 
+def _base_measure(prob):
+    """The base measure |e0|^2 on the problem's eigenvalues."""
+    return DiscreteSpectralMeasure(prob.operator.eigenvalues(),
+                                   np.abs(prob.e0) ** 2)
+
+
 def _orthogonality_measure(prob, xi):
     """The measure run() takes the node polynomials of at xi."""
-    base = DiscreteSpectralMeasure(prob.operator.eigenvalues(),
-                                   np.abs(prob.e0) ** 2)
-    return weight_by_power(base, xi + 1.0)
+    return weight_by_power(_base_measure(prob), xi + 1.0)
 
 
-def _pool_measure(m, index, xi):
-    """_orthogonality_measure of member (m, index) of the benchmark's
-    diagonal pool: m distinct atoms log-uniform on [1e-3, 1e3] and a
-    standard-normal initial error, from the pool's seed."""
+def _pool_problem(m, index):
+    """Member (m, index) of the benchmark's diagonal pool: m distinct atoms
+    log-uniform on [1e-3, 1e3] and a standard-normal initial error, from the
+    pool's seed."""
     from powercg.runs import build_custom_case
 
     rng = np.random.default_rng([20261017, m, index])
@@ -171,9 +176,13 @@ def _pool_measure(m, index, xi):
         lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=m))
         if np.unique(lam).size == m:
             break
-    prob = build_custom_case({"eigenvalues": lam,
+    return build_custom_case({"eigenvalues": lam,
                               "error": rng.standard_normal(m)})
-    return _orthogonality_measure(prob, xi)
+
+
+def _pool_measure(m, index, xi):
+    """_orthogonality_measure of pool member (m, index)."""
+    return _orthogonality_measure(_pool_problem(m, index), xi)
 
 
 def test_double_path_zeros_match_scipy_eigh_tridiagonal():
@@ -210,11 +219,28 @@ def test_newton_accepts_a_zero_at_the_recurrences_rounding_floor():
     # about three digits; the 10^-(dps-6) floor accepts it
     table = orthopoly._mp_zero_table(_pool_measure(72, 4, 1.0), 72)
     assert len(table) == 72
-    left, right = np.array([split for _, split in table]).T
+    left, right = np.array([split for _, split, _ in table]).T
     gap = orthogonality_gap(left, right)
     assert np.all(gap <= CHAIN_SLACK), np.flatnonzero(gap > CHAIN_SLACK) + 1
     for N in range(1, 72):
         assert check_separation(table[N - 1][0], table[N][0])[0], N
+
+
+def test_extended_path_classifies_the_atom_at_z1_once(monkeypatch):
+    # pool member (72, 1) at xi = 1, forced onto the extended path: at
+    # N = 71 the smallest zero rounds down onto the smallest atom. The split
+    # integrals put that atom below the unrounded z1 (left = right = 4e-30),
+    # so the mass below z1 must count it too, or the lemma compares 4e-30
+    # with a bound of 0
+    monkeypatch.setattr(orthopoly, "_MP_MAX_ATOMS", 72)
+    base = _base_measure(_pool_problem(72, 1))
+    table = residual_polynomials(weight_by_power(base, 2.0), 72, base.support)
+    assert len(table.zeros) == 72
+    assert table.zeros[70][0] == base.support[0] and table.k[70] == 1
+    assert table.left[70] > 0.0
+    t = chain_table(np.zeros(72), table, base, 1.0, 0.0)
+    assert t.lemma_ok[70] and t.below[70] == base.weights[0]
+    assert t.lemma_ok.all(), np.flatnonzero(~t.lemma_ok) + 1
 
 
 def test_mp_zero_table_ignores_the_callers_decimal_context():
@@ -232,9 +258,9 @@ def test_mp_zero_table_ignores_the_callers_decimal_context():
         assert decimal.getcontext() is ctx
         assert repr(ctx) == before
     assert len(got) == len(want) == 16
-    for (z, split), (z_ref, split_ref) in zip(got, want):
+    for (z, split, down), (z_ref, split_ref, down_ref) in zip(got, want):
         assert np.array_equal(z, z_ref)
-        assert split == split_ref
+        assert split == split_ref and down == down_ref
 
 
 def test_zeros_inside_support_hull():
@@ -515,6 +541,48 @@ def test_chain_table_detects_wrong_rho():
         t = chain_table([rho], residual_polynomials(NU2, 1), MU0_2, 1.0, 0.0)
         assert t.ok.tolist() == [False], rho
         assert t.first_failure == ["integral_identity"], rho
+
+
+def test_lemma_and_edge_slacks_at_their_boundary():
+    # mu0 = unit atoms (1, 2, 4), nu = lambda^2 mu0, degree 1: z1 = 73/21,
+    # two atoms below it. A left split integral 1e-8 relative above the
+    # lemma's bound fails LEMMA_SLACK, and z1 * delta 1e-8 below 1 fails
+    # EDGE_SLACK; a slack of 1e-6 would pass either
+    mu0 = DiscreteSpectralMeasure(np.array([1.0, 2.0, 4.0]), np.ones(3))
+    table = residual_polynomials(weight_by_power(mu0, 2.0), 1, mu0.support)
+    t = chain_table([0.0], table, mu0, 1.0, 0.0)
+    assert t.below.tolist() == [2.0] and t.lemma_ok.tolist() == [True]
+    bound = {name: rhs for name, _, rhs, _ in t.steps}
+    for rel, want in ((1e-11, True), (1e-8, False)):
+        over = table._replace(left=bound["weighted_left_bound"] * (1 + rel))
+        t = chain_table([0.0], over, mu0, 1.0, 0.0)
+        assert t.lemma_ok.tolist() == [want], rel
+    z1 = table.zeros[0][0]
+    for rel, want in ((1e-11, True), (1e-8, False)):
+        short = table._replace(delta=np.array([(1 - rel) / z1]))
+        t = chain_table([0.0], short, mu0, 1.0, 0.0)
+        edge = next(ok for name, *_, ok in t.steps
+                    if name == "edge_times_delta")
+        assert edge.tolist() == [want], rel
+
+
+def test_separation_slack_at_its_boundary():
+    # a degree-2 zero 1e-8 relative above the degree-1 zero it must stay
+    # below breaks interlacing beyond SEPARATION_SLACK; 1e-11 is within it
+    for rel, want in ((1e-11, True), (1e-8, False)):
+        ok, worst = check_separation(np.array([1.0]), np.array([1 + rel, 2.0]))
+        assert ok is want and worst == pytest.approx(rel, rel=1e-4), rel
+
+
+def test_split_integrals_capture_cut():
+    # an atom within 1e-12 relative of z1 has been captured and counts zero;
+    # one 1e-11 relative above it is outside the cut and counts on the right
+    for rel, want in ((1e-13, 0.5), (1e-11, 0.5 + 1e-11)):
+        nu = DiscreteSpectralMeasure(np.array([1.0, 2.0 * (1 + rel), 3.0]),
+                                     np.ones(3))
+        left, right = orthopoly._split_integrals(2.0, nu, np.ones(3))
+        assert left == 0.5
+        assert abs(right - want) <= 1e-15, (rel, right)
 
 
 def test_chain_table_rejects_sigma_above_xi():

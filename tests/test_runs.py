@@ -263,7 +263,7 @@ def test_run_base_measure_is_the_sequential_merge(monkeypatch):
     # measure through the grouping constructor, its base measure: the
     # one-at-a-time merge of the raw eigenvalues bit for bit. On the
     # built-ins every eigenvalue but 0 and the Nyquist one comes as an
-    # exactly equal +-m pair. In FLOORED the two entries at 1 each weigh
+    # exactly equal cosine-sine pair. In FLOORED the two entries at 1 each weigh
     # below WEIGHT_FLOOR and are dropped before their atom sums them.
     # Every reweighting keeps a subset of its input's atoms
     from powercg import runs
@@ -301,6 +301,18 @@ def test_run_base_measure_is_the_sequential_merge(monkeypatch):
             assert support.size == np.unique(lam[w > WEIGHT_FLOOR]).size
         else:
             assert support.tolist() == [0.5, 2.0, 3.0]
+
+
+def test_measures_keep_a_weight_just_above_the_floor():
+    # |e0|^2 = 10^-295 at eigenvalue 2 lies above WEIGHT_FLOOR = 1e-300, so
+    # the base measure keeps all three atoms (a floor of 1e-290 would drop
+    # it)
+    from powercg import runs
+    problem = build_custom_case({"eigenvalues": [1.0, 2.0, 3.0],
+                                 "error": [1.0, 10 ** -147.5, 1.0]})
+    base, _, _ = runs._measures(problem, 1.0, (0.0,))
+    assert base.support.tolist() == [1.0, 2.0, 3.0]
+    assert WEIGHT_FLOOR < base.weights[1] < 1e-290
 
 
 def test_run_transforms_the_datum_once(monkeypatch):

@@ -72,6 +72,8 @@ MUTANTS = [
      "_KER_DRIFT_REL = 1e-10", "_KER_DRIFT_REL = 1e-12"),
     ("runs-weight-floor-1e-290", "src/powercg/runs.py",
      "w[w <= WEIGHT_FLOOR] = 0.0", "w[w <= 1e-290] = 0.0"),
+    ("zero-table-k-rounded-z1-side", "src/powercg/orthopoly.py",
+     '"right" if down else "left"', '"left"'),
 ]
 
 
