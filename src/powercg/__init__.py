@@ -12,11 +12,11 @@ bounds.
 from .linop import (DiagonalOperator, DimensionMismatchError, FourierOperator,
                     KernelComponentError, MatrixOperator, SelfAdjointOperator,
                     SpectralAccessError)
-from .measures import DiscreteSpectralMeasure, spectral_measure, weight_by_power
+from .measures import DiscreteSpectralMeasure, weight_by_power
 from .krylov import (ConsistencyError, InverseProblem, IterateHistory,
                      run_cg, spectral_iterates, theta_iterate)
 from .orthopoly import (ChainTable, ZeroTable, chain_table, check_separation,
-                        delta_n, orthogonality_gap, residual_polynomials)
+                        delta_n, residual_polynomials)
 from .diagnostics import ConvergenceRecord, np_rate_monitor, rho
 from .runs import (RunConfig, RunRecord, VersionError, build_custom_case,
                    build_test_case, emit_json, read_csv, read_json, run,
@@ -28,11 +28,11 @@ __all__ = [
     "SelfAdjointOperator", "MatrixOperator", "DiagonalOperator",
     "FourierOperator",
     "DimensionMismatchError", "KernelComponentError", "SpectralAccessError",
-    "DiscreteSpectralMeasure", "spectral_measure", "weight_by_power",
+    "DiscreteSpectralMeasure", "weight_by_power",
     "InverseProblem", "IterateHistory", "ConsistencyError",
     "run_cg", "theta_iterate", "spectral_iterates",
     "ZeroTable", "residual_polynomials", "delta_n",
-    "check_separation", "orthogonality_gap", "chain_table", "ChainTable",
+    "check_separation", "chain_table", "ChainTable",
     "ConvergenceRecord", "rho", "np_rate_monitor",
     "RunConfig", "RunRecord", "VersionError", "build_test_case",
     "build_custom_case", "run", "verify_case", "emit_json", "read_json",

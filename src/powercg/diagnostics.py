@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import KernelComponentError, SpectralAccessError
+from .linop import KernelComponentError, SpectralAccessError, _as_vector
 from .measures import _power_weights
 
 _KER_DRIFT_REL = 1e-10
@@ -71,9 +71,10 @@ def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
     the one code path of rho. Each call transforms its iterate once and
     takes every spectral sigma != 2 from that one vector; a negative sigma
-    adds the kernel-drift guard's one transform of f_n - f0. lambda^sigma
-    is taken here, once, so an overflowing sigma raises before any iterate,
-    as does a sigma the matrix-free path cannot measure.
+    adds the kernel-drift guard's one transform of f_n - f0. Each call
+    checks f_n's shape, realness and finiteness before any path reads it.
+    lambda^sigma is taken here, once, so an overflowing sigma raises before
+    any iterate, as does a sigma the matrix-free path cannot measure.
 
     On the matrix-free path sigma = 1 and 2 read one image A d of the error
     d = f_n - s, which the problem keeps from the first read to the second
@@ -107,7 +108,7 @@ def rho_evaluator(problem, sigmas):
                    if op.spectral and problem.kernel_mask.any() else None)
 
     def evaluate(f_n):
-        f_n = np.asarray(f_n)
+        f_n = _as_vector(f_n, problem.dimension, "f_n")
         if drift_sigma is not None:
             _kernel_drift_guard(problem, f_n, drift_sigma)
         out = {}

@@ -130,16 +130,17 @@ class InverseProblem:
         return x
 
     def _error_image(self, x):
-        """A (x - s), s the known solution or 0, kept under the bytes of x
-        for two reads (rho's sigma = 1 and 2) per vector of its batch with
-        those bytes, across calls and evaluators, and dropped at the last
-        read or when one of those vectors is collected. A miss images x with
-        every live iterate handed out since the last miss whose bytes have no
-        image yet, in one _apply_rows call, and empties that registry: a
-        series measured after it is made costs one product, not one apply
-        per iterate. A vector changed in place is looked up by its new
-        bytes, never served the old image."""
-        x = _as_vector(x, self.dimension, "f_n").astype(float, copy=False)
+        """A (x - s), x a vector rho's evaluator has checked and s the known
+        solution or 0, kept under the bytes of x for two reads (rho's sigma
+        = 1 and 2) per vector of its batch with those bytes, across calls
+        and evaluators, and dropped at the last read or when one of those
+        vectors is collected. A miss images x with every live iterate handed
+        out since the last miss whose bytes have no image yet, in one
+        _apply_rows call, and empties that registry: a series measured after
+        it is made costs one product, not one apply per iterate. A vector
+        changed in place is looked up by its new bytes, never served the old
+        image."""
+        x = x.astype(float, copy=False)
         key = x.tobytes()
         entry = self._images.get(key)
         if entry is None:
@@ -150,13 +151,14 @@ class InverseProblem:
         return entry[0]
 
     def _image_batch(self, x, key):
-        """Image x, checked by _error_image, and the finite pending iterates
-        of the problem's dimension in one _apply_rows call; x's entry."""
+        """Image x, checked by rho's evaluator, and the finite pending
+        iterates of the problem's dimension in one _apply_rows call; x's
+        entry."""
         batch = {key: [x]}
         for v in list(self._pending.values()):
-            # a handed-out vector changed in place to non-finite values must
-            # not make its siblings' rho raise
-            if v is not x and np.isfinite(v).all():
+            # a handed-out vector changed in place to another shape or to
+            # non-finite values must not make its siblings' rho raise
+            if v is not x and v.shape == x.shape and np.isfinite(v).all():
                 k = v.tobytes()
                 if k not in self._images:
                     batch.setdefault(k, []).append(v)

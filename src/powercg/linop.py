@@ -30,9 +30,9 @@ def _as_vector(x, dim, who):
     if x.shape != (dim,):
         raise DimensionMismatchError(
             f"{who}: expected shape ({dim},), got {x.shape}")
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         raise ValueError(f"{who} is complex, expected a real vector")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{who} contains non-finite entries")
     return x
 

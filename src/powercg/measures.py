@@ -62,23 +62,6 @@ class DiscreteSpectralMeasure:
         return float(self.weights.sum())
 
 
-def spectral_measure(op, x):
-    """Measure of (A, x): weight |c_j|^2 at lambda_j. Needs spectral access.
-
-    Kernel-eigenvalue atoms below the squared coefficient floor
-    (|c_j| <= 1e-12 ||x||, the same relative cutoff the operator uses to
-    call an eigenvalue zero) are dropped: they are roundoff, and keeping
-    them would put spurious mass at 0 on kernel-orthogonal vectors.
-    """
-    c = op.coefficients(x)
-    w = np.abs(c) ** 2
-    ker = op.kernel_mask()
-    if ker.any():
-        floor = (1e-12) ** 2 * float(w.sum())
-        w = np.where(ker & (w <= floor), 0.0, w)
-    return DiscreteSpectralMeasure(op.eigenvalues(), w)
-
-
 def _power_weights(lam, t, w):
     """lam^t * w, raising one ValueError that names the exponent and the
     eigenvalue (largest for t > 0, smallest for t < 0) where it overflows,

@@ -198,6 +198,10 @@ def _mp_zero_table(measure, n_max):
     n_max = min(n_max, m)
     wpos = w[w > 0]
     span = float(wpos.max() / wpos.min()) if wpos.size else 1.0
+    # a margin, measured: at a fixed 32 digits all 152,576 zeros of 80
+    # seeded pool tables (8-96 atoms, xi = 1, 2) round to the same doubles
+    # as at these 47-62 digits. What moves first as dps falls is the split
+    # integrals' capture cut, 10^-(dps-15)
     dps = 40 + int(np.log10(max(span, 1.0)))
     context = decimal.Context(
         prec=dps, rounding=decimal.ROUND_HALF_EVEN,
@@ -388,13 +392,6 @@ def _split_integrals(z1, nu, rest):
         lhs = float(np.sum(w[left] * frac[left] * rest2[left]))
         rhs = float(np.sum(w[right] * frac[right] * rest2[right]))
     return lhs, rhs
-
-
-def orthogonality_gap(left, right):
-    """Relative gap |l - r| / max(l, r, tiny) of the split identity, per
-    entry of the split-integral arrays left and right; an exactly orthogonal
-    polynomial's two sides agree."""
-    return np.abs(left - right) / np.maximum(np.maximum(left, right), 1e-300)
 
 
 class ChainTable(NamedTuple):

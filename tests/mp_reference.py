@@ -23,6 +23,10 @@ nor arithmetic library with it.
   of its own.
 - exact_residual_sq, for diagnostics.rho's sigma = 2 on the matrix-free
   path: ||M x - g||^2 of the float data in exact integer arithmetic.
+- spectral_measure, the measure of (A, x) from the operator's raw
+  eigenvalues through the DiscreteSpectralMeasure constructor's grouping
+  and merge, and orthogonality_gap, the relative gap of the split
+  identity: the test-side views of a measure and of a zero table.
 
 benchmark_dense_case loads the benchmark's dense pool member as a problem,
 for the tests of the matrix-free routes.
@@ -38,6 +42,7 @@ from mpmath import mp
 from powercg.krylov import (BREAKDOWN_REL, CG_TOL_REL, InverseProblem,
                             IterateHistory)
 from powercg.linop import MatrixOperator, SpectralAccessError
+from powercg.measures import DiscreteSpectralMeasure
 from powercg.orthopoly import LEMMA_SLACK
 
 
@@ -277,6 +282,30 @@ def cg_reference(problem, n_max):
         r = r_new
         rr = rr_new
     return hist
+
+
+def spectral_measure(op, x):
+    """Measure of (A, x): weight |c_j|^2 at lambda_j. Needs spectral access.
+
+    Kernel-eigenvalue atoms below the squared coefficient floor
+    (|c_j| <= 1e-12 ||x||, the same relative cutoff the operator uses to
+    call an eigenvalue zero) are dropped: they are roundoff, and keeping
+    them would put spurious mass at 0 on kernel-orthogonal vectors.
+    """
+    c = op.coefficients(x)
+    w = np.abs(c) ** 2
+    ker = op.kernel_mask()
+    if ker.any():
+        floor = (1e-12) ** 2 * float(w.sum())
+        w = np.where(ker & (w <= floor), 0.0, w)
+    return DiscreteSpectralMeasure(op.eigenvalues(), w)
+
+
+def orthogonality_gap(left, right):
+    """Relative gap |l - r| / max(l, r, tiny) of the split identity, per
+    entry of the split-integral arrays left and right; an exactly orthogonal
+    polynomial's two sides agree."""
+    return np.abs(left - right) / np.maximum(np.maximum(left, right), 1e-300)
 
 
 def mass_below(measure, t):

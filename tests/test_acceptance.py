@@ -16,12 +16,11 @@ from powercg.diagnostics import rho
 from powercg.krylov import spectral_iterates, theta_iterate
 from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 from powercg.orthopoly import (_factor_products, chain_table,
-                               check_separation, orthogonality_gap,
-                               residual_polynomials)
+                               check_separation, residual_polynomials)
 from powercg.runs import RunConfig, build_custom_case, build_test_case, run
 
 from mp_reference import (brute_force_iterate, brute_force_objective,
-                          cg_reference, lemma_bound)
+                          cg_reference, lemma_bound, orthogonality_gap)
 
 GRID_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 25.0, "2b": 25.0}
 BIG_BOXES = {"1a": 40.0, "2a": 40.0, "1b": 200.0, "2b": 200.0}

@@ -207,11 +207,20 @@ def test_verify_ok_prints_all_checks(capsys):
             lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
             names = [ln.split()[1].rstrip(":") for ln in lines]
             assert names == ["consistency_gate", "operator_symmetry",
-                             "operator_nonnegative", "measure_mass",
-                             "zeros_interlace", "split_orthogonality",
-                             "edge_times_delta"], \
+                             "operator_nonnegative", "zeros_interlace",
+                             "integral_identity", "split_bound",
+                             "tail_bound", "split_orthogonality",
+                             "weighted_left_bound", "assembled_bound",
+                             "edge_times_delta", "coarse_bound"], \
                 (test, xi)
             assert all(ln.startswith("ok") for ln in lines), (test, xi, lines)
+            # the whole 60-degree table, and each chain step on every
+            # (degree, sigma) pair with sigma <= xi
+            assert "60 degrees" in lines[3], (test, xi, lines[3])
+            pairs = 60 * (int(xi) + 1)
+            assert all(ln.endswith(f"{pairs} of {pairs} (degree, sigma) "
+                                   "pairs hold") for ln in lines[4:]), \
+                (test, xi, lines)
 
 
 def test_verify_gate_failure_exits_two(capsys):

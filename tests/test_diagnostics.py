@@ -14,7 +14,8 @@ import pytest
 from powercg.diagnostics import (ConvergenceRecord, np_rate_monitor, rho,
                                  rho_evaluator)
 from powercg.krylov import InverseProblem, run_cg, theta_iterate
-from powercg.linop import (DiagonalOperator, FourierOperator, MatrixOperator,
+from powercg.linop import (DiagonalOperator, DimensionMismatchError,
+                           FourierOperator, MatrixOperator,
                            KernelComponentError, SelfAdjointOperator,
                            SpectralAccessError)
 
@@ -93,6 +94,17 @@ def test_rho_matrix_free_needs_solution_and_integer_sigma():
                              known_solution=np.ones(2))
     assert rho(withsol, np.zeros(2), 0) == pytest.approx(2.0)
     assert rho(withsol, np.zeros(2), 1) == pytest.approx(3.0)
+    # sigma = 0 checks its vector as sigma = 1 and 2 do: a shape that would
+    # broadcast against the solution, nan and a complex vector are refused
+    dense = benchmark_dense_case(40, 3, 0)
+    for x, error, match in (
+            (np.ones(1), DimensionMismatchError, "expected shape"),
+            (np.array(1.0), DimensionMismatchError, "expected shape"),
+            (np.full(40, np.nan), ValueError, "non-finite"),
+            (np.ones(40) + 1j, ValueError, "is complex")):
+        for sigma in (0, 1, 2):
+            with pytest.raises(error, match=match):
+                rho(dense, x, sigma)
 
 
 def spy_on_products(monkeypatch):
@@ -265,6 +277,13 @@ def test_iterate_registry_is_weak(monkeypatch):
     del fs
     gc.collect()
     assert not prob._pending and not prob._images
+
+    # nor does a pending iterate given another shape in place
+    prob = benchmark_dense_case(40, 3, 0)
+    fs = run_cg(prob, 6).iterates
+    fs[3].shape = (20, 2)
+    rho(prob, fs[0], 1)
+    assert rows == [11, 6] and not prob._pending
 
     op = DiagonalOperator(np.linspace(0.0, 1.0, 9))
     spectral = InverseProblem(op, g=op.apply(np.ones(9)))

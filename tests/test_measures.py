@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import powercg as pc
-from powercg.measures import (DiscreteSpectralMeasure, spectral_measure,
-                              weight_by_power)
+from powercg.measures import DiscreteSpectralMeasure, weight_by_power
 
-from mp_reference import mass_below
+from mp_reference import mass_below, spectral_measure
 
 
 def test_spectral_measure_hand():

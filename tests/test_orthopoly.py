@@ -8,10 +8,11 @@ from powercg.measures import (WEIGHT_FLOOR, DiscreteSpectralMeasure,
                               weight_by_power)
 from powercg import orthopoly
 from powercg.orthopoly import (CHAIN_SLACK, _factor_products, chain_table,
-                               check_separation, delta_n, orthogonality_gap,
+                               check_separation, delta_n,
                                residual_polynomials)
 
-from mp_reference import lemma_bound, reference_zero_table
+from mp_reference import (lemma_bound, orthogonality_gap,
+                          reference_zero_table)
 
 
 def rho_integral_identity(zeros, mu_sigma):
