@@ -4,8 +4,9 @@ The degree-N iterate minimizes ||A^{theta/2}(h - P h)|| over the affine
 Krylov space f0 + span{R_0, A R_0, ..., A^{N-1} R_0}, where P projects onto
 the solution set of A f = g and R = A f - g (note the sign; the classic CG
 literature negates it). theta = 1 is plain CG. theta_iterate takes integer
-theta >= 1 matrix-free, through Lanczos tridiagonal powers; spectral_iterates
-takes any theta >= 0 in the eigenbasis, which needs spectral access.
+theta >= 1 matrix-free, through the Cholesky factor of the Lanczos matrix;
+spectral_iterates takes any theta >= 0 in the eigenbasis, which needs
+spectral access.
 """
 
 import itertools
@@ -214,9 +215,9 @@ class _Lanczos:
     reorthogonalization: a problem's one Krylov process, from R0, that
     run_cg and theta_iterate read.
 
-    Holds ||b||, the column-major basis, the alpha/beta lists (the Jacobi
-    matrix T, in this form only), the unnormalized residual of the last
-    step and the breakdown flag; extend(n) continues to n steps. The
+    Holds ||b||, the column-major basis, the alpha/beta lists of the Jacobi
+    matrix T, the unnormalized residual of the last step and the breakdown
+    flag; extend(n) continues to n steps. The
     k-step factorization is the leading block of every longer one, bit for
     bit, however the basis grew."""
 
@@ -236,7 +237,7 @@ class _Lanczos:
         self.breakdown = False
         # the nested Cholesky factor T = L L^T (L lower bidiagonal: diagonal
         # chol_diag, subdiagonal chol_sub) that cholesky() grows, and one
-        # _ProjectedQR per integer theta >= 2
+        # _ProjectedQR per integer theta >= 1 that solve() grows
         self.chol_diag = []
         self.chol_sub = []
         self.factors = {}
@@ -304,17 +305,16 @@ class _Lanczos:
             d.append(math.sqrt(pivot))
         return min(rows, len(d))
 
-    def cg_solve(self, n):
-        """y with T y = -||b|| e1 on the first n steps, n at most the
-        Cholesky factor's order: a forward sweep on L, a back sweep on L^T."""
-        d, m = self.chol_diag, self.chol_sub
-        y = [-self.norm / d[0]]
-        for i in range(1, n):
-            y.append(-m[i - 1] * y[-1] / d[i])
-        y[-1] /= d[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = (y[i] - m[i] * y[i + 1]) / d[i]
-        return np.array(y)
+    def solve(self, theta, k, n):
+        """y of the degree-n projected problem at the integer theta >= 1,
+        on the first k steps, n <= k <= the Cholesky factor's order: the
+        problem's one _ProjectedQR for theta, grown to n columns and
+        back-substituted."""
+        qr = self.factors.get(theta)
+        if qr is None:
+            qr = self.factors[theta] = _ProjectedQR(theta)
+        qr.grow(self, k, n)
+        return qr.solve(n)
 
 
 def _check_degree(N, dimension, name="N"):
@@ -368,7 +368,7 @@ def run_cg(problem, n_max):
         if state.cholesky(N) < N:
             return IterateHistory(iterates, True, f"breakdown at N={N - 1} "
                                   f"(pivot of T_{N} <= {state.tol:.3e})")
-        y = state.cg_solve(N)
+        y = state.solve(1, N, N)
         iterates.append(problem._hand_out(problem.f0 + state.V[:, :N] @ y))
         # beta_N, or the norm extend will take as beta_N
         beta = (state.betas[N - 1] if state.steps > N
@@ -378,78 +378,71 @@ def run_cg(problem, n_max):
     return IterateHistory(iterates)
 
 
-def _power_column(alphas, betas, k, j, s):
-    """T^s e_j for the tridiagonal T of the first k (alphas, betas), as
-    (first row, entries): rows j - s .. j + s cut at k, each entry summed in
-    the same order whatever k is."""
+def _factored_column(st, k, j, t):
+    """P_t e_j on the first k steps of the state st, k at most its Cholesky
+    factor's order, as (first row, entries): t factors of T = L L^T applied
+    from the right, alternating L^T, L, L^T, ..., so P_2s = T^s and
+    P_(2s+1) = L^T T^s. Rows j - ceil(t/2) .. j + t // 2, cut at k."""
+    d, m = st.chol_diag, st.chol_sub
     lo, x = j, [1.0]
-    for _ in range(s):
+    for f in range(t):
         hi = lo + len(x) - 1
-        y = []
-        for i in range(max(lo - 1, 0), min(hi + 1, k - 1) + 1):
-            t = 0.0
-            if i - 1 >= lo:
-                t += betas[i - 1] * x[i - 1 - lo]
-            if lo <= i <= hi:
-                t += alphas[i] * x[i - lo]
-            if i + 1 <= hi:
-                t += betas[i] * x[i + 1 - lo]
-            y.append(t)
-        lo, x = max(lo - 1, 0), y
+        if f % 2 == 0:
+            # (L^T x)_i = d_i x_i + m_i x_(i+1), rows lo - 1 .. hi
+            y = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo] for i in range(lo, hi)]
+            y.append(d[hi] * x[-1])
+            if lo:
+                lo, y = lo - 1, [m[lo - 1] * x[0]] + y
+        else:
+            # (L x)_i = m_(i-1) x_(i-1) + d_i x_i, rows lo .. hi + 1
+            y = [d[lo] * x[0]]
+            y += [m[i - 1] * x[i - 1 - lo] + d[i] * x[i - lo]
+                  for i in range(lo + 1, hi + 1)]
+            if hi + 1 < k:
+                y.append(m[hi] * x[-1])
+        x = y
     return lo, x
 
 
 class _ProjectedQR:
-    """Givens QR of the projected problem of one integer theta >= 2, grown
-    one column per degree from a _Lanczos state's recurrence (Paige &
-    Saunders' MINRES update, SIAM J. Numer. Anal. 12, 1975, for any s).
+    """Givens QR of the projected problem of one integer theta >= 1, grown
+    one column per degree from a _Lanczos state's nested Cholesky factor
+    T = L L^T, the one form of T it reads (Paige & Saunders' MINRES update,
+    SIAM J. Numer. Anal. 12, 1975, for any theta).
 
-    With s = theta // 2 the factored matrix is B = W (T^s)[:, :N] and the
-    right-hand side -||R0|| W T^(s-1) e1, with W = I for even theta and
-    W = L^T for odd theta (T = L L^T, the state's nested Cholesky), T cut
-    at the state's positive-definite prefix. There B has full column rank,
-    so the QR is exact. Column j of B has rows j - s - (theta odd) .. j + s,
-    and its s rotations pair row j with rows j + 1 .. j + s, so R has
-    2s + (theta odd) rows above its diagonal and a later column's rotations
-    touch later rows only: R's leading N x N block and the rotated
-    right-hand side's first N entries are the same bits however far the
-    factorization has grown.
+    The factored matrix is B = P_theta[:, :N] (see _factored_column), with
+    B^T B = T^theta on the first N columns, and the right-hand side
+    -||R0|| P_(theta-2) e1, P_0 = I; for theta = 1 it is -||R0|| L^-1 e1,
+    grown by one forward-sweep entry per column, and B = L^T needs no
+    rotation. T is cut at the state's positive-definite prefix; there B has
+    full column rank, so the QR is exact. Column j of B has rows
+    j - ceil(theta/2) .. j + theta // 2, and its s = theta // 2 rotations
+    pair row j with rows j + 1 .. j + s, so R has theta rows above its
+    diagonal and a later column's rotations touch later rows only: R's
+    leading N x N block and the rotated right-hand side's first N entries
+    are the same bits however far the factorization has grown.
     """
 
     def __init__(self, theta):
+        self.theta = theta
         self.s = theta // 2
-        self.odd = theta % 2 == 1
-        self.width = 2 * self.s + self.odd
-        # column j: R's rows j - width .. j; rotations: column j's s (c, sn)
+        # column j: R's rows j - theta .. j; rotations: column j's s (c, sn)
         self.R = []
         self.rotations = []
         self.rhs = None
 
-    def _column(self, st, k, j, s):
-        """W T^s e_j on the first k steps of the state st, k at most its
-        Cholesky factor's order, as (first row, entries)."""
-        lo, x = _power_column(st.alphas, st.betas, k, j, s)
-        if not self.odd:
-            return lo, x
-        hi = lo + len(x) - 1
-        d, m = st.chol_diag, st.chol_sub
-        # (L^T x)_i = d_i x_i + m_i x_(i+1), rows lo - 1 .. hi
-        z = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo] for i in range(lo, hi)]
-        z.append(d[hi] * x[-1])
-        if lo:
-            return lo - 1, [m[lo - 1] * x[0]] + z
-        return lo, z
-
     def grow(self, st, k, n):
         """Factor columns up to n <= k of the first k steps of the state
         st's recurrence."""
-        s, w = self.s, self.width
+        s, w = self.s, self.theta
         if self.rhs is None:
-            self.rhs = [-st.norm * v for v in self._column(st, k, 0, s - 1)[1]]
+            self.rhs = [] if w == 1 else [
+                -st.norm * v for v in _factored_column(st, k, 0, w - 2)[1]]
         rhs = self.rhs
+        d, m = st.chol_diag, st.chol_sub
         while len(self.R) < n:
             j = len(self.R)
-            lo, x = self._column(st, k, j, s)
+            lo, x = _factored_column(st, k, j, w)
             # rows base .. j + s of column j, rows below 0 kept as zeros
             base = j - w
             v = [0.0] * (w + s + 1)
@@ -460,7 +453,12 @@ class _ProjectedQR:
                     a, b = v[p], v[q]
                     v[p] = c * a + sn * b
                     v[q] = c * b - sn * a
-            rhs.extend([0.0] * (j + s + 1 - len(rhs)))
+            if w == 1:
+                # entry j of the forward sweep L z = -||R0|| e1
+                rhs.append(-m[j - 1] * rhs[-1] / d[j] if j
+                           else -st.norm / d[0])
+            else:
+                rhs.extend([0.0] * (j + s + 1 - len(rhs)))
             rots = []
             for q in range(w + 1, w + s + 1):
                 a, b = v[w], v[q]
@@ -476,7 +474,7 @@ class _ProjectedQR:
 
     def solve(self, n):
         """y with R[:n, :n] y = rhs[:n], by back substitution."""
-        w = self.width
+        w = self.theta
         y = self.rhs[:n]
         for j in range(n - 1, -1, -1):
             col = self.R[j]
@@ -511,19 +509,18 @@ def theta_iterate(problem, theta, N):
     k = 0 returns f0. The price: a Krylov space whose Ritz values span more
     than about 13 decades loses the degrees past the cut.
 
-    theta = 1 solves the CG tridiagonal system T y = -||R0|| e1 by a forward
-    sweep on L and a back sweep on L^T, with the factor T = L L^T that the
-    prefix test grew: run_cg's iterate, bit for bit. For theta >= 2 the
-    projected problem is solved in a square-rooted form (least squares
-    on B = W (T^s)[:, :N], s = theta // 2; the normal equations would square
-    the condition number) by one Givens QR of B per theta that the recurrence
-    stores, grown one column per new degree (Paige & Saunders, SIAM J.
-    Numer. Anal. 12, 1975, carried from MINRES's s = 1 to every s): a degree
-    back-substitutes the leading N x N block of R, so a theta series costs
-    one factorization as it costs one basis. Later columns rotate later rows
-    only, so the leading block is the same bits however far the
-    factorization has grown, and the iterate does not depend on the calls
-    made before.
+    The projected problem is solved in a square-rooted form (least squares
+    on B = P_theta[:, :N], theta factors of the Cholesky factor T = L L^T
+    that the prefix test grew, so B^T B = T^theta; the normal equations
+    would square the condition number) by one Givens QR of B per theta that
+    the recurrence stores, grown one column per new degree (Paige &
+    Saunders, SIAM J. Numer. Anal. 12, 1975, carried from MINRES to every
+    theta): a degree back-substitutes the leading N x N block of R, so a
+    theta series costs one factorization as it costs one basis. At theta = 1
+    B = L^T and the solve is CG's forward sweep on L and back sweep on L^T:
+    run_cg's iterate, bit for bit. Later columns rotate later rows only, so
+    the leading block is the same bits however far the factorization has
+    grown, and the iterate does not depend on the calls made before.
     """
     if not (theta >= 1 and float(theta).is_integer()):
         raise ValueError(f"theta_iterate takes an integer theta >= 1, got "
@@ -539,14 +536,7 @@ def theta_iterate(problem, theta, N):
     Nc = min(N, k)
     if Nc == 0:
         return problem._hand_out(problem.f0.copy())
-    if theta == 1:
-        y = state.cg_solve(Nc)
-    else:
-        qr = state.factors.get(theta)
-        if qr is None:
-            qr = state.factors[theta] = _ProjectedQR(theta)
-        qr.grow(state, k, Nc)
-        y = qr.solve(Nc)
+    y = state.solve(theta, k, Nc)
     return problem._hand_out(problem.f0 + state.V[:, :Nc] @ y)
 
 
