@@ -53,8 +53,8 @@ def _kernel_drift_guard(problem, x, sigma):
 def rho(problem, f_n, sigma):
     """||A^{sigma/2}(f_n - P f_n)||^2.
 
-    Spectral path: any real sigma, measured against the operator's own
-    discrete solution set. Matrix-free path: sigma in {0, 1, 2}, from the
+    Spectral path: any real sigma, a sum over the error coefficients
+    against the operator's own discrete solution set. Matrix-free path: sigma in {0, 1, 2}, from the
     error d = f_n - s against s, the supplied known solution (which must
     share the iterate's kernel component) or 0 without one; sigma < 2 needs
     s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic,
@@ -70,7 +70,7 @@ def rho(problem, f_n, sigma):
 def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
     the one code path of rho. Each call transforms its iterate once and
-    takes every spectral sigma != 2 from that one vector; a negative sigma
+    takes every spectral sigma, 2 included, from that one vector; a negative sigma
     adds the kernel-drift guard's one transform of f_n - f0. Each call
     checks f_n's shape, realness and finiteness before any path reads it.
     lambda^sigma is taken here, once, so an overflowing sigma raises before
@@ -91,8 +91,7 @@ def rho_evaluator(problem, sigmas):
     if op.spectral:
         live = ~problem.kernel_mask
         lam_live = op.eigenvalues()[live]
-        power = {s: _power_weights(lam_live, s, 1.0)
-                 for s in sigmas if s != 2.0}
+        power = {s: _power_weights(lam_live, s, 1.0) for s in sigmas}
     else:
         for sigma in sigmas:
             if sigma not in (0.0, 1.0, 2.0):
@@ -114,14 +113,13 @@ def rho_evaluator(problem, sigmas):
         out = {}
         mag = None
         for sigma in sigmas:
-            if sigma == 2.0:
-                r = (op.apply(f_n) - problem.g if op.spectral
-                     else problem._error_image(f_n) + problem._residual_s)
-                out[sigma] = float(np.dot(r, r))
-            elif op.spectral:
+            if op.spectral:
                 if mag is None:
                     mag = np.abs(problem.error_coefficients(f_n)[live]) ** 2
                 out[sigma] = float(np.sum(power[sigma] * mag))
+            elif sigma == 2.0:
+                r = problem._error_image(f_n) + problem._residual_s
+                out[sigma] = float(np.dot(r, r))
             else:
                 d = f_n - problem.known_solution
                 out[sigma] = (float(np.dot(d, d)) if sigma == 0.0
