@@ -215,11 +215,11 @@ class _Lanczos:
     reorthogonalization: a problem's one Krylov process, from R0, that
     run_cg and theta_iterate read.
 
-    Holds ||b||, the column-major basis, the alpha/beta lists of the Jacobi
-    matrix T, the unnormalized residual of the last step and the breakdown
-    flag; extend(n) continues to n steps. The
-    k-step factorization is the leading block of every longer one, bit for
-    bit, however the basis grew."""
+    Holds b, ||b||, the column-major basis, the alpha/beta lists of the
+    Jacobi matrix T, the unnormalized residual of the last step and the
+    breakdown flag; extend(n) continues to n steps. The k-step
+    factorization is the leading block of every longer one, bit for bit,
+    however the basis grew."""
 
     def __init__(self, op, b):
         b = np.asarray(b, dtype=float)
@@ -227,6 +227,9 @@ class _Lanczos:
         if nb == 0:
             raise ValueError("lanczos start vector is zero")
         self.op = op
+        # step 1 applies A to b itself, not to its rounded normalization,
+        # which on data with a roundoff floor leaves the Krylov space
+        self.start = b
         self.norm = float(nb)
         self.tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
         self.V = np.empty((op.dimension, 1), order="F")
@@ -270,7 +273,7 @@ class _Lanczos:
                 self.betas.append(beta)
                 V[:, k] = self.residual / beta
             q = V[:, k]
-            v = self.op.apply(q)
+            v = self.op.apply(q) if k else self.op.apply(self.start) / self.norm
             if k > 0:
                 v = v - self.betas[k - 1] * V[:, k - 1]
             a = float(np.dot(v, q))
@@ -349,13 +352,13 @@ def run_cg(problem, n_max):
     Cholesky pivot of T_N that ends theta_iterate's prefix. A fresh problem
     pays N + 1 applies to degree N; a stored recurrence serves later series.
 
-    The recurrence is reorthogonalized, yet on data with a roundoff floor
-    its basis leaves the exact Krylov space. On the built-ins at their
-    defaults, N <= 60, rho0 differs from the eigenbasis minimizer's by up to
-    3.9e-2 (1a), 3.5e-3 (2a), 2.4e-12 (1b) and 1.9e-6 (2b), relative and
-    floored at 1e-12 rho0(0): 20 to 230 times the gap of the three-term CG
-    loop on 1a, 2a and 2b (1.5e-3, 1.3e-4, 8.2e-9). With the floor of 2b's
-    datum cleaned the gap is 1.4e-13.
+    The recurrence is reorthogonalized and applies A to R0 itself at step
+    1. On the built-ins at their defaults, N <= 60, rho0 differs from the
+    eigenbasis minimizer's by up to 1.2e-3 (1a), 1.2e-4 (2a), 9.9e-13 (1b)
+    and 2.8e-9 (2b), relative and floored at 1e-12 rho0(0): on 1a, 2a and
+    2b below the gap of the three-term CG loop (1.5e-3, 1.3e-4, 8.2e-9).
+    The gap is the data's roundoff floor: with the floor of 2b's datum
+    cleaned it is 5e-15.
     """
     _check_degree(n_max, problem.dimension, "n_max")
     iterates = [problem._hand_out(problem.f0.copy())]

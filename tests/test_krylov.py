@@ -357,9 +357,9 @@ def test_theta_one_equals_cg_path():
 def test_cg_stays_at_the_eigenbasis_minimizer_on_clean_data():
     # run_cg sees only apply; on data without a roundoff floor in its
     # spectrum its rho0 must stay at the exact Krylov minimizer, which the
-    # eigenbasis ladder computes: 1b as built (measured gap 2.4e-12), and
+    # eigenbasis ladder computes: 1b as built (measured gap 9.9e-13), and
     # 2b with the solution's coefficients below 1e-13 of the largest zeroed
-    # and the datum rebuilt from it (measured 1.4e-13; 1.9e-6 as built)
+    # and the datum rebuilt from it (measured 5e-15; 2.8e-9 as built)
     def floor_cleaned(test):
         built = build_test_case(test)
         op = built.operator
@@ -376,6 +376,27 @@ def test_cg_stays_at_the_eigenbasis_minimizer_on_clean_data():
         floor = 1e-12 * ladder[0]
         gap = max(abs(a - b) / max(b, floor) for a, b in zip(got, ladder))
         assert gap <= bound, (prob.notes, gap)
+
+
+def test_krylov_route_starts_on_the_exact_krylov_space_on_rough_data():
+    # 1a and 2a at their defaults carry a roundoff floor in their data; the
+    # recurrence applies A to R0 itself at step 1, not to its rounded
+    # normalization, so theta_iterate's rho0 stays near the eigenbasis
+    # minimizer's: measured 1.2e-3 (1a) and 1.4e-4 (2a) at most over
+    # theta = 1, 2, 3, against 3.9e-2 and 3.6e-3 when step 1 applied A to
+    # the rounded start. Over perturbed draws of g theta = 1 read 2.4e-4 to
+    # 1.2e-3 (1a) and 2.5e-5 to 1.2e-4 (2a), against 5.9e-3 to 3.9e-2 and
+    # 1.7e-3 to 6.4e-3, so each bound sits between the two
+    for test, bound in (("1a", 3e-3), ("2a", 5e-4)):
+        prob = build_test_case(test)
+        for theta in (1, 2, 3):
+            ladder = [rho(prob, f, 0)
+                      for f in spectral_iterates(prob, theta, 60)]
+            got = [rho(prob, theta_iterate(prob, theta, N), 0)
+                   for N in range(61)]
+            floor = 1e-12 * ladder[0]
+            gap = max(abs(a - b) / max(b, floor) for a, b in zip(got, ladder))
+            assert gap <= bound, (test, theta, gap)
 
 
 def test_theta_iterate_matrix_free_path():
@@ -478,11 +499,14 @@ def test_theta_series_factors_once(monkeypatch):
 
 
 def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
-    # at full dimension roundoff leaks a kernel direction into the last
-    # Lanczos steps, and a Cholesky pivot of T falls to BREAKDOWN_REL ||A||:
-    # every integer theta reads T only up to there, so degree dim repeats
-    # degree dim - 1 bit for bit and still solves A f = g, with the stored
-    # QR alone
+    # at full dimension the Krylov space is exhausted: either roundoff leaks
+    # a kernel direction into the last Lanczos steps and a Cholesky pivot of
+    # T falls to BREAKDOWN_REL ||A|| (dense_problem(41, 40): 39 pivots of 40
+    # steps; the benchmark's case: 37 of 38), or the recurrence breaks down
+    # at beta with every pivot kept (dense_problem(44, 10) after 9 steps,
+    # dense_problem(48, 16) after 15). Every integer theta reads T only up
+    # to the cut, so degree dim repeats degree dim - 1 bit for bit and still
+    # solves A f = g, with the stored QR alone
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq called")
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
@@ -496,7 +520,13 @@ def test_theta_iterate_stops_at_the_positive_definite_prefix(monkeypatch):
                 dim, theta)
             assert (np.linalg.norm(M @ f - g)
                     <= 1e-10 * np.linalg.norm(g)), (dim, theta)
-        assert len(prob._lanczos.chol_diag) < prob._lanczos.steps
+    for prob, cut in zip(probs, (False, True, False, True)):
+        st = prob._lanczos
+        if cut:
+            assert len(st.chol_diag) < st.steps, prob.dimension
+        else:
+            assert st.breakdown and len(st.chol_diag) == st.steps, \
+                prob.dimension
     # the benchmark's case keeps its iterates in ran A, on its solution
     sol = probs[-1].known_solution
     for theta in (1, 2, 3, 4, 5):
