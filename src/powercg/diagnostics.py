@@ -54,14 +54,14 @@ def rho(problem, f_n, sigma):
     """||A^{sigma/2}(f_n - P f_n)||^2.
 
     Spectral path: any real sigma, a sum over the error coefficients
-    against the operator's own discrete solution set. Matrix-free path: sigma in {0, 1, 2}, from the
-    error d = f_n - s against s, the supplied known solution (which must
-    share the iterate's kernel component) or 0 without one; sigma < 2 needs
-    s. sigma = 2 is ||A d + (A s - g)||^2, A f_n - g in exact arithmetic,
-    with A s - g kept from the problem's consistency check (exactly -g
-    without a known solution). The image A d comes from the operator's
-    _apply_rows, batched with the problem's other pending iterates (see
-    rho_evaluator).
+    against the operator's own discrete solution set. Matrix-free path:
+    sigma in {0, 1, 2}, from the error d = f_n - s against s, the supplied
+    known solution (which must share the iterate's kernel component) or 0
+    without one; sigma < 2 needs s. sigma = 2 is ||A d + (A s - g)||^2,
+    A f_n - g in exact arithmetic, with A s - g kept from the problem's
+    consistency check (exactly -g without a known solution). The image A d
+    comes from the operator's _apply_rows, batched with the problem's other
+    pending iterates (see rho_evaluator).
     """
     sigma = float(sigma)
     return rho_evaluator(problem, (sigma,))(f_n)[sigma]
@@ -70,11 +70,12 @@ def rho(problem, f_n, sigma):
 def rho_evaluator(problem, sigmas):
     """f_n -> {sigma: rho(problem, f_n, sigma)} for every sigma in sigmas,
     the one code path of rho. Each call transforms its iterate once and
-    takes every spectral sigma, 2 included, from that one vector; a negative sigma
-    adds the kernel-drift guard's one transform of f_n - f0. Each call
-    checks f_n's shape, realness and finiteness before any path reads it.
-    lambda^sigma is taken here, once, so an overflowing sigma raises before
-    any iterate, as does a sigma the matrix-free path cannot measure.
+    takes every spectral sigma, 2 included, from that one vector; a
+    negative sigma adds the kernel-drift guard's one transform of f_n - f0.
+    Each call checks f_n's shape, realness and finiteness before any path
+    reads it. lambda^sigma is taken here, once, so an overflowing sigma
+    raises before any iterate, as does a sigma the matrix-free path cannot
+    measure.
 
     On the matrix-free path sigma = 1 and 2 read one image A d of the error
     d = f_n - s, which the problem keeps from the first read to the second

@@ -227,8 +227,6 @@ class _Lanczos:
         if nb == 0:
             raise ValueError("lanczos start vector is zero")
         self.op = op
-        # step 1 applies A to b itself, not to its rounded normalization,
-        # which on data with a roundoff floor leaves the Krylov space
         self.start = b
         self.norm = float(nb)
         self.tol = BREAKDOWN_REL * max(op.norm_estimate(), 1e-300)
@@ -273,7 +271,10 @@ class _Lanczos:
                 self.betas.append(beta)
                 V[:, k] = self.residual / beta
             q = V[:, k]
-            v = self.op.apply(q) if k else self.op.apply(self.start) / self.norm
+            # step 1 applies A to b itself: its rounded normalization q
+            # leaves the Krylov space on data with a roundoff floor
+            v = (self.op.apply(q) if k
+                 else self.op.apply(self.start) / self.norm)
             if k > 0:
                 v = v - self.betas[k - 1] * V[:, k - 1]
             a = float(np.dot(v, q))
@@ -392,7 +393,8 @@ def _factored_column(st, k, j, t):
         hi = lo + len(x) - 1
         if f % 2 == 0:
             # (L^T x)_i = d_i x_i + m_i x_(i+1), rows lo - 1 .. hi
-            y = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo] for i in range(lo, hi)]
+            y = [d[i] * x[i - lo] + m[i] * x[i + 1 - lo]
+                 for i in range(lo, hi)]
             y.append(d[hi] * x[-1])
             if lo:
                 lo, y = lo - 1, [m[lo - 1] * x[0]] + y

@@ -32,6 +32,8 @@ def _as_vector(x, dim, who):
             f"{who}: expected shape ({dim},), got {x.shape}")
     if x.dtype.kind == "c":
         raise ValueError(f"{who} is complex, expected a real vector")
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{who} has dtype {x.dtype}, expected a real vector")
     if not np.isfinite(x).all():
         raise ValueError(f"{who} contains non-finite entries")
     return x

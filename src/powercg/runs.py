@@ -480,7 +480,8 @@ def verify_case(config):
     zeros = table.zeros
     seps = [check_separation(a, b) for a, b in zip(zeros, zeros[1:])]
     sep_ok = all(ok for ok, _ in seps)
-    worst = max([0.0] + [v for _, v in seps])
+    # the signed worst overshoot: negative is the margin left
+    worst = max((v for _, v in seps), default=0.0)
     checks.append(("zeros_interlace", sep_ok, f"{len(zeros)} degrees, "
                    f"max violation {worst:.3e}"))
     tables = list(chains.values())

@@ -221,6 +221,16 @@ def test_verify_ok_prints_all_checks(capsys):
             assert all(ln.endswith(f"{pairs} of {pairs} (degree, sigma) "
                                    "pairs hold") for ln in lines[4:]), \
                 (test, xi, lines)
+            # on 256 points the table's converged zeros meet to roundoff
+            worst = float(lines[3].rsplit(maxsplit=1)[1])
+            assert abs(worst) <= 1e-14, (test, xi, lines[3])
+    # at their default sizes every table interlaces strictly, and the line
+    # gives the signed worst overshoot, the margin, not a clamped 0
+    for test in sizes:
+        assert main(["verify", "--test", test]) == 0, test
+        line = capsys.readouterr().out.splitlines()[3]
+        assert line.startswith("ok   zeros_interlace: 60 degrees"), line
+        assert -1e-4 < float(line.rsplit(maxsplit=1)[1]) < -1e-6, line
 
 
 def test_verify_gate_failure_exits_two(capsys):

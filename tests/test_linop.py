@@ -176,6 +176,25 @@ def test_dimension_mismatch():
                 assert info.type is ValueError
 
 
+def _diagonal_rho(x):
+    prob = pc.InverseProblem(pc.DiagonalOperator([1.0, 2.0]), g=[1.0, 2.0])
+    return pc.rho(prob, x, 0.0)
+
+
+# an object or string vector is refused for its dtype, naming the caller,
+# before numpy's finiteness test can raise its own TypeError
+_NOT_REAL = [
+    (lambda x=x, call=call: call(x), ValueError, f"^{who} has dtype")
+    for x in (np.array([None, None]), np.array(["a", "b"]))
+    for call, who in (
+        (pc.DiagonalOperator([1.0, 2.0]).apply, "DiagonalOperator.apply"),
+        (pc.DiagonalOperator([1.0, 2.0]).coefficients,
+         "DiagonalOperator.coefficients"),
+        (pc.DiagonalOperator([1.0, 2.0]).from_coefficients,
+         "DiagonalOperator.from_coefficients"),
+        (_diagonal_rho, "f_n"))]
+
+
 @pytest.mark.parametrize("make, error, match", [
     (lambda: pc.DiagonalOperator(np.ones(3)).apply([1.0, np.nan, 0.0]),
      ValueError, "non-finite"),
@@ -197,11 +216,14 @@ def test_dimension_mismatch():
      DimensionMismatchError, "expected shape"),
     (lambda: pc.MatrixOperator(np.eye(2)).coefficients(np.ones(2)),
      SpectralAccessError, "no spectral access"),
+    *_NOT_REAL,
 ], ids=["non-finite-apply", "non-finite-coefficients", "non-finite-from-coefficients",
         "diagonal-not-1d",
         "diagonal-infinite", "diagonal-nan", "matrix-not-square",
         "matrix-not-2d", "matrix-infinite", "matrix-nan",
-        "diagonal-from-coefficients-shape", "matrix-no-spectral-access"])
+        "diagonal-from-coefficients-shape", "matrix-no-spectral-access",
+        *(f"{kind}-{call}" for kind in ("object", "string")
+          for call in ("apply", "coefficients", "from-coefficients", "rho"))])
 def test_operator_safety_branches(make, error, match):
     with pytest.raises(error, match=match) as info:
         make()

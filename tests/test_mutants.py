@@ -15,6 +15,6 @@ def test_every_mutant_text_occurs_once():
     spec.loader.exec_module(mutants)
     assert mutants.stale() == []
     names = [m[0] for m in mutants.MUTANTS]
-    assert len(set(names)) == len(names) == 21
+    assert len(set(names)) == len(names) == 24
     for name, path, old, new in mutants.MUTANTS:
         assert path.startswith("src/") and old != new, name

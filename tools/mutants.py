@@ -82,6 +82,14 @@ MUTANTS = [
      "f_n = np.asarray(f_n)"),
     ("image-batch-no-shape-filter", "src/powercg/krylov.py",
      "v is not x and v.shape == x.shape and", "v is not x and"),
+    # the factored matrix's alternation starts with L instead of L^T
+    ("qr-factor-order", "src/powercg/krylov.py",
+     "if f % 2 == 0:", "if f % 2 == 1:"),
+    # step 1 applies A to the rounded normalization of R0 again
+    ("lanczos-rounded-start", "src/powercg/krylov.py",
+     "else self.op.apply(self.start) / self.norm", "else self.op.apply(q)"),
+    ("as-vector-any-dtype", "src/powercg/linop.py",
+     'if x.dtype.kind not in "biuf":', 'if x.dtype.kind not in "biufOSU":'),
 ]
 
 
