@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import powercg
+from powercg import runs
 from powercg.cli import main
 from powercg.runs import read_csv, read_json
 
@@ -206,8 +207,7 @@ def test_verify_ok_prints_all_checks(capsys):
             assert code == 0, (test, xi)
             lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
             names = [ln.split()[1].rstrip(":") for ln in lines]
-            assert names == ["consistency_gate", "operator_symmetry",
-                             "operator_nonnegative", "zeros_interlace",
+            assert names == ["consistency_gate", "zeros_interlace",
                              "integral_identity", "split_bound",
                              "tail_bound", "split_orthogonality",
                              "weighted_left_bound", "assembled_bound",
@@ -216,19 +216,19 @@ def test_verify_ok_prints_all_checks(capsys):
             assert all(ln.startswith("ok") for ln in lines), (test, xi, lines)
             # the whole 60-degree table, and each chain step on every
             # (degree, sigma) pair with sigma <= xi
-            assert "60 degrees" in lines[3], (test, xi, lines[3])
+            assert "60 degrees" in lines[1], (test, xi, lines[1])
             pairs = 60 * (int(xi) + 1)
             assert all(ln.endswith(f"{pairs} of {pairs} (degree, sigma) "
-                                   "pairs hold") for ln in lines[4:]), \
+                                   "pairs hold") for ln in lines[2:]), \
                 (test, xi, lines)
             # on 256 points the table's converged zeros meet to roundoff
-            worst = float(lines[3].rsplit(maxsplit=1)[1])
-            assert abs(worst) <= 1e-14, (test, xi, lines[3])
+            worst = float(lines[1].rsplit(maxsplit=1)[1])
+            assert abs(worst) <= 1e-14, (test, xi, lines[1])
     # at their default sizes every table interlaces strictly, and the line
     # gives the signed worst overshoot, the margin, not a clamped 0
     for test in sizes:
         assert main(["verify", "--test", test]) == 0, test
-        line = capsys.readouterr().out.splitlines()[3]
+        line = capsys.readouterr().out.splitlines()[1]
         assert line.startswith("ok   zeros_interlace: 60 degrees"), line
         assert -1e-4 < float(line.rsplit(maxsplit=1)[1]) < -1e-6, line
 
@@ -238,6 +238,31 @@ def test_verify_gate_failure_exits_two(capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert out.startswith("FAIL consistency_gate")
+
+
+def test_verify_chain_step_failure_exits_two(capsys, monkeypatch):
+    # a chain step false at one degree of each sigma's table fails its own
+    # line, counted, and leaves every other line ok
+    real = runs.chain_table
+
+    def one_false(*args, **kwargs):
+        table = real(*args, **kwargs)
+        steps = [(name, lhs, rhs, ok.copy())
+                 for name, lhs, rhs, ok in table.steps]
+        steps[[s[0] for s in steps].index("tail_bound")][3][0] = False
+        return table._replace(steps=steps)
+
+    monkeypatch.setattr(runs, "chain_table", one_false)
+    code = main(["verify", "--test", "1a", "--n", "256", "--L", "40",
+                 "--nmax", "8"])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+    failed = [ln for ln in lines if not ln.startswith("ok")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL tail_bound: "), \
+        lines
+    # 8 degrees at sigma = 0 and 1, one false pair in each
+    held, pairs = (int(v) for v in failed[0].split()[2:5:2])
+    assert (held, pairs) == (14, 16), failed[0]
 
 
 def test_installed_entry_point(tmp_path):

@@ -234,7 +234,12 @@ def test_symmetry_and_nonnegativity_sweep():
     rng = np.random.default_rng(20260814)
     ops = [pc.DiagonalOperator(np.sort(rng.uniform(0, 10, 7))),
            pc.FourierOperator(64, 3.0, shift=0.0),
-           pc.MatrixOperator((lambda B: B @ B.T)(rng.standard_normal((5, 5))))]
+           pc.MatrixOperator((lambda B: B @ B.T)(rng.standard_normal((5, 5)))),
+           # the operators of the built-in cases at their default sizes
+           pc.FourierOperator(2048, 40.0, shift=1.0),
+           pc.FourierOperator(2048, 40.0, shift=0.0),
+           pc.FourierOperator(2048, 200.0, shift=1.0),
+           pc.FourierOperator(8192, 200.0, shift=0.0)]
     for op in ops:
         for _ in range(5):
             x = rng.standard_normal(op.dimension)
