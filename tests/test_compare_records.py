@@ -115,6 +115,17 @@ def test_changed_verify_line_is_reported(compare):
     assert compare.differs(diff)
     text = compare.report(diff, "x", 0, 0)
     assert f"  {lines[0]}" in text and text.endswith("differences found")
+    # lines pair by check name: a check on one side only reads None on the
+    # other, and the checks after it do not move
+    probe = ["operator_symmetry", True, "max rel gap 0.000e+00"]
+    extra = ["coarse_bound", True, "8 of 8 (degree, sigma) pairs hold"]
+    removed = dict(old, **{"1a/xi1": [old["1a/xi1"][0], probe,
+                                      old["1a/xi1"][1]]})
+    assert compare.diff_verify(removed, old) == [
+        f"verify 1a/xi1: {probe} -> None"]
+    added = dict(old, **{"1a/xi1": old["1a/xi1"] + [extra]})
+    assert compare.diff_verify(old, added) == [
+        f"verify 1a/xi1: None -> {extra}"]
 
 
 def test_changed_emitted_file_is_reported(compare):

@@ -59,9 +59,10 @@ the RHO_FLOOR of perfbench/workloads.py, the floor of the benchmark's rho
 gate, so that a move among rho values at the roundoff floor reads as the
 gate sees it. It lists every verdict flip, every series that is missing,
 raised, or has a different number of records on one side, every verify
-check line that differs, and every emitted file that differs, with its
-first differing line. Exit status: 0 when nothing differs, 1 on any
-difference, 2 when REV cannot be checked out or a tree cannot be run.
+check line that differs (paired by check name), and every emitted file
+that differs, with its first differing line. Exit status: 0 when nothing
+differs, 1 on any difference, 2 when REV cannot be checked out or a tree
+cannot be run.
 """
 
 import argparse
@@ -395,15 +396,18 @@ def diff_dumps(old, new):
 
 def diff_verify(old, new):
     """Every verify check line that differs between two {key: [[name, ok,
-    detail]] or {"error": ...}} dumps, as "verify key: old -> new" (None
-    where one side has no such line)."""
+    detail]] or {"error": ...}} dumps, as "verify key: old -> new". Within
+    a key, lines are paired by check name, so a check on one side only
+    reads as None on the other and moves no other line."""
     lines = []
     for key in sorted(set(old) | set(new)):
         a, b = old.get(key, []), new.get(key, [])
         if isinstance(a, dict) or isinstance(b, dict):
             pairs = [(a, b)]
         else:
-            pairs = itertools.zip_longest(a, b)
+            a, b = ({line[0]: line for line in side} for side in (a, b))
+            pairs = [(a.get(name), b.get(name))
+                     for name in dict.fromkeys([*a, *b])]
         lines += [f"verify {key}: {la} -> {lb}" for la, lb in pairs
                   if la != lb]
     return lines
